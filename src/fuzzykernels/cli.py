@@ -198,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--kernel", required=True, help="kernel config JSON file")
     p.add_argument("--out", required=True, help="output matrix file")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads for pair evaluation")
+    p.add_argument("--jobs", type=int, default=1, help="kept for compatibility; has no effect")
     p.set_defaults(func=cmd_gram)
 
     p = sub.add_parser("check-psd", help="eigenvalue check of the Gram matrix")
@@ -232,12 +232,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # LinAlgError subclasses ValueError, so it is caught first
     except (NumericError, np.linalg.LinAlgError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
+    except (ValidationError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

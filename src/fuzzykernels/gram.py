@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import NumericError
-from .kernels import FuzzyKernelSpec, Record, evaluate
+from .kernels import FuzzyKernelSpec, Record, _kernel_matrix
 
 __all__ = [
     "GramMatrix",
@@ -62,10 +61,12 @@ def compute_gram(
 ) -> GramMatrix:
     """Pairwise kernel matrix over a dataset.
 
-    Only the upper triangle is evaluated; the lower triangle is mirrored, so
-    the result is exactly symmetric.  With ``n_jobs > 1`` unordered pairs are
-    evaluated on a thread pool; every pair lands in its own slot, so the
-    matrix is bit-identical to the sequential one regardless of scheduling.
+    The batched engine computes the upper triangle and mirrors it, so the
+    result is exactly symmetric.  Invalid data raises ValidationError and a
+    non-finite kernel value NumericError, each naming the first offending
+    pair ``(id_i, id_j)`` in row-major upper-triangle order.  ``n_jobs`` is
+    accepted for compatibility and does not change the result: the engine
+    runs in the calling thread.
     """
     n = len(data)
     if n == 0:
@@ -73,24 +74,7 @@ def compute_gram(
     ids = [str(i) for i in range(n)] if item_ids is None else [str(s) for s in item_ids]
     if len(ids) != n:
         raise ValueError("need exactly one item id per datum")
-    values = np.zeros((n, n))
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-
-    def entry(pair):
-        i, j = pair
-        try:
-            return i, j, evaluate(spec, data[i], data[j])
-        except Exception as exc:
-            raise type(exc)(f"kernel evaluation failed for pair ({ids[i]}, {ids[j]}): {exc}") from exc
-
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(entry, pairs))
-    else:
-        results = [entry(p) for p in pairs]
-    for i, j, v in results:
-        values[i, j] = v
-        values[j, i] = v
+    values = _kernel_matrix(spec, data, data, ids, ids, symmetric=True)
     return GramMatrix(values=values, spec=spec, item_ids=ids)
 
 

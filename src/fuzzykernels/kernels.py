@@ -21,8 +21,11 @@ distance_inner / distance_poly / distance_gaussian
     Distance substitution kernels built from a metric between fuzzy sets,
     by default the ratio metric ``sum|X-Y| / sum(X+Y)``.
 
-Kernel values are accumulated in a fixed order (ascending index, ascending
-pair order) so repeated evaluations are bit-identical.
+The per-family functions below evaluate one pair and are the reference.
+:func:`evaluate` and :func:`gram.compute_gram` run a batched engine instead:
+one array path per family computes a whole (rows x columns) block of kernel
+values at once.  Its arithmetic has a fixed order, so repeated evaluations
+are bit-identical.
 """
 
 from __future__ import annotations
@@ -34,9 +37,16 @@ from typing import Callable, Mapping, Sequence, Union
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import ValidationError
-from .sets import DiscreteFuzzySet, GaussianFuzzySet, GroundSpace, Partition, _check_same_ground
-from .tnorms import TNorm, apply as tnorm_apply
+from .errors import NumericError, ValidationError
+from .sets import (
+    DiscreteFuzzySet,
+    GaussianFuzzySet,
+    GroundSpace,
+    Partition,
+    _check_partition,
+    _check_same_ground,
+)
+from .tnorms import TNorm, apply as tnorm_apply, apply_array as tnorm_array
 
 __all__ = [
     "LinearKernel",
@@ -216,8 +226,7 @@ def intersection_kernel(
     partially covered by either support contributes nothing.
     """
     _check_same_ground(x, y)
-    if p.size != len(x.ground):
-        raise ValueError("partition does not belong to the fuzzy sets' ground space")
+    _check_partition(x.ground, p)
     sx = x.support
     sy = y.support
     total = 0.0
@@ -328,17 +337,6 @@ def distance_gaussian_kernel(
 FuzzyDatum = Union[DiscreteFuzzySet, GaussianFuzzySet]
 Record = Union[FuzzyDatum, tuple]
 
-_FAMILIES = (
-    "cross_product",
-    "weighted_cross_product",
-    "intersection",
-    "nonsingleton",
-    "nonsingleton_gaussian",
-    "distance_inner",
-    "distance_poly",
-    "distance_gaussian",
-)
-
 
 @dataclass(frozen=True)
 class FuzzyKernelSpec:
@@ -368,9 +366,9 @@ class FuzzyKernelSpec:
     degree: int = 1
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family not in _FAMILY_BLOCKS:
             raise ValidationError(
-                f"unknown kernel family {self.family!r}; expected one of {', '.join(_FAMILIES)}"
+                f"unknown kernel family {self.family!r}; expected one of {', '.join(_FAMILY_BLOCKS)}"
             )
         if self.family in ("cross_product", "weighted_cross_product"):
             if self.k1 is None:
@@ -400,10 +398,6 @@ class FuzzyKernelSpec:
         if isinstance(self.metric, str) and self.metric != "ratio":
             raise ValidationError(f"unknown metric {self.metric!r}; only 'ratio' is built in")
 
-    @property
-    def metric_fn(self) -> Metric:
-        return ratio_distance if isinstance(self.metric, str) else self.metric
-
 
 def _as_record(datum: Record) -> tuple[FuzzyDatum, ...]:
     if isinstance(datum, (DiscreteFuzzySet, GaussianFuzzySet)):
@@ -411,67 +405,361 @@ def _as_record(datum: Record) -> tuple[FuzzyDatum, ...]:
     return tuple(datum)
 
 
-def _want(spec: FuzzyKernelSpec, attr: FuzzyDatum, kind: type) -> None:
-    if not isinstance(attr, kind):
-        raise ValidationError(
-            f"kernel family {spec.family!r} needs {kind.__name__} attributes, "
-            f"got {type(attr).__name__}"
-        )
-
-
-def _evaluate_attr(spec: FuzzyKernelSpec, x: FuzzyDatum, y: FuzzyDatum, slot: int) -> float:
-    fam = spec.family
-    if fam == "nonsingleton_gaussian":
-        _want(spec, x, GaussianFuzzySet)
-        _want(spec, y, GaussianFuzzySet)
-        return nonsingleton_gaussian_kernel(x, y)
-    _want(spec, x, DiscreteFuzzySet)
-    _want(spec, y, DiscreteFuzzySet)
-    if fam == "cross_product":
-        return cross_product_kernel(x, y, spec.k1, spec.k2)
-    if fam == "weighted_cross_product":
-        return weighted_cross_product_kernel(x, y, spec.k1, spec.k2, spec.weights)
-    if fam == "intersection":
-        p = x.ground.partition
-        if p is None:
-            raise ValidationError("intersection kernel needs a partition on the ground space")
-        return intersection_kernel(x, y, spec.tnorm, p)
-    if fam == "nonsingleton":
-        return nonsingleton_kernel(x, y, spec.tnorm)
-    if fam == "distance_gaussian":
-        return distance_gaussian_kernel(x, y, spec.metric_fn, spec.gamma)
-    # distance_inner / distance_poly need the per-attribute reference
-    if len(spec.reference) == 1:
-        ref = spec.reference[0]
-    elif slot < len(spec.reference):
-        ref = spec.reference[slot]
-    else:
-        raise ValidationError(
-            f"reference has {len(spec.reference)} attributes but records have more"
-        )
-    if fam == "distance_inner":
-        return distance_inner(x, y, ref, spec.metric_fn)
-    return distance_polynomial_kernel(
-        x, y, ref, spec.metric_fn, spec.coef0, spec.gamma, spec.degree
-    )
-
-
 def evaluate(spec: FuzzyKernelSpec, x: Record, y: Record) -> float:
     """Evaluate the configured kernel on two fuzzy data.
 
     A datum is either a single fuzzy set or a tuple of them (a multi-attribute
-    record); records combine per-attribute kernel values by product.
+    record); records combine per-attribute kernel values by product.  This is
+    a 1 x 1 block of the batched engine that computes Gram matrices.
     """
-    xs = _as_record(x)
-    ys = _as_record(y)
-    if len(xs) != len(ys):
-        raise ValidationError(f"records have different arity: {len(xs)} vs {len(ys)}")
-    if not xs:
-        raise ValidationError("empty record")
-    total = 1.0
-    for slot, (xa, ya) in enumerate(zip(xs, ys)):
-        total *= _evaluate_attr(spec, xa, ya, slot)
-    return total
+    return float(_kernel_matrix(spec, [x], [y], ("x",), ("y",))[0, 0])
+
+
+# ---------------------------------------------------------------------------
+# Batched engine: one array path per family
+# ---------------------------------------------------------------------------
+
+# elements of one broadcast temporary (2 MiB of float64); a row block takes
+# as many rows as fit
+_BLOCK_ELEMENTS = 1 << 18
+
+
+class _Pairs:
+    """Index space of one kernel block: ids for messages, and whether the
+    block is a Gram matrix on (data, data), of which only the upper triangle
+    (row <= column) is needed."""
+
+    def __init__(self, row_ids: Sequence[str], col_ids: Sequence[str], symmetric: bool):
+        self.row_ids = row_ids
+        self.col_ids = col_ids
+        self.symmetric = symmetric
+        self.shape = (len(row_ids), len(col_ids))
+
+    def label(self, i: int, j: int) -> str:
+        return f"kernel evaluation failed for pair ({self.row_ids[i]}, {self.col_ids[j]})"
+
+    def first(self, bad) -> tuple[int, int] | None:
+        """First flagged pair in row-major (upper-triangle) order, or None."""
+        if not np.any(bad):
+            return None
+        bad = np.broadcast_to(bad, self.shape)
+        hits = np.argwhere(np.triu(bad) if self.symmetric else bad)
+        return (int(hits[0][0]), int(hits[0][1])) if len(hits) else None
+
+    def check(self, bad, message: Union[str, Callable[[int, int], str]]) -> None:
+        """Raise ValidationError naming the first pair flagged in ``bad``."""
+        hit = self.first(bad)
+        if hit is not None:
+            text = message(*hit) if callable(message) else message
+            raise ValidationError(f"{self.label(*hit)}: {text}")
+
+    def indices(self):
+        for i in range(self.shape[0]):
+            for j in range(i if self.symmetric else 0, self.shape[1]):
+                yield i, j
+
+    def row_blocks(self, per_row: int):
+        """(first row, row stop, first column) of row blocks whose temporaries,
+        ``per_row`` elements for each row, stay within the element budget."""
+        step = max(1, _BLOCK_ELEMENTS // max(per_row, 1))
+        for a in range(0, self.shape[0], step):
+            yield a, min(a + step, self.shape[0]), a if self.symmetric else 0
+
+
+def _kernel_matrix(
+    spec: FuzzyKernelSpec,
+    rows: Sequence[Record],
+    cols: Sequence[Record],
+    row_ids: Sequence[str],
+    col_ids: Sequence[str],
+    symmetric: bool = False,
+) -> np.ndarray:
+    """Kernel values between two lists of records, attribute by attribute.
+
+    With ``symmetric`` (``cols`` is ``rows``) only the upper triangle is
+    computed and then mirrored, so the result is exactly symmetric.  Malformed
+    input raises ValidationError and a non-finite value NumericError, each
+    naming the first offending pair in row-major (upper-triangle) order.
+    """
+    pairs = _Pairs(row_ids, col_ids, symmetric)
+    xs = [_as_record(r) for r in rows]
+    ys = xs if symmetric else [_as_record(c) for c in cols]
+    nx = np.array([len(x) for x in xs])
+    ny = nx if symmetric else np.array([len(y) for y in ys])
+    pairs.check(
+        nx[:, None] != ny[None, :],
+        lambda i, j: f"records have different arity: {nx[i]} vs {ny[j]}",
+    )
+    if nx[0] == 0:
+        pairs.check(True, "empty record")
+    block = _FAMILY_BLOCKS[spec.family]
+    values = np.ones(pairs.shape)
+    with np.errstate(all="ignore"):  # non-finite values are reported below, by pair
+        for slot in range(nx[0]):
+            xa = [x[slot] for x in xs]
+            values *= block(spec, xa, xa if symmetric else [y[slot] for y in ys], slot, pairs)
+    hit = pairs.first(~np.isfinite(values))
+    if hit is not None:
+        i, j = hit
+        raise NumericError(
+            f"kernel value {values[i, j]} is not finite for pair ({row_ids[i]}, {col_ids[j]})"
+        )
+    if symmetric:
+        values = np.triu(values) + np.triu(values, 1).T
+    return values
+
+
+def _check_kind(spec: FuzzyKernelSpec, xs: list, ys: list, pairs: _Pairs, kind: type) -> None:
+    bx = np.array([not isinstance(a, kind) for a in xs])
+    by = bx if pairs.symmetric else np.array([not isinstance(a, kind) for a in ys])
+    pairs.check(
+        bx[:, None] | by[None, :],
+        lambda i, j: f"kernel family {spec.family!r} needs {kind.__name__} attributes, "
+        f"got {type(xs[i] if bx[i] else ys[j]).__name__}",
+    )
+
+
+def _discrete(
+    spec: FuzzyKernelSpec, xs: list, ys: list, pairs: _Pairs, ref: DiscreteFuzzySet | None = None
+) -> tuple[GroundSpace, np.ndarray, np.ndarray, np.ndarray]:
+    """Check that every pair of attributes (and ``ref``) are discrete fuzzy
+    sets on one ground space.  Returns that ground space, the active ground
+    columns and the rows' and columns' degree matrices over them."""
+    _check_kind(spec, xs, ys, pairs, DiscreteFuzzySet)
+    if ref is not None and not isinstance(ref, DiscreteFuzzySet):
+        pairs.check(True, f"the reference must be a DiscreteFuzzySet, got {type(ref).__name__}")
+    grounds: list[GroundSpace] = []  # distinct ground spaces, in order of appearance
+
+    def code(fs: DiscreteFuzzySet) -> int:
+        for k, g in enumerate(grounds):
+            if fs.ground is g or fs.ground == g:
+                return k
+        grounds.append(fs.ground)
+        return len(grounds) - 1
+
+    cx = np.array([code(x) for x in xs])
+    cy = cx if pairs.symmetric else np.array([code(y) for y in ys])
+    bad = cx[:, None] != cy[None, :]
+    if ref is not None:
+        cr = code(ref)
+        bad |= (cx[:, None] != cr) | (cy[None, :] != cr)
+    pairs.check(bad, "fuzzy sets live on different ground spaces")
+    cols = _active(xs, ys, [] if ref is None else [ref])
+    mx = _memberships(xs, cols)
+    return grounds[0], cols, mx, mx if pairs.symmetric else _memberships(ys, cols)
+
+
+def _active(*groups: Sequence[DiscreteFuzzySet]) -> np.ndarray:
+    """Sorted ground indices that lie in the support of some set of ``groups``.
+
+    Every array path works on these columns only, so sparse data and a 1 x 1
+    evaluation never pay for the whole ground space.
+    """
+    return np.unique(np.array([i for sets in groups for fs in sets for i in fs.degrees], dtype=np.intp))
+
+
+def _memberships(sets: Sequence[DiscreteFuzzySet], cols: np.ndarray) -> np.ndarray:
+    """Degree matrix of ``sets`` over the ground indices ``cols`` (sorted, and
+    covering every support); zero outside the supports."""
+    out = np.zeros((len(sets), len(cols)))
+    for i, fs in enumerate(sets):
+        if fs.degrees:
+            out[i, np.searchsorted(cols, list(fs.degrees))] = list(fs.degrees.values())
+    return out
+
+
+def _segment_sum(a: np.ndarray, sizes: np.ndarray, axis: int) -> np.ndarray:
+    """Sums of a 2-D array over consecutive runs of ``sizes`` entries along
+    ``axis``; an empty run sums to 0."""
+    shape = list(a.shape)
+    shape[axis] = len(sizes)
+    out = np.zeros(shape)
+    full = sizes > 0
+    if full.any():
+        sums = np.add.reduceat(a, (np.cumsum(sizes) - sizes)[full], axis=axis)
+        if axis == 0:
+            out[full] = sums
+        else:
+            out[:, full] = sums
+    return out
+
+
+def _cross_block(spec: FuzzyKernelSpec, xs: list, ys: list, slot: int, pairs: _Pairs) -> np.ndarray:
+    ground, cols, mx, my = _discrete(spec, xs, ys, pairs)
+    pts = ground.points[cols]
+    k1 = spec.k1.pairwise(pts, pts)
+    if spec.family == "weighted_cross_product":
+        w = np.asarray(spec.weights)
+        if w.shape != (len(ground),):
+            pairs.check(True, f"need one weight per ground point ({len(ground)}), got {w.size}")
+        k1 = k1 * np.outer(w[cols], w[cols])
+    # a linear k2 vanishes off the supports, so the double sum is the bilinear
+    # form M K1 M^T; an overflowing k1 entry would turn 0 * inf into NaN for
+    # pairs that never meet it, so that case sums over the supports instead
+    if isinstance(spec.k2, LinearKernel) and np.isfinite(k1).all():
+        return mx @ k1 @ my.T
+    return _support_sum(spec.k2, k1, mx, my, pairs)
+
+
+def _support_sum(
+    k2: BaseKernel, k1: np.ndarray, mx: np.ndarray, my: np.ndarray, pairs: _Pairs
+) -> np.ndarray:
+    """Sum of ``k1[a, b] k2(x_a, y_b)`` over a in supp x, b in supp y, on the
+    supports packed row after row."""
+    rx, ax = np.nonzero(mx)
+    ry, ay = np.nonzero(my)
+    dx, dy = mx[rx, ax], my[ry, ay]
+    nx = np.bincount(rx, minlength=len(mx))
+    ny = np.bincount(ry, minlength=len(my))
+    ox = np.concatenate(([0], np.cumsum(nx)))
+    oy = np.concatenate(([0], np.cumsum(ny)))
+    out = np.zeros(pairs.shape)
+    for a, b, c0 in pairs.row_blocks(int(nx.max(initial=0)) * len(dy)):
+        sx = slice(ox[a], ox[b])
+        sy = slice(oy[c0], oy[-1])
+        terms = k1[np.ix_(ax[sx], ay[sy])] * k2.pairwise(dx[sx, None], dy[sy, None])
+        out[a:b, c0:] = _segment_sum(_segment_sum(terms, nx[a:b], 0), ny[c0:], 1)
+    return out
+
+
+def _tnorm_block(
+    t: TNorm, a: np.ndarray, b: np.ndarray, pairs: _Pairs, weights: np.ndarray | None = None
+) -> np.ndarray:
+    """Per pair, the ``weights``-weighted sum over ground points of
+    ``T(a_ip, b_jp)``, or with no weights its max (the intersection height)."""
+    out = np.zeros(pairs.shape)
+    for r0, r1, c0 in pairs.row_blocks(a.shape[1] * len(b)):
+        rows = a[r0:r1]
+        # T(0, y) = 0: points outside every support of the row block add nothing
+        used = np.flatnonzero(rows.any(axis=0))
+        tv = tnorm_array(t, rows[:, None, used], b[None, c0:, used])
+        out[r0:r1, c0:] = tv.max(axis=-1, initial=0.0) if weights is None else tv @ weights[used]
+    return out
+
+
+def _intersection_block(spec: FuzzyKernelSpec, xs: list, ys: list, slot: int, pairs: _Pairs) -> np.ndarray:
+    ground, cols, mx, my = _discrete(spec, xs, ys, pairs)
+    part = ground.partition
+    if part is None:
+        pairs.check(True, "intersection kernel needs a partition on the ground space")
+    cells, cell_of = np.unique(part.cell_index[cols], return_inverse=True)
+    size = np.bincount(part.cell_index)[cells]
+
+    def whole_cells(m: np.ndarray) -> np.ndarray:
+        # degrees on the cells that lie wholly inside the row's support; the
+        # zeros elsewhere are exact, and T(a, 0) = 0 for every T-norm
+        rows, at = np.nonzero(m)
+        count = np.zeros((len(m), len(cells)), dtype=np.intp)
+        np.add.at(count, (rows, cell_of[at]), 1)
+        return np.where((count == size)[:, cell_of], m, 0.0)
+
+    a = whole_cells(mx)
+    b = a if pairs.symmetric else whole_cells(my)
+    return _tnorm_block(spec.tnorm, a, b, pairs, part.measures[cells][cell_of])
+
+
+def _nonsingleton_block(spec: FuzzyKernelSpec, xs: list, ys: list, slot: int, pairs: _Pairs) -> np.ndarray:
+    _, _, mx, my = _discrete(spec, xs, ys, pairs)
+    return _tnorm_block(spec.tnorm, mx, my, pairs)
+
+
+def _gaussian_block(spec: FuzzyKernelSpec, xs: list, ys: list, slot: int, pairs: _Pairs) -> np.ndarray:
+    _check_kind(spec, xs, ys, pairs, GaussianFuzzySet)
+    dx = np.array([x.dim for x in xs])
+    dy = dx if pairs.symmetric else np.array([y.dim for y in ys])
+    pairs.check(dx[:, None] != dy[None, :], lambda i, j: f"dimension mismatch: {dx[i]} vs {dy[j]}")
+    mx = np.array([x.means for x in xs])
+    vx = np.array([x.widths for x in xs]) ** 2
+    if pairs.symmetric:
+        my, vy = mx, vx
+    else:
+        my, vy = np.array([y.means for y in ys]), np.array([y.widths for y in ys]) ** 2
+    out = np.zeros(pairs.shape)
+    for a, b, c0 in pairs.row_blocks(len(ys)):
+        s = np.zeros((b - a, len(ys) - c0))
+        # dimensions accumulate in a fixed order, so a pair's value does not
+        # depend on where it sits in the block
+        for k in range(mx.shape[1]):
+            dm = mx[a:b, k, None] - my[None, c0:, k]
+            s += dm * dm / (vx[a:b, k, None] + vy[None, c0:, k])
+        out[a:b, c0:] = np.exp(-0.5 * s)
+    return out
+
+
+def _distance_block(spec: FuzzyKernelSpec, xs: list, ys: list, slot: int, pairs: _Pairs) -> np.ndarray:
+    ref = None
+    if spec.family != "distance_gaussian":
+        refs = spec.reference
+        if len(refs) > 1 and slot >= len(refs):
+            pairs.check(True, f"reference has {len(refs)} attributes but records have more")
+        ref = refs[0] if len(refs) == 1 else refs[slot]
+    if isinstance(spec.metric, str):
+        d, dx, dy = _ratio_distances(spec, xs, ys, ref, pairs)
+    else:
+        _check_kind(spec, xs, ys, pairs, DiscreteFuzzySet)
+        d, dx, dy = _metric_distances(spec.metric, xs, ys, ref, pairs)
+    if spec.family == "distance_gaussian":
+        return np.exp(-spec.gamma * d**2)
+    inner = 0.5 * (dx[:, None] ** 2 + dy[None, :] ** 2 - d**2)
+    if spec.family == "distance_inner":
+        return inner
+    return (spec.coef0 + spec.gamma * inner) ** spec.degree
+
+
+def _ratio_distances(
+    spec: FuzzyKernelSpec, xs: list, ys: list, ref: DiscreteFuzzySet | None, pairs: _Pairs
+):
+    """Ratio metric ``|X - Y|_1 / (|X|_1 + |Y|_1)`` between rows and columns,
+    and from each row and column to ``ref``."""
+    _, cols, mx, my = _discrete(spec, xs, ys, pairs, ref)
+    sx, sy = mx.sum(axis=1), my.sum(axis=1)
+    bad = (sx == 0)[:, None] & (sy == 0)[None, :]
+    if ref is not None:
+        m0 = _memberships([ref], cols)
+        s0 = m0.sum()
+        if s0 == 0:
+            bad |= (sx == 0)[:, None] | (sy == 0)[None, :]
+    pairs.check(bad, "ratio distance is undefined for two empty fuzzy sets (0/0)")
+    d = cdist(mx, my, "cityblock") / (sx[:, None] + sy[None, :])
+    if ref is None:
+        return d, None, None
+    dx = cdist(mx, m0, "cityblock")[:, 0] / (sx + s0)
+    dy = dx if pairs.symmetric else cdist(my, m0, "cityblock")[:, 0] / (sy + s0)
+    return d, dx, dy
+
+
+def _metric_distances(metric: Metric, xs: list, ys: list, ref, pairs: _Pairs):
+    """A user metric is opaque Python: one call per pair, and one per record
+    to ``ref``, made in pair order so that a failure names its pair."""
+    d = np.zeros(pairs.shape)
+    dx = np.zeros(len(xs))
+    dy = dx if pairs.symmetric else np.zeros(len(ys))
+    seen_x = np.zeros(len(xs), dtype=bool)
+    seen_y = seen_x if pairs.symmetric else np.zeros(len(ys), dtype=bool)
+    for i, j in pairs.indices():
+        try:
+            if ref is not None and not seen_x[i]:
+                dx[i] = metric(xs[i], ref)
+                seen_x[i] = True
+            if ref is not None and not seen_y[j]:
+                dy[j] = metric(ys[j], ref)
+                seen_y[j] = True
+            d[i, j] = metric(xs[i], ys[j])
+        except Exception as exc:
+            raise ValidationError(f"{pairs.label(i, j)}: {exc}") from exc
+    return d, dx, dy
+
+
+_FAMILY_BLOCKS = {
+    "cross_product": _cross_block,
+    "weighted_cross_product": _cross_block,
+    "intersection": _intersection_block,
+    "nonsingleton": _nonsingleton_block,
+    "nonsingleton_gaussian": _gaussian_block,
+    "distance_inner": _distance_block,
+    "distance_poly": _distance_block,
+    "distance_gaussian": _distance_block,
+}
 
 
 def spec_from_config(cfg: Mapping, ground: GroundSpace | None = None) -> FuzzyKernelSpec:

@@ -3,7 +3,6 @@ noisy/fuzzified supervised data, and an MMD permutation two-sample test."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -168,8 +167,10 @@ def mmd_permutation_test(
 
     The pooled Gram matrix is computed once; each permutation replica
     re-splits it by sub-indexing.  Replica r draws its shuffle from a
-    generator seeded by (seed, r), so replicas are independent of evaluation
-    order and the whole result is reproducible from (seed, n_permutations).
+    generator seeded by (seed, r), so the whole result is reproducible from
+    (seed, n_permutations).  ``n_jobs`` is accepted for compatibility and
+    does not change the result: replicas run one after another in the
+    calling thread.
 
     p-value uses the add-one convention:
     ``(1 + #{permuted >= observed}) / (1 + n_permutations)``.
@@ -185,16 +186,10 @@ def mmd_permutation_test(
     all_idx = np.arange(total)
     observed = _split_statistic(gram.values, all_idx[:n], all_idx[n:])
 
-    def replica(r: int) -> float:
-        rng = np.random.default_rng([seed, r])
-        perm = rng.permutation(total)
-        return _split_statistic(gram.values, perm[:n], perm[n:])
-
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            stats = list(pool.map(replica, range(n_permutations)))
-    else:
-        stats = [replica(r) for r in range(n_permutations)]
+    stats = []
+    for r in range(n_permutations):
+        perm = np.random.default_rng([seed, r]).permutation(total)
+        stats.append(_split_statistic(gram.values, perm[:n], perm[n:]))
     exceed = sum(1 for s in stats if s >= observed)
     p_value = (1 + exceed) / (1 + n_permutations)
     return MmdResult(

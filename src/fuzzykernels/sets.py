@@ -56,6 +56,11 @@ class Partition:
         if set(flat) != set(range(n)):
             raise ValueError("cells must cover the index set 0..n-1 without gaps")
         self.size = n
+        cell_index = np.empty(n, dtype=np.intp)
+        for k, cell in enumerate(self.cells):
+            cell_index[list(cell)] = k
+        cell_index.flags.writeable = False
+        self.cell_index: np.ndarray = cell_index  # cell number of each ground index
 
         if measures is None:
             meas = np.array([float(len(cell)) for cell in self.cells])
@@ -126,6 +131,16 @@ class GroundSpace:
 def _check_same_ground(x: "DiscreteFuzzySet", y: "DiscreteFuzzySet") -> None:
     if x.ground is not y.ground and x.ground != y.ground:
         raise ValueError("fuzzy sets live on different ground spaces")
+
+
+def _check_partition(ground: GroundSpace, partition: Partition) -> None:
+    """Reject a partition that is not the ground space's own (or, when the
+    ground carries none, one that does not cover its indices)."""
+    own = ground.partition
+    if partition.size != len(ground) or (
+        own is not None and partition is not own and partition != own
+    ):
+        raise ValueError("partition does not belong to the fuzzy sets' ground space")
 
 
 class DiscreteFuzzySet:
@@ -251,11 +266,7 @@ def fuzzify_from_histogram(samples: Sequence[float], ground: GroundSpace) -> Dis
 
 def support_cells(fs: DiscreteFuzzySet, partition: Partition) -> set[int]:
     """Indices of the partition cells entirely contained in ``supp(fs)``."""
-    if fs.ground.partition is not None and partition is not fs.ground.partition:
-        if partition != fs.ground.partition:
-            raise ValueError("partition does not belong to the fuzzy set's ground space")
-    if partition.size != len(fs.ground):
-        raise ValueError("partition does not belong to the fuzzy set's ground space")
+    _check_partition(fs.ground, partition)
     supp = fs.support
     return {k for k, cell in enumerate(partition.cells) if all(i in supp for i in cell)}
 

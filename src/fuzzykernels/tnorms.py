@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import enum
 
+import numpy as np
+
 from .sets import DiscreteFuzzySet, _check_same_ground
 
-__all__ = ["TNorm", "apply", "intersect"]
+__all__ = ["TNorm", "apply", "apply_array", "intersect"]
 
 
 class TNorm(enum.Enum):
@@ -45,20 +47,24 @@ def apply(t: TNorm, a: float, b: float) -> float:
     b = float(b)
     if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
         raise ValueError(f"T-norm arguments must lie in [0, 1], got ({a}, {b})")
+    return float(apply_array(t, a, b))
+
+
+def apply_array(t: TNorm, a, b) -> np.ndarray:
+    """Elementwise T-norm of two broadcastable arrays of degrees.
+
+    No range check: callers pass degrees already known to lie in [0, 1].
+    """
     if t is TNorm.MINIMUM:
-        return a if a <= b else b
+        return np.minimum(a, b)
     if t is TNorm.PRODUCT:
-        return a * b
+        return np.multiply(a, b)
     if t is TNorm.LUKASIEWICZ:
-        return max(a + b - 1.0, 0.0)
+        return np.maximum(np.add(a, b) - 1.0, 0.0)
     if t is TNorm.DRASTIC:
-        # the case split demands exact boundary comparison; inputs are
-        # validated above, never clamped
-        if b == 1.0:
-            return a
-        if a == 1.0:
-            return b
-        return 0.0
+        # the case split demands exact boundary comparison; degrees are
+        # never clamped
+        return np.where(np.equal(b, 1.0), a, np.where(np.equal(a, 1.0), b, 0.0))
     raise TypeError(f"not a TNorm: {t!r}")
 
 

@@ -145,3 +145,11 @@ def random_cell_aligned(rng, ground, partition, force_height_one=False):
     if force_height_one and degrees:
         degrees[next(iter(degrees))] = 1.0
     return DiscreteFuzzySet(ground, degrees)
+
+
+def bf_ratio_distance(x, y):
+    """Ratio metric summed over every ground index, zero degrees included."""
+    idx = range(len(x.ground))
+    num = sum(abs(x.degrees.get(i, 0.0) - y.degrees.get(i, 0.0)) for i in idx)
+    den = sum(x.degrees.get(i, 0.0) + y.degrees.get(i, 0.0) for i in idx)
+    return num / den

@@ -138,6 +138,51 @@ class TestGram:
         assert code == 2
 
 
+class TestNumericErrors:
+    @pytest.fixture
+    def overflowing(self, tmp_path):
+        # polynomial k1 on a point near 1e80 overflows: k1(1e80, 1e80) = inf
+        obj = {
+            "ground_space": {"points": [[1.0], [1e80], [2.0]]},
+            "records": [[{"type": "discrete", "degrees": {str(i): 1.0}}] for i in range(3)],
+            "labels": [1, -1, 1],
+        }
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps(obj))
+        kernel = tmp_path / "kernel.json"
+        kernel.write_text(json.dumps({"family": "cross_product", "k1": {"kind": "polynomial", "degree": 2}}))
+        return data, kernel
+
+    def test_gram_with_infinite_value_exits_3(self, tmp_path, capsys, overflowing):
+        data, kernel = overflowing
+        out = tmp_path / "gram.txt"
+        code, _, err = run_cli(
+            capsys, "gram", "--data", str(data), "--kernel", str(kernel), "--out", str(out)
+        )
+        assert code == 3
+        assert "pair (1, 1)" in err
+        assert not out.exists()
+
+    def test_classify_with_infinite_value_exits_3(self, capsys, overflowing):
+        data, kernel = overflowing
+        code, _, err = run_cli(
+            capsys, "classify", "--data", str(data), "--kernel", str(kernel), "--folds", "2", "--seed", "0"
+        )
+        assert code == 3
+        assert "pair (1, 1)" in err
+
+    def test_solver_failure_exits_3(self, capsys, monkeypatch, discrete_dataset, linear_kernel_cfg):
+        def fail(_):
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        code, _, err = run_cli(
+            capsys, "check-psd", "--data", str(discrete_dataset), "--kernel", str(linear_kernel_cfg)
+        )
+        assert code == 3
+        assert "did not converge" in err
+
+
 class TestCheckPsd:
     def test_psd_verdict(self, tmp_path, capsys, discrete_dataset, linear_kernel_cfg):
         code, stdout, _ = run_cli(

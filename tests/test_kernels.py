@@ -218,6 +218,14 @@ class TestIntersectionKernel:
         x = DiscreteFuzzySet(g, {0: 1.0, 1: 1.0})
         assert intersection_kernel(x, x, TNorm.MINIMUM, p) == pytest.approx(4.0)
 
+    def test_foreign_partition_rejected(self):
+        own = Partition([[0], [1]])
+        g = GroundSpace([[0.0], [1.0]], partition=own)
+        x = DiscreteFuzzySet(g, {0: 1.0, 1: 1.0})
+        with pytest.raises(ValueError, match="partition does not belong"):
+            intersection_kernel(x, x, TNorm.MINIMUM, Partition([[0, 1]]))
+        assert intersection_kernel(x, x, TNorm.MINIMUM, own) == 2.0
+
     def test_partial_cell_contributes_nothing(self, ground4, part4):
         x = DiscreteFuzzySet(ground4, {0: 0.8})  # covers half of cell 0
         y = DiscreteFuzzySet(ground4, {0: 0.5, 1: 1.0})

@@ -20,12 +20,16 @@ import numpy as np
 from .dataset import Dataset, parse_dataset, write_dataset
 from .errors import NumericError, ValidationError
 from .gram import check_psd, compute_gram, write_matrix
-from .kernels import spec_from_config
+from .kernels import FuzzyKernelSpec, spec_from_config
 from .learn import cross_validate, mmd_permutation_test
 from .sets import GaussianFuzzySet, GroundSpace, fuzzify_from_histogram
 
 
-def _load_kernel_config(path) -> dict:
+def _load(args) -> tuple[Dataset, dict, FuzzyKernelSpec]:
+    """The dataset named by --data, the kernel config named by --kernel, and
+    the kernel spec that config describes on the dataset's ground space."""
+    ds = parse_dataset(args.data)
+    path = args.kernel
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -35,7 +39,7 @@ def _load_kernel_config(path) -> dict:
         raise ValidationError(f"{path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ValidationError(f"{path}: kernel config must be a JSON object")
-    return cfg
+    return ds, cfg, spec_from_config(cfg, ds.ground)
 
 
 def _load_table(path) -> np.ndarray:
@@ -85,9 +89,7 @@ def cmd_fuzzify(args) -> int:
 
 
 def cmd_gram(args) -> int:
-    ds = parse_dataset(args.data)
-    cfg = _load_kernel_config(args.kernel)
-    spec = spec_from_config(cfg, ds.ground)
+    ds, cfg, spec = _load(args)
     gram = compute_gram(ds.records, spec, n_jobs=args.jobs)
     write_matrix(args.out, gram)
     _emit(
@@ -103,9 +105,7 @@ def cmd_gram(args) -> int:
 
 
 def cmd_check_psd(args) -> int:
-    ds = parse_dataset(args.data)
-    cfg = _load_kernel_config(args.kernel)
-    spec = spec_from_config(cfg, ds.ground)
+    ds, _, spec = _load(args)
     gram = compute_gram(ds.records, spec, n_jobs=args.jobs)
     report = check_psd(gram, tol=args.tol)
     _emit(
@@ -123,11 +123,9 @@ def cmd_check_psd(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    ds = parse_dataset(args.data)
+    ds, _, spec = _load(args)
     if ds.labels is None:
         raise ValidationError("classification needs a dataset with labels")
-    cfg = _load_kernel_config(args.kernel)
-    spec = spec_from_config(cfg, ds.ground)
     gram = compute_gram(ds.records, spec, n_jobs=args.jobs)
     fold_acc, mean_acc = cross_validate(
         gram, ds.labels, regularization=args.ridge, folds=args.folds, seed=args.seed
@@ -147,11 +145,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_mmd_test(args) -> int:
-    ds = parse_dataset(args.data)
+    ds, _, spec = _load(args)
     if ds.labels is None:
         raise ValidationError("mmd-test needs labels: +1 marks sample A, -1 marks sample B")
-    cfg = _load_kernel_config(args.kernel)
-    spec = spec_from_config(cfg, ds.ground)
     sample_a = [r for r, lab in zip(ds.records, ds.labels) if lab == 1]
     sample_b = [r for r, lab in zip(ds.records, ds.labels) if lab == -1]
     if not sample_a or not sample_b:
@@ -185,6 +181,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Kernels on fuzzy sets: Gram matrices, PSD checks, classification and MMD testing.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)  # options of the commands that compute a Gram
+    common.add_argument("--data", required=True, help="fuzzy dataset JSON file")
+    common.add_argument("--kernel", required=True, help="kernel config JSON file")
+    common.add_argument("--jobs", type=int, default=1, help="kept for compatibility; has no effect")
 
     p = sub.add_parser("fuzzify", help="turn a crisp numeric CSV table into a fuzzy dataset")
     p.add_argument("--data", required=True, help="crisp numeric CSV table")
@@ -194,35 +194,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output dataset file")
     p.set_defaults(func=cmd_fuzzify)
 
-    p = sub.add_parser("gram", help="compute the Gram matrix of a dataset under a kernel")
-    p.add_argument("--data", required=True)
-    p.add_argument("--kernel", required=True, help="kernel config JSON file")
+    p = sub.add_parser("gram", parents=[common], help="compute the Gram matrix of a dataset under a kernel")
     p.add_argument("--out", required=True, help="output matrix file")
-    p.add_argument("--jobs", type=int, default=1, help="kept for compatibility; has no effect")
     p.set_defaults(func=cmd_gram)
 
-    p = sub.add_parser("check-psd", help="eigenvalue check of the Gram matrix")
-    p.add_argument("--data", required=True)
-    p.add_argument("--kernel", required=True)
+    p = sub.add_parser("check-psd", parents=[common], help="eigenvalue check of the Gram matrix")
     p.add_argument("--tol", type=float, default=1e-8, help="relative PSD tolerance")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_check_psd)
 
-    p = sub.add_parser("classify", help="seeded k-fold kernel ridge classification")
-    p.add_argument("--data", required=True)
-    p.add_argument("--kernel", required=True)
+    p = sub.add_parser("classify", parents=[common], help="seeded k-fold kernel ridge classification")
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--ridge", type=float, default=1.0, help="ridge regularization strength")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("mmd-test", help="MMD permutation two-sample test (labels split the samples)")
-    p.add_argument("--data", required=True)
-    p.add_argument("--kernel", required=True)
+    p = sub.add_parser(
+        "mmd-test", parents=[common], help="MMD permutation two-sample test (labels split the samples)"
+    )
     p.add_argument("--permutations", type=int, default=200)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_mmd_test)
 
     return parser

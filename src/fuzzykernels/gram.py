@@ -82,6 +82,13 @@ def _as_matrix(g) -> np.ndarray:
     return g.values if isinstance(g, GramMatrix) else np.asarray(g, dtype=float)
 
 
+def _provenance(g, n: int) -> tuple[list[str], FuzzyKernelSpec | None]:
+    """Item ids and spec of a GramMatrix; a bare array has ids 0..n-1 and no spec."""
+    if isinstance(g, GramMatrix):
+        return list(g.item_ids), g.spec
+    return [str(i) for i in range(n)], None
+
+
 def check_psd(g, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
     """Full symmetric eigendecomposition with a relative PSD verdict.
 
@@ -122,9 +129,8 @@ def normalize(g: GramMatrix) -> GramMatrix:
     # k(x,x)/k(x,x) is 1 by definition; set it exactly so the operation is
     # idempotent at the bit level
     np.fill_diagonal(values, 1.0)
-    ids = g.item_ids if isinstance(g, GramMatrix) else [str(i) for i in range(m.shape[0])]
-    spec = g.spec if isinstance(g, GramMatrix) else None
-    return GramMatrix(values=values, spec=spec, item_ids=list(ids))
+    ids, spec = _provenance(g, m.shape[0])
+    return GramMatrix(values=values, spec=spec, item_ids=ids)
 
 
 def write_matrix(path, g) -> None:

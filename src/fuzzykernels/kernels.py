@@ -35,8 +35,8 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
+from .dataset import _parse_attribute
 from .errors import NumericError, ValidationError
 from .sets import (
     DiscreteFuzzySet,
@@ -74,6 +74,18 @@ __all__ = [
 # Base kernels on ground elements and on degrees
 # ---------------------------------------------------------------------------
 
+def _number(value, key: str, integral: bool = False) -> float | int:
+    """``value`` as a float (an int with ``integral``); a value that is not a
+    number, or not integral where asked, raises ValidationError naming ``key``."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{key} must be a number, got {value!r}") from exc
+    if integral and not x.is_integer():
+        raise ValidationError(f"{key} must be an integer, got {value!r}")
+    return int(x) if integral else x
+
+
 @dataclass(frozen=True)
 class LinearKernel:
     """k(u, v) = <u, v>"""
@@ -92,6 +104,7 @@ class RBFKernel:
     gamma: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "gamma", _number(self.gamma, "gamma"))
         if not self.gamma > 0:
             raise ValueError("rbf gamma must be > 0")
 
@@ -100,7 +113,14 @@ class RBFKernel:
         return float(np.exp(-self.gamma * np.dot(diff, diff)))
 
     def pairwise(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-        return np.exp(-self.gamma * cdist(U, V, "sqeuclidean"))
+        U, V = np.asarray(U, dtype=float), np.asarray(V, dtype=float)
+        if U.ndim != 2 or V.ndim != 2 or U.shape[1] != V.shape[1]:
+            raise ValueError(f"need 2-D inputs with equal column counts, got {U.shape} and {V.shape}")
+        sq = np.zeros((len(U), len(V)))
+        # dimensions accumulate in a fixed order, with m x m temporaries only
+        for k in range(U.shape[1]):
+            sq += np.square(U[:, k, None] - V[None, :, k])
+        return np.exp(-self.gamma * sq)
 
 
 @dataclass(frozen=True)
@@ -112,11 +132,13 @@ class PolynomialKernel:
     degree: int = 2
 
     def __post_init__(self):
-        if self.coef0 < 0:
+        for key, integral in (("coef0", False), ("gamma", False), ("degree", True)):
+            object.__setattr__(self, key, _number(getattr(self, key), key, integral))
+        if not self.coef0 >= 0:
             raise ValueError("polynomial coef0 must be >= 0")
         if not self.gamma > 0:
             raise ValueError("polynomial gamma must be > 0")
-        if int(self.degree) != self.degree or self.degree < 1:
+        if self.degree < 1:
             raise ValueError("polynomial degree must be an integer >= 1")
 
     def __call__(self, u: np.ndarray, v: np.ndarray) -> float:
@@ -147,13 +169,9 @@ def base_kernel_from_config(cfg: Mapping) -> BaseKernel:
         if kind == "linear":
             return LinearKernel()
         if kind == "rbf":
-            return RBFKernel(gamma=float(cfg.get("gamma", 1.0)))
+            return RBFKernel(gamma=cfg.get("gamma", 1.0))
         if kind == "polynomial":
-            return PolynomialKernel(
-                coef0=float(cfg.get("coef0", 0.0)),
-                gamma=float(cfg.get("gamma", 1.0)),
-                degree=int(cfg.get("degree", 2)),
-            )
+            return PolynomialKernel(**{k: cfg[k] for k in ("coef0", "gamma", "degree") if k in cfg})
     except ValueError as exc:
         raise ValidationError(f"bad base kernel config {cfg!r}: {exc}") from exc
     raise ValidationError(f"unknown base kernel kind {cfg['kind']!r}")
@@ -370,32 +388,36 @@ class FuzzyKernelSpec:
             raise ValidationError(
                 f"unknown kernel family {self.family!r}; expected one of {', '.join(_FAMILY_BLOCKS)}"
             )
+        for key, integral in (("coef0", False), ("gamma", False), ("degree", True)):
+            object.__setattr__(self, key, _number(getattr(self, key), key, integral))
         if self.family in ("cross_product", "weighted_cross_product"):
             if self.k1 is None:
                 object.__setattr__(self, "k1", LinearKernel())
             if self.k2 is None:
                 object.__setattr__(self, "k2", LinearKernel())
         if self.family == "weighted_cross_product":
-            if self.weights is None:
-                raise ValidationError("weighted_cross_product needs per-point weights")
-            object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-            if any(w < 0 or not np.isfinite(w) for w in self.weights):
+            try:
+                weights = tuple(float(w) for w in self.weights)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValidationError(f"weights must be numbers, got {self.weights!r}") from exc
+            if any(not w >= 0 or not math.isfinite(w) for w in weights):
                 raise ValidationError("weights must be finite and non-negative")
+            object.__setattr__(self, "weights", weights)
         if self.family in ("intersection", "nonsingleton") and self.tnorm is None:
             raise ValidationError(f"{self.family} needs a T-norm")
         if self.family in ("distance_inner", "distance_poly"):
-            if self.reference is None:
-                raise ValidationError(f"{self.family} needs a reference fuzzy set")
-            if isinstance(self.reference, DiscreteFuzzySet):
-                object.__setattr__(self, "reference", (self.reference,))
-            else:
-                object.__setattr__(self, "reference", tuple(self.reference))
+            refs = self.reference
+            if isinstance(refs, (DiscreteFuzzySet, GaussianFuzzySet)):
+                refs = (refs,)
+            if not isinstance(refs, Sequence) or not refs:
+                raise ValidationError(f"{self.family} needs one reference fuzzy set or a non-empty list")
+            object.__setattr__(self, "reference", tuple(refs))
         if self.family == "distance_poly":
-            if self.coef0 < 0 or not self.gamma > 0 or int(self.degree) != self.degree or self.degree < 1:
+            if not self.coef0 >= 0 or not self.gamma > 0 or self.degree < 1:
                 raise ValidationError("distance_poly needs coef0 >= 0, gamma > 0, integer degree >= 1")
         if self.family == "distance_gaussian" and not self.gamma > 0:
             raise ValidationError("distance_gaussian needs gamma > 0")
-        if isinstance(self.metric, str) and self.metric != "ratio":
+        if self.metric != "ratio" and not callable(self.metric):
             raise ValidationError(f"unknown metric {self.metric!r}; only 'ratio' is built in")
 
 
@@ -720,11 +742,14 @@ def _ratio_distances(
         if s0 == 0:
             bad |= (sx == 0)[:, None] | (sy == 0)[None, :]
     pairs.check(bad, "ratio distance is undefined for two empty fuzzy sets (0/0)")
-    d = cdist(mx, my, "cityblock") / (sx[:, None] + sy[None, :])
+    d = np.zeros(pairs.shape)
+    for a, b, c0 in pairs.row_blocks(len(my) * len(cols)):
+        d[a:b, c0:] = np.abs(mx[a:b, None, :] - my[None, c0:, :]).sum(axis=-1)
+    d /= sx[:, None] + sy[None, :]
     if ref is None:
         return d, None, None
-    dx = cdist(mx, m0, "cityblock")[:, 0] / (sx + s0)
-    dy = dx if pairs.symmetric else cdist(my, m0, "cityblock")[:, 0] / (sy + s0)
+    dx = np.abs(mx - m0).sum(axis=1) / (sx + s0)
+    dy = dx if pairs.symmetric else np.abs(my - m0).sum(axis=1) / (sy + s0)
     return d, dx, dy
 
 
@@ -770,41 +795,22 @@ def spec_from_config(cfg: Mapping, ground: GroundSpace | None = None) -> FuzzyKe
     """
     if not isinstance(cfg, Mapping) or "family" not in cfg:
         raise ValidationError("kernel config needs a 'family' key")
-    fam = str(cfg["family"]).lower()
-    kwargs: dict = {"family": fam}
-    if "k1" in cfg:
-        kwargs["k1"] = base_kernel_from_config(cfg["k1"])
-    if "k2" in cfg:
-        kwargs["k2"] = base_kernel_from_config(cfg["k2"])
+    kwargs: dict = {"family": str(cfg["family"]).lower()}
+    for key in ("k1", "k2"):
+        if key in cfg:
+            kwargs[key] = base_kernel_from_config(cfg[key])
     if "tnorm" in cfg:
         try:
             kwargs["tnorm"] = TNorm.from_name(cfg["tnorm"])
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
-    if "weights" in cfg:
-        kwargs["weights"] = tuple(float(w) for w in cfg["weights"])
-    if "metric" in cfg:
-        kwargs["metric"] = str(cfg["metric"])
-    for key in ("coef0", "gamma"):
-        if key in cfg:
-            kwargs[key] = float(cfg[key])
-    if "degree" in cfg:
-        kwargs["degree"] = int(cfg["degree"])
+    # the spec converts and checks these values itself
+    kwargs.update({k: cfg[k] for k in ("weights", "metric", "coef0", "gamma", "degree") if k in cfg})
     if "reference" in cfg:
-        if ground is None:
-            raise ValidationError("a ground space is required to resolve the reference fuzzy set")
         refs = cfg["reference"]
         if isinstance(refs, Mapping):
             refs = [refs]
-        resolved = []
-        for k, ref in enumerate(refs):
-            if not isinstance(ref, Mapping) or ref.get("type") != "discrete":
-                raise ValidationError(f"reference[{k}] must be a discrete attribute object")
-            try:
-                resolved.append(
-                    DiscreteFuzzySet(ground, {int(i): float(d) for i, d in ref["degrees"].items()})
-                )
-            except (KeyError, ValueError) as exc:
-                raise ValidationError(f"reference[{k}]: {exc}") from exc
-        kwargs["reference"] = tuple(resolved)
+        if not isinstance(refs, (list, tuple)):
+            raise ValidationError(f"reference must be an attribute object or a list of them, got {refs!r}")
+        kwargs["reference"] = [_parse_attribute(r, ground, f"reference[{k}]") for k, r in enumerate(refs)]
     return FuzzyKernelSpec(**kwargs)

@@ -7,10 +7,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericError
-from .gram import GramMatrix, compute_gram
+from .gram import GramMatrix, _as_matrix, _provenance, compute_gram
 from .kernels import FuzzyKernelSpec, Record
 
 __all__ = [
@@ -58,26 +57,27 @@ def _labels_pm1(labels) -> np.ndarray:
 def fit(gram: GramMatrix, labels, regularization: float) -> DualModel:
     """Solve ``(G + lambda I) c = y`` for the dual coefficients.
 
-    Labels are +/-1 and treated as centered, so the bias is fixed at 0.
+    Labels are +/-1 and treated as centered, so the bias is fixed at 0.  A
+    non-finite Gram entry or a singular system raises NumericError.
     """
     if not regularization > 0:
         raise ValueError("regularization must be > 0")
-    g = gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=float)
+    g = _as_matrix(gram)
     y = _labels_pm1(labels)
     if y.shape[0] != g.shape[0]:
         raise ValueError(f"{y.shape[0]} labels for a {g.shape[0]}x{g.shape[1]} Gram matrix")
-    system = g + regularization * np.eye(g.shape[0])
+    if not np.isfinite(g).all():
+        raise NumericError("Gram matrix contains non-finite entries")
     try:
-        coef = scipy.linalg.solve(system, y, assume_a="sym")
-    except scipy.linalg.LinAlgError as exc:
+        coef = np.linalg.solve(g + regularization * np.eye(g.shape[0]), y)
+    except np.linalg.LinAlgError as exc:
         raise NumericError(f"dual system is singular: {exc}") from exc
     if not np.isfinite(coef).all():
         raise NumericError("dual solve produced non-finite coefficients")
-    ids = gram.item_ids if isinstance(gram, GramMatrix) else [str(i) for i in range(g.shape[0])]
-    spec = gram.spec if isinstance(gram, GramMatrix) else None
+    ids, spec = _provenance(gram, g.shape[0])
     return DualModel(
         coefficients=coef,
-        item_ids=list(ids),
+        item_ids=ids,
         bias=0.0,
         spec=spec,
         regularization=float(regularization),
@@ -107,7 +107,7 @@ def cross_validate(
     Returns (per-fold accuracies, mean accuracy).  Fold assignment is a seeded
     shuffle split into ``folds`` chunks, so results are reproducible.
     """
-    g = gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=float)
+    g = _as_matrix(gram)
     y = _labels_pm1(labels)
     n = g.shape[0]
     if y.shape[0] != n:
@@ -120,12 +120,7 @@ def cross_validate(
     accuracies = []
     for k, test_idx in enumerate(chunks):
         train_idx = np.concatenate([chunks[j] for j in range(folds) if j != k])
-        sub = GramMatrix(
-            values=g[np.ix_(train_idx, train_idx)],
-            spec=gram.spec if isinstance(gram, GramMatrix) else None,
-            item_ids=[str(i) for i in train_idx],
-        )
-        model = fit(sub, y[train_idx], regularization)
+        model = fit(g[np.ix_(train_idx, train_idx)], y[train_idx], regularization)
         pred = predict(model, g[np.ix_(test_idx, train_idx)])
         accuracies.append(float(np.mean(pred == y[test_idx])))
     return accuracies, float(np.mean(accuracies))
@@ -133,9 +128,7 @@ def cross_validate(
 
 def mmd_statistic(gxx, gyy, gxy) -> float:
     """Biased MMD^2 estimate: mean(gxx) + mean(gyy) - 2 mean(gxy), floored at 0."""
-    xx = np.asarray(gxx.values if isinstance(gxx, GramMatrix) else gxx, dtype=float)
-    yy = np.asarray(gyy.values if isinstance(gyy, GramMatrix) else gyy, dtype=float)
-    xy = np.asarray(gxy, dtype=float)
+    xx, yy, xy = _as_matrix(gxx), _as_matrix(gyy), _as_matrix(gxy)
     if xx.size == 0 or yy.size == 0:
         raise ValueError("MMD needs two non-empty samples")
     if xy.shape != (xx.shape[0], yy.shape[0]):

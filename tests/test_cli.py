@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,3 +281,43 @@ class TestKernelConfigErrors:
             capsys, "check-psd", "--data", str(discrete_dataset), "--kernel", str(cfg),
         )
         assert code == 2
+
+
+class TestKernelConfigValues:
+    REFERENCE = {"type": "discrete", "degrees": {"0": 0.5, "1": 0.5}}
+
+    @pytest.mark.parametrize(
+        "cfg, key",
+        [
+            # a fractional degree is rejected, not truncated to 2
+            ({"family": "distance_poly", "reference": REFERENCE, "degree": 2.5}, "degree"),
+            ({"family": "cross_product", "k1": {"kind": "polynomial", "degree": 2.5}}, "degree"),
+            # values of the wrong type, each once a raw TypeError or AttributeError
+            ({"family": "weighted_cross_product", "weights": 5}, "weights"),
+            ({"family": "distance_gaussian", "gamma": [1]}, "gamma"),
+            ({"family": "cross_product", "k1": {"kind": "rbf", "gamma": None}}, "gamma"),
+            ({"family": "distance_inner", "reference": 5}, "reference"),
+            ({"family": "distance_inner", "reference": {"type": "discrete", "degrees": [1]}}, "reference"),
+            # an empty reference was an IndexError at evaluation
+            ({"family": "distance_inner", "reference": []}, "reference"),
+        ],
+    )
+    def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, discrete_dataset, cfg, key):
+        kernel = tmp_path / "kernel.json"
+        kernel.write_text(json.dumps(cfg))
+        out = tmp_path / "gram.txt"
+        code, _, err = run_cli(
+            capsys, "gram", "--data", str(discrete_dataset), "--kernel", str(kernel), "--out", str(out)
+        )
+        assert code == 2
+        assert key in err
+        assert not out.exists()
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; a fresh interpreter shows what importing pulls in
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, fuzzykernels.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

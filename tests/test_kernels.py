@@ -74,6 +74,25 @@ class TestBaseKernels:
                 for j in range(5):
                     assert M[i, j] == pytest.approx(k(U[i], V[j]), rel=1e-12)
 
+    def test_rbf_pairwise_rejects_mismatched_columns(self):
+        # a column-by-column sum would index past V's one column (IndexError)
+        with pytest.raises(ValueError):
+            RBFKernel().pairwise(np.zeros((2, 2)), np.zeros((3, 1)))
+
+    def test_rbf_pairwise_rejects_1d_input(self):
+        with pytest.raises(ValueError):
+            RBFKernel().pairwise(np.zeros(3), np.zeros(3))
+
+    def test_rbf_pairwise_accepts_array_likes(self):
+        assert RBFKernel(gamma=0.5).pairwise([[0.0, 1.0]], [[0.0, 1.0], [1.0, 1.0]]).tolist() == [
+            [1.0, math.exp(-0.5)]
+        ]
+
+    def test_integral_degree_kept_fractional_rejected(self):
+        assert type(PolynomialKernel(degree=2.0).degree) is int
+        with pytest.raises(ValidationError, match="degree must be an integer"):
+            PolynomialKernel(degree=2.5)
+
 
 @pytest.fixture
 def line_ground():
@@ -525,6 +544,20 @@ class TestEvaluateDispatch:
         assert spec.reference[0].degrees[0] == 0.5
         with pytest.raises(ValidationError):
             spec_from_config(cfg)  # no ground space to resolve against
+
+    def test_single_reference_set_is_wrapped(self, line_ground):
+        # a Gaussian reference is accepted by the spec; evaluation rejects its kind
+        g = GaussianFuzzySet([0.0], [1.0])
+        spec = FuzzyKernelSpec(family="distance_inner", reference=g)
+        assert len(spec.reference) == 1 and spec.reference[0] is g
+        x = DiscreteFuzzySet(line_ground, {0: 1.0})
+        with pytest.raises(ValidationError, match="reference must be a DiscreteFuzzySet"):
+            evaluate(spec, x, x)
+
+    @pytest.mark.parametrize("refs", [(), []])
+    def test_empty_reference_rejected(self, refs):
+        with pytest.raises(ValidationError, match="reference"):
+            FuzzyKernelSpec(family="distance_poly", reference=refs)
 
     def test_spec_validation(self):
         with pytest.raises(ValidationError):

@@ -5,6 +5,7 @@ from fuzzykernels import (
     FuzzyKernelSpec,
     GaussianFuzzySet,
     GramMatrix,
+    NumericError,
     cross_validate,
     fit,
     fuzzify_gaussian,
@@ -41,6 +42,17 @@ class TestFit:
     def test_rejects_labels_outside_pm1(self):
         with pytest.raises(ValueError):
             fit(as_gram(np.eye(2)), [1, 2], regularization=1.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_gram_raises_numeric_error(self, bad):
+        # np.linalg.solve does not check its input: with inf on the diagonal
+        # it returns finite coefficients for a meaningless system
+        g = np.eye(2)
+        g[0, 0] = bad
+        with pytest.raises(NumericError, match="non-finite"):
+            fit(as_gram(g), [1, -1], regularization=1.0)
+        with pytest.raises(NumericError, match="non-finite"):
+            fit(g, [1, -1], regularization=1.0)
 
 
 class TestPredict:

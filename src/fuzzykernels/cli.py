@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from .dataset import Dataset, parse_dataset, write_dataset
+from .dataset import Dataset, _read_json, parse_dataset, write_dataset
 from .errors import NumericError, ValidationError
 from .gram import check_psd, compute_gram, write_matrix
 from .kernels import FuzzyKernelSpec, spec_from_config
@@ -29,16 +29,9 @@ def _load(args) -> tuple[Dataset, dict, FuzzyKernelSpec]:
     """The dataset named by --data, the kernel config named by --kernel, and
     the kernel spec that config describes on the dataset's ground space."""
     ds = parse_dataset(args.data)
-    path = args.kernel
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}") from exc
-    except OSError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+    cfg = _read_json(args.kernel)
     if not isinstance(cfg, dict):
-        raise ValidationError(f"{path}: kernel config must be a JSON object")
+        raise ValidationError(f"{args.kernel}: kernel config must be a JSON object")
     return ds, cfg, spec_from_config(cfg, ds.ground)
 
 

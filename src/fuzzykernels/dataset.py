@@ -134,16 +134,20 @@ def dataset_from_obj(obj) -> Dataset:
     return Dataset(ground=ground, records=records, labels=labels)
 
 
-def parse_dataset(path) -> Dataset:
-    """Read and fully validate a dataset file."""
+def _read_json(path):
+    """The JSON document in a file; an unreadable file or malformed JSON raises ValidationError."""
     try:
         with open(path) as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}") from exc
     except OSError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
-    return dataset_from_obj(obj)
+
+
+def parse_dataset(path) -> Dataset:
+    """Read and fully validate a dataset file."""
+    return dataset_from_obj(_read_json(path))
 
 
 def _attribute_to_obj(attr):

@@ -32,9 +32,7 @@ class GramMatrix:
     item_ids: list[str]
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValueError(f"Gram matrix must be square, got shape {v.shape}")
+        v = _as_matrix(self.values)
         if len(self.item_ids) != v.shape[0]:
             raise ValueError("item_ids length must match matrix size")
         self.values = v
@@ -78,8 +76,12 @@ def compute_gram(
     return GramMatrix(values=values, spec=spec, item_ids=ids)
 
 
-def _as_matrix(g) -> np.ndarray:
-    return g.values if isinstance(g, GramMatrix) else np.asarray(g, dtype=float)
+def _as_matrix(g, square: bool = True) -> np.ndarray:
+    """A GramMatrix's values or an array as floats; ``square`` raises ValueError unless it is square."""
+    m = g.values if isinstance(g, GramMatrix) else np.asarray(g, dtype=float)
+    if square and (m.ndim != 2 or m.shape[0] != m.shape[1]):
+        raise ValueError(f"Gram matrix must be square, got shape {m.shape}")
+    return m
 
 
 def _provenance(g, n: int) -> tuple[list[str], FuzzyKernelSpec | None]:

@@ -31,7 +31,7 @@ are bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
@@ -360,16 +360,16 @@ Record = Union[FuzzyDatum, tuple]
 class FuzzyKernelSpec:
     """Declarative description of a kernel on fuzzy sets.
 
-    Which fields matter depends on ``family``:
+    Each family takes only its own fields (the family table ``_FAMILIES``);
+    any other field set away from its default raises ValidationError.
 
-    * cross_product / weighted_cross_product: ``k1``, ``k2`` (both default to
-      linear), plus ``weights`` for the weighted variant;
+    * cross_product: ``k1``, ``k2`` (both default to linear);
+    * weighted_cross_product: ``k1``, ``k2``, ``weights``;
     * intersection / nonsingleton: ``tnorm``;
-    * nonsingleton_gaussian: no parameters;
-    * distance_inner / distance_poly: ``metric`` and ``reference`` (the
-      ratio metric is undefined at the empty pair, so the reference must be
-      supplied); distance_poly adds ``coef0``, ``gamma``, ``degree``;
-    * distance_gaussian: ``metric`` and ``gamma`` (> 0).
+    * nonsingleton_gaussian: none;
+    * distance_inner: ``metric``, ``reference`` (required: one fuzzy set, or one per attribute);
+    * distance_poly: ``metric``, ``reference``, ``coef0``, ``gamma``, ``degree``;
+    * distance_gaussian: ``metric``, ``gamma``.
     """
 
     family: str
@@ -384,18 +384,18 @@ class FuzzyKernelSpec:
     degree: int = 1
 
     def __post_init__(self):
-        if self.family not in _FAMILY_BLOCKS:
-            raise ValidationError(
-                f"unknown kernel family {self.family!r}; expected one of {', '.join(_FAMILY_BLOCKS)}"
-            )
+        _, takes = _family(self.family)
+        for f in fields(self)[1:]:  # an untaken field keeps its default, which passes every check below
+            value = getattr(self, f.name)  # compared by identity first, so never elementwise
+            default = value is f.default or (isinstance(value, (str, int, float)) and value == f.default)
+            if f.name not in takes and not default:
+                raise ValidationError(f"kernel family {self.family!r} takes no {f.name!r}")
         for key, integral in (("coef0", False), ("gamma", False), ("degree", True)):
             object.__setattr__(self, key, _number(getattr(self, key), key, integral))
-        if self.family in ("cross_product", "weighted_cross_product"):
-            if self.k1 is None:
-                object.__setattr__(self, "k1", LinearKernel())
-            if self.k2 is None:
-                object.__setattr__(self, "k2", LinearKernel())
-        if self.family == "weighted_cross_product":
+        for key in ("k1", "k2"):
+            if key in takes and getattr(self, key) is None:
+                object.__setattr__(self, key, LinearKernel())
+        if "weights" in takes:
             try:
                 weights = tuple(float(w) for w in self.weights)
             except (TypeError, ValueError, OverflowError) as exc:
@@ -403,20 +403,15 @@ class FuzzyKernelSpec:
             if any(not w >= 0 or not math.isfinite(w) for w in weights):
                 raise ValidationError("weights must be finite and non-negative")
             object.__setattr__(self, "weights", weights)
-        if self.family in ("intersection", "nonsingleton") and self.tnorm is None:
+        if "tnorm" in takes and self.tnorm is None:
             raise ValidationError(f"{self.family} needs a T-norm")
-        if self.family in ("distance_inner", "distance_poly"):
-            refs = self.reference
-            if isinstance(refs, (DiscreteFuzzySet, GaussianFuzzySet)):
-                refs = (refs,)
+        if "reference" in takes:
+            refs = (self.reference,) if isinstance(self.reference, FuzzyDatum) else self.reference
             if not isinstance(refs, Sequence) or not refs:
                 raise ValidationError(f"{self.family} needs one reference fuzzy set or a non-empty list")
             object.__setattr__(self, "reference", tuple(refs))
-        if self.family == "distance_poly":
-            if not self.coef0 >= 0 or not self.gamma > 0 or self.degree < 1:
-                raise ValidationError("distance_poly needs coef0 >= 0, gamma > 0, integer degree >= 1")
-        if self.family == "distance_gaussian" and not self.gamma > 0:
-            raise ValidationError("distance_gaussian needs gamma > 0")
+        if not self.coef0 >= 0 or not self.gamma > 0 or self.degree < 1:
+            raise ValidationError(f"{self.family} needs coef0 >= 0, gamma > 0, integer degree >= 1")
         if self.metric != "ratio" and not callable(self.metric):
             raise ValidationError(f"unknown metric {self.metric!r}; only 'ratio' is built in")
 
@@ -430,9 +425,10 @@ def _as_record(datum: Record) -> tuple[FuzzyDatum, ...]:
 def evaluate(spec: FuzzyKernelSpec, x: Record, y: Record) -> float:
     """Evaluate the configured kernel on two fuzzy data.
 
-    A datum is either a single fuzzy set or a tuple of them (a multi-attribute
-    record); records combine per-attribute kernel values by product.  This is
-    a 1 x 1 block of the batched engine that computes Gram matrices.
+    A datum is either a single fuzzy set (attribute 0, which meets the first of
+    per-attribute references) or a tuple of them (a multi-attribute record);
+    records combine per-attribute kernel values by product.  This is a 1 x 1
+    block of the batched engine that computes Gram matrices.
     """
     return float(_kernel_matrix(spec, [x], [y], ("x",), ("y",))[0, 0])
 
@@ -514,7 +510,10 @@ def _kernel_matrix(
     )
     if nx[0] == 0:
         pairs.check(True, "empty record")
-    block = _FAMILY_BLOCKS[spec.family]
+    refs = spec.reference  # a bare fuzzy set is a lone attribute 0, not a record
+    if refs is not None and len(refs) not in (1, nx[0]) and not isinstance(rows[0], FuzzyDatum):
+        pairs.check(True, f"reference has {len(refs)} attributes but records have {nx[0]}")
+    block = _FAMILIES[spec.family][0]
     values = np.ones(pairs.shape)
     with np.errstate(all="ignore"):  # non-finite values are reported below, by pair
         for slot in range(nx[0]):
@@ -610,7 +609,7 @@ def _cross_block(spec: FuzzyKernelSpec, xs: list, ys: list, slot: int, pairs: _P
     ground, cols, mx, my = _discrete(spec, xs, ys, pairs)
     pts = ground.points[cols]
     k1 = spec.k1.pairwise(pts, pts)
-    if spec.family == "weighted_cross_product":
+    if spec.weights is not None:
         w = np.asarray(spec.weights)
         if w.shape != (len(ground),):
             pairs.check(True, f"need one weight per ground point ({len(ground)}), got {w.size}")
@@ -709,22 +708,17 @@ def _gaussian_block(spec: FuzzyKernelSpec, xs: list, ys: list, slot: int, pairs:
 
 
 def _distance_block(spec: FuzzyKernelSpec, xs: list, ys: list, slot: int, pairs: _Pairs) -> np.ndarray:
-    ref = None
-    if spec.family != "distance_gaussian":
-        refs = spec.reference
-        if len(refs) > 1 and slot >= len(refs):
-            pairs.check(True, f"reference has {len(refs)} attributes but records have more")
-        ref = refs[0] if len(refs) == 1 else refs[slot]
+    refs = spec.reference
+    ref = None if refs is None else refs[0] if len(refs) == 1 else refs[slot]
     if isinstance(spec.metric, str):
         d, dx, dy = _ratio_distances(spec, xs, ys, ref, pairs)
     else:
         _check_kind(spec, xs, ys, pairs, DiscreteFuzzySet)
         d, dx, dy = _metric_distances(spec.metric, xs, ys, ref, pairs)
-    if spec.family == "distance_gaussian":
+    if ref is None:  # distance_gaussian
         return np.exp(-spec.gamma * d**2)
+    # distance_inner keeps coef0 = 0, gamma = 1 and degree = 1, which leave every bit of inner as it is
     inner = 0.5 * (dx[:, None] ** 2 + dy[None, :] ** 2 - d**2)
-    if spec.family == "distance_inner":
-        return inner
     return (spec.coef0 + spec.gamma * inner) ** spec.degree
 
 
@@ -775,41 +769,46 @@ def _metric_distances(metric: Metric, xs: list, ys: list, ref, pairs: _Pairs):
     return d, dx, dy
 
 
-_FAMILY_BLOCKS = {
-    "cross_product": _cross_block,
-    "weighted_cross_product": _cross_block,
-    "intersection": _intersection_block,
-    "nonsingleton": _nonsingleton_block,
-    "nonsingleton_gaussian": _gaussian_block,
-    "distance_inner": _distance_block,
-    "distance_poly": _distance_block,
-    "distance_gaussian": _distance_block,
+# the one place that knows what a family is: its batch function and the spec fields it takes
+_FAMILIES = {
+    "cross_product": (_cross_block, ("k1", "k2")),
+    "weighted_cross_product": (_cross_block, ("k1", "k2", "weights")),
+    "intersection": (_intersection_block, ("tnorm",)),
+    "nonsingleton": (_nonsingleton_block, ("tnorm",)),
+    "nonsingleton_gaussian": (_gaussian_block, ()),
+    "distance_inner": (_distance_block, ("metric", "reference")),
+    "distance_poly": (_distance_block, ("metric", "reference", "coef0", "gamma", "degree")),
+    "distance_gaussian": (_distance_block, ("metric", "gamma")),
 }
+
+
+def _family(name: str) -> tuple[Callable, tuple[str, ...]]:
+    if name not in _FAMILIES:
+        raise ValidationError(f"unknown kernel family {name!r}; expected one of {', '.join(_FAMILIES)}")
+    return _FAMILIES[name]
 
 
 def spec_from_config(cfg: Mapping, ground: GroundSpace | None = None) -> FuzzyKernelSpec:
     """Build a :class:`FuzzyKernelSpec` from a plain config mapping.
 
     ``ground`` is needed to resolve discrete reference fuzzy sets for the
-    distance families.
+    distance families.  A key that the family does not take raises ValidationError.
     """
     if not isinstance(cfg, Mapping) or "family" not in cfg:
         raise ValidationError("kernel config needs a 'family' key")
-    kwargs: dict = {"family": str(cfg["family"]).lower()}
+    family = str(cfg["family"]).lower()
+    for key in cfg:
+        if key != "family" and key not in _family(family)[1]:
+            raise ValidationError(f"kernel family {family!r} takes no {key!r}")
+    # the spec converts and checks the values of the other keys itself
+    kwargs = dict(cfg, family=family)
     for key in ("k1", "k2"):
         if key in cfg:
             kwargs[key] = base_kernel_from_config(cfg[key])
     if "tnorm" in cfg:
-        try:
-            kwargs["tnorm"] = TNorm.from_name(cfg["tnorm"])
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
-    # the spec converts and checks these values itself
-    kwargs.update({k: cfg[k] for k in ("weights", "metric", "coef0", "gamma", "degree") if k in cfg})
+        kwargs["tnorm"] = TNorm.from_name(cfg["tnorm"])
     if "reference" in cfg:
-        refs = cfg["reference"]
-        if isinstance(refs, Mapping):
-            refs = [refs]
+        refs = [cfg["reference"]] if isinstance(cfg["reference"], Mapping) else cfg["reference"]
         if not isinstance(refs, (list, tuple)):
             raise ValidationError(f"reference must be an attribute object or a list of them, got {refs!r}")
         kwargs["reference"] = [_parse_attribute(r, ground, f"reference[{k}]") for k, r in enumerate(refs)]

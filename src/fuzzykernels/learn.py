@@ -128,7 +128,7 @@ def cross_validate(
 
 def mmd_statistic(gxx, gyy, gxy) -> float:
     """Biased MMD^2 estimate: mean(gxx) + mean(gyy) - 2 mean(gxy), floored at 0."""
-    xx, yy, xy = _as_matrix(gxx), _as_matrix(gyy), _as_matrix(gxy)
+    xx, yy, xy = _as_matrix(gxx), _as_matrix(gyy), _as_matrix(gxy, square=False)
     if xx.size == 0 or yy.size == 0:
         raise ValueError("MMD needs two non-empty samples")
     if xy.shape != (xx.shape[0], yy.shape[0]):

@@ -17,6 +17,7 @@ import enum
 
 import numpy as np
 
+from .errors import ValidationError
 from .sets import DiscreteFuzzySet, _check_same_ground
 
 __all__ = ["TNorm", "apply", "apply_array", "intersect"]
@@ -38,7 +39,7 @@ class TNorm(enum.Enum):
         for member in cls:
             if member.value == key:
                 return member
-        raise ValueError(f"unknown T-norm {name!r}; expected one of min, product, lukasiewicz, drastic")
+        raise ValidationError(f"unknown T-norm {name!r}; expected one of min, product, lukasiewicz, drastic")
 
 
 def apply(t: TNorm, a: float, b: float) -> float:

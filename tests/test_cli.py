@@ -300,6 +300,12 @@ class TestKernelConfigValues:
             ({"family": "distance_inner", "reference": {"type": "discrete", "degrees": [1]}}, "reference"),
             # an empty reference was an IndexError at evaluation
             ({"family": "distance_inner", "reference": []}, "reference"),
+            # a key the family does not take, each once silently ignored
+            ({"family": "cross_product", "weights": [0, 0, 0]}, "weights"),
+            ({"family": "distance_gaussian", "gama": 5}, "gama"),
+            ({"family": "distance_inner", "reference": REFERENCE, "degree": 3}, "degree"),
+            ({"family": "nonsingleton_gaussian", "tnorm": "min"}, "tnorm"),
+            ({"family": "distance_gaussian", "reference": REFERENCE}, "reference"),
         ],
     )
     def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, discrete_dataset, cfg, key):

@@ -478,6 +478,59 @@ class TestDistanceKernels:
             distance_gaussian_kernel(x, y, gamma=0.0)
 
 
+# a reference that parses without a ground space
+GAUSSIAN_REFERENCE = {"type": "gaussian", "m": [0.0], "sigma": [1.0]}
+
+# the spec fields each family takes; the family table in kernels.py must agree
+TAKES = {
+    "cross_product": {"k1", "k2"},
+    "weighted_cross_product": {"k1", "k2", "weights"},
+    "intersection": {"tnorm"},
+    "nonsingleton": {"tnorm"},
+    "nonsingleton_gaussian": set(),
+    "distance_inner": {"metric", "reference"},
+    "distance_poly": {"metric", "reference", "coef0", "gamma", "degree"},
+    "distance_gaussian": {"metric", "gamma"},
+}
+# a value other than the default for every field; weights is an array, which
+# must not be compared elementwise
+FIELD_VALUES = {
+    "k1": RBFKernel(gamma=0.5),
+    "k2": PolynomialKernel(),
+    "tnorm": TNorm.MINIMUM,
+    "weights": np.zeros(3),
+    "metric": ratio_distance,
+    "reference": GaussianFuzzySet([0.0], [1.0]),
+    "coef0": 1.0,
+    "gamma": 2.0,
+    "degree": 3,
+}
+
+
+@pytest.mark.parametrize(
+    "family, field",
+    [(family, field) for family, takes in TAKES.items() for field in FIELD_VALUES if field not in takes],
+)
+def test_field_not_taken_is_rejected(family, field):
+    with pytest.raises(ValidationError, match=f"kernel family '{family}' takes no '{field}'"):
+        FuzzyKernelSpec(family=family, **{field: FIELD_VALUES[field]})
+
+
+@pytest.mark.parametrize("n_refs, arity", [(3, 2), (2, 1), (2, 3)])
+def test_reference_count_is_one_or_the_arity(line_ground, n_refs, arity):
+    # three references on two-attribute records once used the first two, and
+    # two on one-attribute records the first
+    x = DiscreteFuzzySet(line_ground, {0: 1.0, 1: 0.5})
+    r = DiscreteFuzzySet(line_ground, {1: 0.5, 2: 1.0})
+    spec = FuzzyKernelSpec(family="distance_inner", reference=(r,) * n_refs)
+    want = rf"pair \(x, y\): reference has {n_refs} attributes but records have {arity}"
+    with pytest.raises(ValidationError, match=want):
+        evaluate(spec, (x,) * arity, (x,) * arity)
+    for count in (1, arity):
+        spec = FuzzyKernelSpec(family="distance_inner", reference=(r,) * count)
+        assert evaluate(spec, (x,) * arity, (x,) * arity) == pytest.approx(distance_inner(x, x, r) ** arity)
+
+
 class TestEvaluateDispatch:
     def test_nonsingleton_gaussian_identical_records(self):
         spec = FuzzyKernelSpec(family="nonsingleton_gaussian")
@@ -528,6 +581,23 @@ class TestEvaluateDispatch:
             {"family": "nonsingleton", "tnorm": "product"},
             {"family": "nonsingleton_gaussian"},
             {"family": "distance_gaussian", "gamma": 2.0},
+            # every family once with every key it takes
+            {
+                "family": "weighted_cross_product",
+                "k1": {"kind": "rbf", "gamma": 0.5},
+                "k2": {"kind": "polynomial", "degree": 2},
+                "weights": [1.0, 0.5],
+            },
+            {"family": "distance_inner", "metric": "ratio", "reference": GAUSSIAN_REFERENCE},
+            {
+                "family": "distance_poly",
+                "metric": "ratio",
+                "reference": [GAUSSIAN_REFERENCE],
+                "coef0": 1.0,
+                "gamma": 0.5,
+                "degree": 2,
+            },
+            {"family": "distance_gaussian", "metric": "ratio", "gamma": 2.0},
         ],
     )
     def test_spec_from_config_round_trips_family(self, cfg):

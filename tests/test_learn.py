@@ -54,6 +54,11 @@ class TestFit:
         with pytest.raises(NumericError, match="non-finite"):
             fit(g, [1, -1], regularization=1.0)
 
+    def test_non_square_gram_rejected(self):
+        # a 3 x 1 array once broadcast against the ridge term into a 3 x 3 system
+        with pytest.raises(ValueError, match="must be square"):
+            fit(np.ones((3, 1)), [1, -1, 1], regularization=1.0)
+
 
 class TestPredict:
     def test_recovers_training_labels(self):
@@ -120,6 +125,11 @@ class TestCrossValidate:
         with pytest.raises(ValueError):
             cross_validate(gram, [1, -1, 1, -1], regularization=0.1, folds=5)
 
+    def test_non_square_gram_rejected(self):
+        # a 4 x 2 array once failed with a raw IndexError inside a fold
+        with pytest.raises(ValueError, match="must be square"):
+            cross_validate(np.ones((4, 2)), [1, -1, 1, -1], regularization=1.0, folds=2)
+
 
 class TestMmdStatistic:
     def test_identical_samples_cancel(self):
@@ -139,6 +149,13 @@ class TestMmdStatistic:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             mmd_statistic(np.eye(2), np.eye(3), np.eye(2))
+
+    def test_non_square_sample_gram_rejected(self):
+        # a 2 x 3 gxx once passed the cross-matrix check and gave 0.0
+        with pytest.raises(ValueError, match="must be square"):
+            mmd_statistic(np.ones((2, 3)), np.ones((2, 2)), np.ones((2, 2)))
+        with pytest.raises(ValueError, match="must be square"):
+            mmd_statistic(np.ones((2, 2)), np.ones((3, 2)), np.ones((2, 3)))
 
     def test_invariant_under_joint_permutation(self):
         rng = np.random.default_rng(24)

@@ -6,103 +6,23 @@ with Gram-matrix tooling (PSD verification, normalization), a dual-form
 kernel ridge classifier and an MMD permutation two-sample test.
 """
 
-from .errors import NumericError, ValidationError
-from .sets import (
-    DiscreteFuzzySet,
-    GaussianFuzzySet,
-    GroundSpace,
-    Partition,
-    fuzzify_from_histogram,
-    fuzzify_gaussian,
-    gaussian_membership,
-    membership,
-    support_cells,
-    support_measure,
-)
-from .tnorms import TNorm, apply, intersect
-from .kernels import (
-    FuzzyKernelSpec,
-    LinearKernel,
-    PolynomialKernel,
-    RBFKernel,
-    base_eval,
-    base_kernel_from_config,
-    cross_product_kernel,
-    distance_gaussian_kernel,
-    distance_inner,
-    distance_polynomial_kernel,
-    evaluate,
-    intersection_kernel,
-    nonsingleton_gaussian_kernel,
-    nonsingleton_kernel,
-    ratio_distance,
-    spec_from_config,
-    weighted_cross_product_kernel,
-)
-from .gram import GramMatrix, PsdReport, check_psd, compute_gram, normalize, read_matrix, write_matrix
-from .learn import (
-    DualModel,
-    MmdResult,
-    cross_validate,
-    fit,
-    mmd_permutation_test,
-    mmd_statistic,
-    predict,
-)
-from .dataset import Dataset, dataset_from_obj, dataset_to_obj, parse_dataset, write_dataset
+from . import dataset, errors, gram, kernels, learn, sets, tnorms
+from .errors import *
+from .sets import *
+from .tnorms import *
+from .kernels import *
+from .gram import *
+from .learn import *
+from .dataset import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ValidationError",
-    "NumericError",
-    "GroundSpace",
-    "Partition",
-    "DiscreteFuzzySet",
-    "GaussianFuzzySet",
-    "membership",
-    "gaussian_membership",
-    "fuzzify_gaussian",
-    "fuzzify_from_histogram",
-    "support_cells",
-    "support_measure",
-    "TNorm",
-    "apply",
-    "intersect",
-    "LinearKernel",
-    "RBFKernel",
-    "PolynomialKernel",
-    "base_eval",
-    "base_kernel_from_config",
-    "cross_product_kernel",
-    "weighted_cross_product_kernel",
-    "intersection_kernel",
-    "nonsingleton_kernel",
-    "nonsingleton_gaussian_kernel",
-    "ratio_distance",
-    "distance_inner",
-    "distance_polynomial_kernel",
-    "distance_gaussian_kernel",
-    "FuzzyKernelSpec",
-    "evaluate",
-    "spec_from_config",
-    "GramMatrix",
-    "PsdReport",
-    "compute_gram",
-    "check_psd",
-    "normalize",
-    "write_matrix",
-    "read_matrix",
-    "DualModel",
-    "MmdResult",
-    "fit",
-    "predict",
-    "cross_validate",
-    "mmd_statistic",
-    "mmd_permutation_test",
-    "Dataset",
-    "parse_dataset",
-    "dataset_from_obj",
-    "dataset_to_obj",
-    "write_dataset",
-]
+# each module's __all__ is the one list of its public names
+__all__: list[str] = []
+__all__ += errors.__all__
+__all__ += sets.__all__
+__all__ += tnorms.__all__
+__all__ += kernels.__all__
+__all__ += gram.__all__
+__all__ += learn.__all__
+__all__ += dataset.__all__

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import Dataset, _read_json, parse_dataset, write_dataset
 from .errors import NumericError, ValidationError
-from .gram import check_psd, compute_gram, write_matrix
+from .gram import DEFAULT_PSD_TOL, check_psd, compute_gram, write_matrix
 from .kernels import FuzzyKernelSpec, spec_from_config
 from .learn import cross_validate, mmd_permutation_test
 from .sets import GaussianFuzzySet, GroundSpace, fuzzify_from_histogram
@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gram)
 
     p = sub.add_parser("check-psd", parents=[common], help="eigenvalue check of the Gram matrix")
-    p.add_argument("--tol", type=float, default=1e-8, help="relative PSD tolerance")
+    p.add_argument("--tol", type=float, default=DEFAULT_PSD_TOL, help="relative PSD tolerance")
     p.set_defaults(func=cmd_check_psd)
 
     p = sub.add_parser("classify", parents=[common], help="seeded k-fold kernel ridge classification")

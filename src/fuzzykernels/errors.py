@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ValidationError", "NumericError"]
+
 
 class ValidationError(ValueError):
     """Invalid input data or configuration (bad file, broken invariant)."""

@@ -147,16 +147,16 @@ def write_matrix(path, g) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
+    """Read a file in :func:`write_matrix`'s format.  A header that is not a
+    non-negative integer n, or a body that is not n rows of n numbers, raises
+    ValueError."""
     with open(path) as fh:
-        header = fh.readline()
-        try:
-            n = int(header.strip())
-        except ValueError as exc:
-            raise ValueError(f"bad matrix file header {header!r}") from exc
-        rows = []
-        for k in range(n):
-            parts = fh.readline().split()
-            if len(parts) != n:
-                raise ValueError(f"matrix row {k} has {len(parts)} entries, expected {n}")
-            rows.append([float(p) for p in parts])
-    return np.array(rows)
+        header, body = fh.readline(), fh.read()
+    if not header.strip().isdecimal():
+        raise ValueError(f"bad matrix file header {header!r}")
+    n = int(header)
+    # loadtxt warns on a body without data, which only n = 0 may have
+    m = np.loadtxt(body.splitlines(), ndmin=2, comments=None) if body.strip() else np.zeros((0, 0))
+    if m.shape != (n, n):
+        raise ValueError(f"matrix file header says {n}, but the body is {m.shape[0]} x {m.shape[1]}")
+    return m

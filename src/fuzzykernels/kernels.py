@@ -397,9 +397,11 @@ class FuzzyKernelSpec:
                 object.__setattr__(self, key, LinearKernel())
         if "weights" in takes:
             try:
+                if isinstance(self.weights, (str, bytes, Mapping)):  # iterable, but not a list of numbers
+                    raise TypeError
                 weights = tuple(float(w) for w in self.weights)
             except (TypeError, ValueError, OverflowError) as exc:
-                raise ValidationError(f"weights must be numbers, got {self.weights!r}") from exc
+                raise ValidationError(f"weights must be a list of numbers, got {self.weights!r}") from exc
             if any(not w >= 0 or not math.isfinite(w) for w in weights):
                 raise ValidationError("weights must be finite and non-negative")
             object.__setattr__(self, "weights", weights)
@@ -549,25 +551,16 @@ def _discrete(
     _check_kind(spec, xs, ys, pairs, DiscreteFuzzySet)
     if ref is not None and not isinstance(ref, DiscreteFuzzySet):
         pairs.check(True, f"the reference must be a DiscreteFuzzySet, got {type(ref).__name__}")
-    grounds: list[GroundSpace] = []  # distinct ground spaces, in order of appearance
-
-    def code(fs: DiscreteFuzzySet) -> int:
-        for k, g in enumerate(grounds):
-            if fs.ground is g or fs.ground == g:
-                return k
-        grounds.append(fs.ground)
-        return len(grounds) - 1
-
-    cx = np.array([code(x) for x in xs])
-    cy = cx if pairs.symmetric else np.array([code(y) for y in ys])
-    bad = cx[:, None] != cy[None, :]
-    if ref is not None:
-        cr = code(ref)
-        bad |= (cx[:, None] != cr) | (cy[None, :] != cr)
+    # flag each set (and ref) off the first row's ground: the first flagged pair
+    # in pair order is the first pair that comparing every pair would find
+    ground = xs[0].ground
+    gx = np.array([x.ground != ground for x in xs])
+    gy = gx if pairs.symmetric else np.array([y.ground != ground for y in ys], dtype=bool)
+    bad = gx[:, None] | gy[None, :] | (ref is not None and ref.ground != ground)
     pairs.check(bad, "fuzzy sets live on different ground spaces")
     cols = _active(xs, ys, [] if ref is None else [ref])
     mx = _memberships(xs, cols)
-    return grounds[0], cols, mx, mx if pairs.symmetric else _memberships(ys, cols)
+    return ground, cols, mx, mx if pairs.symmetric else _memberships(ys, cols)
 
 
 def _active(*groups: Sequence[DiscreteFuzzySet]) -> np.ndarray:
@@ -612,7 +605,7 @@ def _cross_block(spec: FuzzyKernelSpec, xs: list, ys: list, slot: int, pairs: _P
     if spec.weights is not None:
         w = np.asarray(spec.weights)
         if w.shape != (len(ground),):
-            pairs.check(True, f"need one weight per ground point ({len(ground)}), got {w.size}")
+            pairs.check(True, f"got {w.size} weights for {len(ground)} ground points")
         k1 = k1 * np.outer(w[cols], w[cols])
     # a linear k2 vanishes off the supports, so the double sum is the bilinear
     # form M K1 M^T; an overflowing k1 entry would turn 0 * inf into NaN for

@@ -14,6 +14,7 @@ All types are immutable after construction and every function here is pure.
 
 from __future__ import annotations
 
+import operator
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -33,6 +34,19 @@ __all__ = [
 ]
 
 
+def _index(value) -> int:
+    """A ground-space index as an int; a bool, or a value of a type that is not
+    an integer (1.5, 1.0, "1"), raises ValueError instead of being truncated."""
+    if type(value) is int:  # the parsed-dataset case, once per stored degree: keep it cheap
+        return value
+    if isinstance(value, bool):
+        raise ValueError(f"index {value!r} is not an integer")
+    try:
+        return operator.index(value)
+    except TypeError as exc:
+        raise ValueError(f"index {value!r} is not an integer") from exc
+
+
 class Partition:
     """Pairwise-disjoint cells of ground-space indices, one measure per cell.
 
@@ -43,7 +57,7 @@ class Partition:
     def __init__(self, cells: Sequence[Iterable[int]], measures: Sequence[float] | None = None):
         norm_cells = []
         for k, cell in enumerate(cells):
-            idxs = tuple(sorted(int(i) for i in cell))
+            idxs = tuple(sorted(_index(i) for i in cell))
             if not idxs:
                 raise ValueError(f"cell {k} is empty")
             norm_cells.append(idxs)
@@ -77,6 +91,8 @@ class Partition:
         return len(self.cells)
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, Partition):
             return NotImplemented
         return self.cells == other.cells and np.array_equal(self.measures, other.measures)
@@ -120,6 +136,8 @@ class GroundSpace:
         return self.points[idx]
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, GroundSpace):
             return NotImplemented
         return np.array_equal(self.points, other.points) and self.partition == other.partition
@@ -129,7 +147,7 @@ class GroundSpace:
 
 
 def _check_same_ground(x: "DiscreteFuzzySet", y: "DiscreteFuzzySet") -> None:
-    if x.ground is not y.ground and x.ground != y.ground:
+    if x.ground != y.ground:
         raise ValueError("fuzzy sets live on different ground spaces")
 
 
@@ -137,9 +155,7 @@ def _check_partition(ground: GroundSpace, partition: Partition) -> None:
     """Reject a partition that is not the ground space's own (or, when the
     ground carries none, one that does not cover its indices)."""
     own = ground.partition
-    if partition.size != len(ground) or (
-        own is not None and partition is not own and partition != own
-    ):
+    if partition.size != len(ground) or (own is not None and partition != own):
         raise ValueError("partition does not belong to the fuzzy sets' ground space")
 
 
@@ -155,7 +171,7 @@ class DiscreteFuzzySet:
         n = len(ground)
         clean: dict[int, float] = {}
         for idx, deg in degrees.items():
-            i = int(idx)
+            i = _index(idx)
             if not 0 <= i < n:
                 raise ValueError(f"index {i} outside ground space of {n} points")
             d = float(deg)
@@ -221,7 +237,7 @@ class GaussianFuzzySet:
 
 def membership(fs: DiscreteFuzzySet, idx: int) -> float:
     """Degree of membership of the point at ``idx``; 0 outside the support."""
-    i = int(idx)
+    i = _index(idx)
     if not 0 <= i < len(fs.ground):
         raise ValueError(f"index {i} outside ground space of {len(fs.ground)} points")
     return fs._degrees.get(i, 0.0)

@@ -306,6 +306,9 @@ class TestKernelConfigValues:
             ({"family": "distance_inner", "reference": REFERENCE, "degree": 3}, "degree"),
             ({"family": "nonsingleton_gaussian", "tnorm": "min"}, "tnorm"),
             ({"family": "distance_gaussian", "reference": REFERENCE}, "reference"),
+            # iterables that are not lists of numbers, once read as (1, 2, 3, 4) and the keys (0, 1, 2, 3)
+            ({"family": "weighted_cross_product", "weights": "1234"}, "weights"),
+            ({"family": "weighted_cross_product", "weights": {"0": 1, "1": 1, "2": 1, "3": 1}}, "weights"),
         ],
     )
     def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, discrete_dataset, cfg, key):
@@ -320,10 +323,87 @@ class TestKernelConfigValues:
         assert not out.exists()
 
 
+TABLE = "1,2,3\n4,5,6\n"
+RECORD = [{"type": "discrete", "degrees": {"0": 1.0}}]
+DATA = {"ground_space": {"points": [[0.0], [1.0]]}, "records": [RECORD, RECORD], "labels": [1, -1]}
+KERNEL = {"family": "cross_product"}
+GRAM = "gram --data {data} --kernel {kernel} --out {out}"
+FUZZIFY = "fuzzify --data {table} --out {out} --method"
+
+
+def _data(**ground):
+    return {**DATA, "ground_space": ground}
+
+
+@pytest.mark.parametrize(
+    "argv, data, kernel, where",
+    [
+        pytest.param(GRAM, DATA, [KERNEL], "kernel config must be a JSON object", id="config-not-object"),
+        pytest.param(
+            "fuzzify --data {tmp}/nope.csv --out {out} --method histogram --bins 3", DATA, KERNEL,
+            "nope.csv", id="fuzzify-missing-table",
+        ),
+        pytest.param(FUZZIFY + " gaussian", DATA, KERNEL, "--widths", id="fuzzify-no-widths"),
+        pytest.param(
+            FUZZIFY + " gaussian --widths 0.1,0.2", DATA, KERNEL, "2 widths for 3 columns",
+            id="fuzzify-width-count",
+        ),
+        pytest.param(FUZZIFY + " histogram --bins 0", DATA, KERNEL, "--bins", id="fuzzify-no-bins"),
+        pytest.param(
+            "mmd-test --data {data} --kernel {kernel} --seed 0", {**DATA, "labels": None}, KERNEL, "labels",
+            id="mmd-no-labels",
+        ),
+        pytest.param(GRAM, _data(), KERNEL, "ground_space: needs a 'points' list", id="no-points"),
+        pytest.param(GRAM, _data(points=[[0.0], [float("nan")]]), KERNEL, "ground_space", id="nan-points"),
+        pytest.param(GRAM, _data(points=[[0.0], [1.0, 2.0]]), KERNEL, "ground_space", id="ragged-points"),
+        pytest.param(
+            GRAM, _data(points=[[0.0], [1.0]], partition={}), KERNEL, "ground_space.partition",
+            id="partition-no-cells",
+        ),
+        # a fractional cell index was once truncated, and check-psd exited 0
+        pytest.param(
+            "check-psd --data {data} --kernel {kernel}",
+            _data(points=[[0.0], [1.0]], partition={"cells": [[0], [1.5]]}), KERNEL,
+            "ground_space.partition", id="partition-fractional-index",
+        ),
+        pytest.param(GRAM, {**DATA, "records": [[5]]}, KERNEL, "records[0][0]", id="attribute-not-object"),
+        pytest.param(
+            GRAM, {**DATA, "records": [[{"type": "gaussian", "m": [0.0]}]]}, KERNEL, "records[0][0]",
+            id="gaussian-no-sigma",
+        ),
+        pytest.param(GRAM, {**DATA, "records": [[{"type": "fuzzy"}]]}, KERNEL, "records[0][0]", id="unknown-type"),
+        pytest.param(GRAM, [DATA], KERNEL, "dataset document", id="document-not-object"),
+        pytest.param(GRAM, {**DATA, "records": 5}, KERNEL, "'records' list", id="records-not-list"),
+        pytest.param(GRAM, {**DATA, "records": [[]]}, KERNEL, "records[0]", id="empty-record"),
+        pytest.param(GRAM, DATA, {}, "'family'", id="config-no-family"),
+        pytest.param(GRAM, DATA, {**KERNEL, "k1": {"gamma": 1.0}}, "'kind'", id="k1-no-kind"),
+        pytest.param(
+            GRAM, DATA, {"family": "weighted_cross_product", "weights": [1.0, -1.0]}, "weights",
+            id="negative-weight",
+        ),
+        pytest.param(
+            GRAM, DATA, {"family": "weighted_cross_product", "weights": [1.0]}, "weights", id="weight-count",
+        ),
+    ],
+)
+def test_invalid_input_exits_2_naming_where(tmp_path, capsys, argv, data, kernel, where):
+    files = {"table": TABLE, "data": json.dumps(data), "kernel": json.dumps(kernel)}
+    paths = {name: tmp_path / name for name in (*files, "out")}
+    for name, text in files.items():
+        paths[name].write_text(text)
+    code, _, err = run_cli(capsys, *argv.format(tmp=tmp_path, **paths).split())
+    assert code == 2
+    assert where in err
+    assert not paths["out"].exists()
+
+
 def test_import_loads_no_scipy():
     # numpy is the only runtime dependency; a fresh interpreter shows what importing pulls in
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, fuzzykernels.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    code = (
+        "import sys; before = set(sys.modules); import fuzzykernels.cli; "
+        "print(sorted({m.partition('.')[0] for m in set(sys.modules) - before} - set(sys.stdlib_module_names)))"
+    )
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.strip() == "['fuzzykernels', 'numpy']"

@@ -286,8 +286,18 @@ def test_wrong_attribute_type_names_pair(line):
 def test_different_ground_names_pair(line):
     other = GroundSpace([[0.0], [1.0], [5.0]])
     data = [DiscreteFuzzySet(line, {0: 1.0})] * 3 + [DiscreteFuzzySet(other, {0: 1.0})]
+    spec = FuzzyKernelSpec(family="nonsingleton", tnorm=TNorm.MINIMUM)
     with pytest.raises(ValidationError, match=r"pair \(a, d\): fuzzy sets live on different ground spaces"):
-        compute_gram(data, FuzzyKernelSpec(family="nonsingleton", tnorm=TNorm.MINIMUM), item_ids=IDS)
+        compute_gram(data, spec, item_ids=IDS)
+    # a rectangular block: the foreign set among the columns, then among the rows only
+    with pytest.raises(ValidationError, match=r"pair \(a, d\): fuzzy sets live on different ground spaces"):
+        kernels._kernel_matrix(spec, data[:2], data, IDS[:2], IDS)
+    with pytest.raises(ValidationError, match=r"pair \(d, a\): fuzzy sets live on different ground spaces"):
+        kernels._kernel_matrix(spec, data, data[:3], IDS, IDS[:3])
+    # a reference on another ground space fails the first pair
+    ref_spec = FuzzyKernelSpec(family="distance_inner", reference=data[3])
+    with pytest.raises(ValidationError, match=r"pair \(a, a\): fuzzy sets live on different ground spaces"):
+        compute_gram(data[:3], ref_spec, item_ids=IDS[:3])
 
 
 def test_arity_names_pair(line):

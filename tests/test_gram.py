@@ -185,3 +185,32 @@ class TestMatrixFile:
         path.write_text("not-a-number\n")
         with pytest.raises(ValueError):
             read_matrix(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "-1\n",  # was a 1-D empty array
+            "2\n1 2\n3 4\n5 6\n",  # rows after the n-th were ignored
+            "2\n1 2\n",
+            "2\n",
+            "2\n1 2 3\n4 5 6\n",
+            "2\n1 2\n3\n",
+            "2\n1 2\n3 x\n",
+            "0\n1\n",
+            "",
+        ],
+    )
+    def test_rejects_body_that_is_not_n_by_n(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            read_matrix(path)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_small_round_trip(self, tmp_path, n):
+        m = np.full((n, n), -0.0)
+        path = tmp_path / "gram.txt"
+        write_matrix(path, m)
+        back = read_matrix(path)
+        assert back.shape == (n, n)
+        assert np.array_equal(np.signbit(back), np.signbit(m))

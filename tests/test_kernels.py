@@ -624,6 +624,12 @@ class TestEvaluateDispatch:
         with pytest.raises(ValidationError, match="reference must be a DiscreteFuzzySet"):
             evaluate(spec, x, x)
 
+    @pytest.mark.parametrize("weights", ["12", b"12", {"0": 1, "1": 3}])
+    def test_weights_must_be_a_list_of_numbers(self, weights):
+        # each iterates to numbers: (1, 2), (49, 50) and the keys (0, 1)
+        with pytest.raises(ValidationError, match="weights"):
+            FuzzyKernelSpec(family="weighted_cross_product", weights=weights)
+
     @pytest.mark.parametrize("refs", [(), []])
     def test_empty_reference_rejected(self, refs):
         with pytest.raises(ValidationError, match="reference"):

@@ -69,6 +69,17 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition([[0], [1]], measures=[1.0, -0.5])
 
+    @pytest.mark.parametrize("index", [1.5, 1.0, True, np.True_, "1", float("nan")])
+    def test_rejects_non_integer_index(self, index):
+        # 1.5 and True were once read as index 1
+        with pytest.raises(ValueError, match="not an integer"):
+            Partition([[0, index], [2]])
+
+    def test_accepts_numpy_integer_index(self):
+        p = Partition([[0, np.int64(1)], [np.intp(2)]])
+        assert p.cells == ((0, 1), (2,))
+        assert all(type(i) is int for cell in p.cells for i in cell)
+
 
 class TestMembership:
     def test_stored_value(self, ground6):
@@ -100,6 +111,13 @@ class TestMembership:
     def test_rejects_foreign_index(self, ground6):
         with pytest.raises(ValueError):
             DiscreteFuzzySet(ground6, {17: 0.5})
+
+    @pytest.mark.parametrize("index", [1.5, True, "1"])
+    def test_rejects_non_integer_index(self, ground6, index):
+        with pytest.raises(ValueError, match="not an integer"):
+            DiscreteFuzzySet(ground6, {index: 0.5})
+        with pytest.raises(ValueError, match="not an integer"):
+            membership(DiscreteFuzzySet(ground6, {1: 0.5}), index)
 
     @given(st.dictionaries(st.integers(0, 5), st.floats(1e-6, 1.0), max_size=6))
     def test_positive_membership_iff_support(self, degrees):

@@ -49,6 +49,12 @@ def _load_table(path) -> np.ndarray:
     return table
 
 
+def _positive(value: float, option: str) -> float:
+    if not 0 < value < np.inf:
+        raise ValidationError(f"{option} must be finite and > 0, got {value}")
+    return value
+
+
 def _emit(report: dict) -> None:
     print(json.dumps(report, indent=2))
 
@@ -59,7 +65,10 @@ def cmd_fuzzify(args) -> int:
     if args.method == "gaussian":
         if not args.widths:
             raise ValidationError("gaussian fuzzification needs --widths")
-        widths = [float(w) for w in args.widths.split(",")]
+        try:
+            widths = [float(w) for w in args.widths.split(",")]
+        except ValueError:
+            raise ValidationError(f"--widths must be comma-separated numbers, got {args.widths!r}") from None
         if len(widths) == 1:
             widths = widths * n_cols
         if len(widths) != n_cols:
@@ -100,7 +109,7 @@ def cmd_gram(args) -> int:
 def cmd_check_psd(args) -> int:
     ds, _, spec = _load(args)
     gram = compute_gram(ds.records, spec, n_jobs=args.jobs)
-    report = check_psd(gram, tol=args.tol)
+    report = check_psd(gram, tol=_positive(args.tol, "--tol"))
     _emit(
         {
             "command": "check-psd",
@@ -121,7 +130,7 @@ def cmd_classify(args) -> int:
         raise ValidationError("classification needs a dataset with labels")
     gram = compute_gram(ds.records, spec, n_jobs=args.jobs)
     fold_acc, mean_acc = cross_validate(
-        gram, ds.labels, regularization=args.ridge, folds=args.folds, seed=args.seed
+        gram, ds.labels, regularization=_positive(args.ridge, "--ridge"), folds=args.folds, seed=args.seed
     )
     _emit(
         {

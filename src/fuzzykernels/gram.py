@@ -98,8 +98,8 @@ def check_psd(g, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
     spectrum is returned so indefinite kernels can be inspected, not just
     flagged.
     """
-    if not tol > 0:
-        raise ValueError("tolerance must be > 0")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tolerance must be finite and > 0, got {tol}")
     m = _as_matrix(g)
     if not np.isfinite(m).all():
         raise NumericError("Gram matrix contains non-finite entries")

@@ -153,3 +153,32 @@ def bf_ratio_distance(x, y):
     num = sum(abs(x.degrees.get(i, 0.0) - y.degrees.get(i, 0.0)) for i in idx)
     den = sum(x.degrees.get(i, 0.0) + y.degrees.get(i, 0.0) for i in idx)
     return num / den
+
+
+def bf_mmd_p_value(gram, n, n_permutations, seed):
+    """Permutation p-value of the biased MMD^2 on a pooled Gram matrix whose
+    first ``n`` rows are sample A.
+
+    Replica r splits by ``default_rng([seed, r]).permutation(N)``, as the
+    library does.  Each block sum is an exactly rounded ``math.fsum`` over
+    sorted index sets, so equal splits give bit-equal statistics.  A replica
+    counts when ``s >= observed - 8 N eps max|G|``.
+    """
+    g = np.asarray(gram, dtype=float)
+    total = g.shape[0]
+    m = total - n
+
+    def statistic(a, b):
+        a, b = sorted(a), sorted(b)
+        saa = math.fsum(g[i, j] for i in a for j in a)
+        sbb = math.fsum(g[i, j] for i in b for j in b)
+        sab = math.fsum(g[i, j] for i in a for j in b)
+        return max(saa / n**2 + sbb / m**2 - 2.0 * sab / (n * m), 0.0)
+
+    observed = statistic(range(n), range(n, total))
+    tol = 8 * total * np.finfo(float).eps * np.abs(g).max()
+    exceed = 0
+    for r in range(n_permutations):
+        perm = np.random.default_rng([seed, r]).permutation(total)
+        exceed += statistic(perm[:n].tolist(), perm[n:].tolist()) >= observed - tol
+    return (1 + exceed) / (1 + n_permutations)

@@ -349,6 +349,15 @@ def _data(**ground):
             id="fuzzify-width-count",
         ),
         pytest.param(FUZZIFY + " histogram --bins 0", DATA, KERNEL, "--bins", id="fuzzify-no-bins"),
+        # a non-number width once surfaced as a bare float() message
+        pytest.param(FUZZIFY + " gaussian --widths a", DATA, KERNEL, "--widths", id="fuzzify-width-not-number"),
+        # an infinite tolerance once passed every matrix as PSD and wrote Infinity into the JSON report
+        pytest.param("check-psd --data {data} --kernel {kernel} --tol inf", DATA, KERNEL, "--tol", id="psd-tol-inf"),
+        # an infinite ridge once warned about NaNs and exited 3
+        pytest.param(
+            "classify --data {data} --kernel {kernel} --seed 0 --folds 2 --ridge inf", DATA, KERNEL, "--ridge",
+            id="classify-ridge-inf",
+        ),
         pytest.param(
             "mmd-test --data {data} --kernel {kernel} --seed 0", {**DATA, "labels": None}, KERNEL, "labels",
             id="mmd-no-labels",

@@ -121,8 +121,10 @@ class TestCheckPsd:
         assert rep.eigenvalues.tolist() == [1.0, 2.0, 3.0]
 
     def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            check_psd(np.eye(2), tol=0.0)
+        # an infinite tolerance once passed every matrix as PSD
+        for tol in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                check_psd(np.array([[1.0, 2.0], [2.0, 1.0]]), tol=tol)
 
 
 class TestNormalize:

@@ -1,18 +1,25 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fuzzykernels import (
     FuzzyKernelSpec,
     GaussianFuzzySet,
     GramMatrix,
     NumericError,
+    compute_gram,
     cross_validate,
     fit,
     fuzzify_gaussian,
+    learn,
     mmd_permutation_test,
     mmd_statistic,
     predict,
 )
+
+import oracles
 
 
 def as_gram(values):
@@ -36,8 +43,10 @@ class TestFit:
             fit(as_gram(np.eye(3)), [1, -1], regularization=1.0)
 
     def test_rejects_nonpositive_regularization(self):
-        with pytest.raises(ValueError):
-            fit(as_gram(np.eye(2)), [1, -1], regularization=0.0)
+        # an infinite ridge once reached the solver and warned about NaNs
+        for ridge in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                fit(as_gram(np.eye(2)), [1, -1], regularization=ridge)
 
     def test_rejects_labels_outside_pm1(self):
         with pytest.raises(ValueError):
@@ -229,3 +238,72 @@ class TestMmdPermutationTest:
         rng = np.random.default_rng(31)
         with pytest.raises(ValueError):
             mmd_permutation_test([], self._sample(rng, 3), spec, seed=0)
+
+    def test_counts_every_repeat_of_the_observed_split(self, spec):
+        # n = 1, N = 24: 11 of the 200 replicas draw record 0 as sample A
+        # again; re-summing the reordered B block once put all 11 below the
+        # observed statistic, and the p-value came out 11/201 too small
+        rng = np.random.default_rng(1)
+        pooled = [fuzzify_gaussian([rng.normal()], [0.4]) for _ in range(24)]
+        res = mmd_permutation_test(pooled[:1], pooled[1:], spec, n_permutations=200, seed=0)
+        repeats = sum(np.random.default_rng([0, r]).permutation(24)[0] == 0 for r in range(200))
+        assert repeats == 11
+        g = compute_gram(pooled, spec).values
+        assert res.p_value == oracles.bf_mmd_p_value(g, 1, 200, 0)
+        assert round(res.p_value * 201) >= 1 + repeats
+
+    def test_null_pass_memory_is_blocked(self, spec):
+        # 5000 shuffles of 120 indices stacked up front take 4.8 MB; blocks
+        # stay within the Gram and the block budget
+        rng = np.random.default_rng(32)
+        a = self._sample(rng, 60)
+        b = self._sample(rng, 60, shift=0.4)
+        tracemalloc.start()
+        try:
+            mmd_permutation_test(a, b, spec, n_permutations=5000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * (120 * 120 + learn._NULL_BLOCK_ELEMENTS)
+
+
+def _mmd_values(kind, n, m, rng):
+    """One-dimensional sample values of a differential case."""
+    if kind == "identical":
+        a = rng.normal(size=n)
+        return a, a.copy()
+    if kind == "constant":  # every Gram entry equal
+        return np.full(n, 0.3), np.full(m, 0.3)
+    if kind == "duplicated":  # records repeat, so distinct splits tie
+        pool = rng.normal(size=3)
+        return rng.choice(pool, n), rng.choice(pool, m)
+    return rng.normal(size=n), rng.normal(0.5, 1.0, size=m)
+
+
+# derandomized, so every run of the suite draws the same instances
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["shifted", "identical", "constant", "duplicated"]),
+    n=st.integers(1, 40),
+    m=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    permutations=st.integers(1, 60),
+)
+# N = 2 and 3: a third to half of the replicas repeat the observed split
+@example(kind="shifted", n=1, m=1, seed=0, permutations=60)
+@example(kind="shifted", n=2, m=1, seed=1, permutations=60)
+@example(kind="duplicated", n=1, m=2, seed=2, permutations=60)
+@example(kind="identical", n=40, m=40, seed=3, permutations=60)
+@example(kind="constant", n=1, m=40, seed=4, permutations=60)
+@example(kind="shifted", n=40, m=1, seed=5, permutations=60)
+def test_mmd_permutation_test_matches_tie_oracle(kind, n, m, seed, permutations):
+    """p-value equal to the brute-force oracle's, and the statistic bit-equal
+    to mmd_statistic of the given split."""
+    spec = FuzzyKernelSpec(family="nonsingleton_gaussian")
+    a, b = _mmd_values(kind, n, m, np.random.default_rng(seed))
+    pooled = [fuzzify_gaussian([v], [0.4]) for v in np.concatenate([a, b])]
+    n = len(a)
+    res = mmd_permutation_test(pooled[:n], pooled[n:], spec, n_permutations=permutations, seed=seed)
+    g = compute_gram(pooled, spec).values
+    assert res.statistic == mmd_statistic(g[:n, :n], g[n:, n:], g[:n, n:])
+    assert res.p_value == oracles.bf_mmd_p_value(g, n, permutations, seed)

@@ -46,6 +46,10 @@ def _load_table(path) -> np.ndarray:
         raise ValidationError(f"{path}: not a numeric rectangular table: {exc}") from exc
     if table.size == 0:
         raise ValidationError(f"{path}: table is empty")
+    bad = np.argwhere(~np.isfinite(table))
+    if len(bad):
+        i, j = bad[0]
+        raise ValidationError(f"{path}: row {i + 1}, column {j + 1}: {table[i, j]} is not a finite number")
     return table
 
 

@@ -190,15 +190,9 @@ def _sorted_support(fs: DiscreteFuzzySet) -> tuple[list[int], np.ndarray]:
 def cross_product_kernel(
     x: DiscreteFuzzySet, y: DiscreteFuzzySet, k1: BaseKernel, k2: BaseKernel
 ) -> float:
-    """Sum of ``k1(points) * k2(degrees)`` over all pairs of support elements."""
-    _check_same_ground(x, y)
-    ix, dx = _sorted_support(x)
-    iy, dy = _sorted_support(y)
-    if not ix or not iy:
-        return 0.0
-    pts = x.ground.points
-    kmat = k1.pairwise(pts[ix], pts[iy]) * k2.pairwise(dx[:, None], dy[:, None])
-    return float(kmat.sum())
+    """Sum of ``k1(points) * k2(degrees)`` over all pairs of support elements:
+    the weighted cross product under unit weights, which multiply exactly."""
+    return weighted_cross_product_kernel(x, y, k1, k2, np.ones(len(x.ground)))
 
 
 def weighted_cross_product_kernel(
@@ -445,18 +439,36 @@ _BLOCK_ELEMENTS = 1 << 18
 
 
 class _Pairs:
-    """Index space of one kernel block: ids for messages, and whether the
-    block is a Gram matrix on (data, data), of which only the upper triangle
-    (row <= column) is needed."""
+    """Index space of one kernel block over a list of items (the records, or
+    one attribute of each).  Row ``i`` is item ``i``; column ``j`` is item
+    ``cols.start + j``.  A Gram matrix on (data, data) lists the data once
+    (``cols.start = 0``), and only its upper triangle (row <= column) is
+    needed; a rectangular block lists the rows and then the columns
+    (``cols.start`` = row count).  ``rows`` and ``cols`` are the two ranges
+    as slices, so an array over the items gives the rows' and the columns'
+    values as views."""
 
     def __init__(self, row_ids: Sequence[str], col_ids: Sequence[str], symmetric: bool):
         self.row_ids = row_ids
         self.col_ids = col_ids
         self.symmetric = symmetric
         self.shape = (len(row_ids), len(col_ids))
+        col0 = 0 if symmetric else len(row_ids)
+        self.rows = slice(0, len(row_ids))
+        self.cols = slice(col0, col0 + len(col_ids))
 
     def label(self, i: int, j: int) -> str:
         return f"kernel evaluation failed for pair ({self.row_ids[i]}, {self.col_ids[j]})"
+
+    def outer(self, flag) -> np.ndarray:
+        """Pairs whose row item or column item is flagged.
+
+        Flag the items that differ from item 0 (the first row) in some
+        property, and the first flagged pair is the first pair whose two
+        items differ in it: row 0 meets every column first, and if no column
+        differs, a pair's items differ exactly where its row does."""
+        flag = np.asarray(flag, dtype=bool)
+        return flag[self.rows, None] | flag[None, self.cols]
 
     def first(self, bad) -> tuple[int, int] | None:
         """First flagged pair in row-major (upper-triangle) order, or None."""
@@ -467,10 +479,11 @@ class _Pairs:
         return (int(hits[0][0]), int(hits[0][1])) if len(hits) else None
 
     def check(self, bad, message: Union[str, Callable[[int, int], str]]) -> None:
-        """Raise ValidationError naming the first pair flagged in ``bad``."""
+        """Raise ValidationError naming the first pair flagged in ``bad``;
+        a callable ``message`` takes that pair's row item and column item."""
         hit = self.first(bad)
         if hit is not None:
-            text = message(*hit) if callable(message) else message
+            text = message(hit[0], self.cols.start + hit[1]) if callable(message) else message
             raise ValidationError(f"{self.label(*hit)}: {text}")
 
     def indices(self):
@@ -496,31 +509,30 @@ def _kernel_matrix(
 ) -> np.ndarray:
     """Kernel values between two lists of records, attribute by attribute.
 
-    With ``symmetric`` (``cols`` is ``rows``) only the upper triangle is
-    computed and then mirrored, so the result is exactly symmetric.  Malformed
-    input raises ValidationError and a non-finite value NumericError, each
-    naming the first offending pair in row-major (upper-triangle) order.
+    The records form one item list, ``rows`` for a Gram matrix (``symmetric``:
+    ``cols`` is ``rows``) and ``[*rows, *cols]`` otherwise (see _Pairs); each
+    family block prepares the items of one attribute slot once.  A Gram matrix
+    has only its upper triangle computed and then mirrored, so it is exactly
+    symmetric.  Malformed input raises ValidationError and a non-finite value
+    NumericError, each naming the first offending pair in row-major
+    (upper-triangle) order.
     """
     pairs = _Pairs(row_ids, col_ids, symmetric)
-    xs = [_as_record(r) for r in rows]
-    ys = xs if symmetric else [_as_record(c) for c in cols]
-    nx = np.array([len(x) for x in xs])
-    ny = nx if symmetric else np.array([len(y) for y in ys])
+    records = [_as_record(r) for r in (rows if symmetric else [*rows, *cols])]
+    arity = np.array([len(r) for r in records])
     pairs.check(
-        nx[:, None] != ny[None, :],
-        lambda i, j: f"records have different arity: {nx[i]} vs {ny[j]}",
+        pairs.outer(arity != arity[0]), lambda p, q: f"records have different arity: {arity[p]} vs {arity[q]}"
     )
-    if nx[0] == 0:
+    if arity[0] == 0:
         pairs.check(True, "empty record")
     refs = spec.reference  # a bare fuzzy set is a lone attribute 0, not a record
-    if refs is not None and len(refs) not in (1, nx[0]) and not isinstance(rows[0], FuzzyDatum):
-        pairs.check(True, f"reference has {len(refs)} attributes but records have {nx[0]}")
+    if refs is not None and len(refs) not in (1, arity[0]) and not isinstance(rows[0], FuzzyDatum):
+        pairs.check(True, f"reference has {len(refs)} attributes but records have {arity[0]}")
     block = _FAMILIES[spec.family][0]
     values = np.ones(pairs.shape)
     with np.errstate(all="ignore"):  # non-finite values are reported below, by pair
-        for slot in range(nx[0]):
-            xa = [x[slot] for x in xs]
-            values *= block(spec, xa, xa if symmetric else [y[slot] for y in ys], slot, pairs)
+        for slot in range(arity[0]):
+            values *= block(spec, [r[slot] for r in records], slot, pairs)
     hit = pairs.first(~np.isfinite(values))
     if hit is not None:
         i, j = hit
@@ -532,44 +544,38 @@ def _kernel_matrix(
     return values
 
 
-def _check_kind(spec: FuzzyKernelSpec, xs: list, ys: list, pairs: _Pairs, kind: type) -> None:
-    bx = np.array([not isinstance(a, kind) for a in xs])
-    by = bx if pairs.symmetric else np.array([not isinstance(a, kind) for a in ys])
+def _check_kind(spec: FuzzyKernelSpec, attrs: list, pairs: _Pairs, kind: type) -> None:
+    bad = np.array([not isinstance(a, kind) for a in attrs])
     pairs.check(
-        bx[:, None] | by[None, :],
-        lambda i, j: f"kernel family {spec.family!r} needs {kind.__name__} attributes, "
-        f"got {type(xs[i] if bx[i] else ys[j]).__name__}",
+        pairs.outer(bad),
+        lambda p, q: f"kernel family {spec.family!r} needs {kind.__name__} attributes, "
+        f"got {type(attrs[p] if bad[p] else attrs[q]).__name__}",
     )
 
 
 def _discrete(
-    spec: FuzzyKernelSpec, xs: list, ys: list, pairs: _Pairs, ref: DiscreteFuzzySet | None = None
-) -> tuple[GroundSpace, np.ndarray, np.ndarray, np.ndarray]:
+    spec: FuzzyKernelSpec, attrs: list, pairs: _Pairs, ref: DiscreteFuzzySet | None = None
+) -> tuple[GroundSpace, np.ndarray, np.ndarray]:
     """Check that every pair of attributes (and ``ref``) are discrete fuzzy
     sets on one ground space.  Returns that ground space, the active ground
-    columns and the rows' and columns' degree matrices over them."""
-    _check_kind(spec, xs, ys, pairs, DiscreteFuzzySet)
+    columns and the items' degree matrix over them."""
+    _check_kind(spec, attrs, pairs, DiscreteFuzzySet)
     if ref is not None and not isinstance(ref, DiscreteFuzzySet):
         pairs.check(True, f"the reference must be a DiscreteFuzzySet, got {type(ref).__name__}")
-    # flag each set (and ref) off the first row's ground: the first flagged pair
-    # in pair order is the first pair that comparing every pair would find
-    ground = xs[0].ground
-    gx = np.array([x.ground != ground for x in xs])
-    gy = gx if pairs.symmetric else np.array([y.ground != ground for y in ys], dtype=bool)
-    bad = gx[:, None] | gy[None, :] | (ref is not None and ref.ground != ground)
+    ground = attrs[0].ground
+    bad = pairs.outer([x.ground != ground for x in attrs]) | (ref is not None and ref.ground != ground)
     pairs.check(bad, "fuzzy sets live on different ground spaces")
-    cols = _active(xs, ys, [] if ref is None else [ref])
-    mx = _memberships(xs, cols)
-    return ground, cols, mx, mx if pairs.symmetric else _memberships(ys, cols)
+    cols = _active(attrs if ref is None else [*attrs, ref])
+    return ground, cols, _memberships(attrs, cols)
 
 
-def _active(*groups: Sequence[DiscreteFuzzySet]) -> np.ndarray:
-    """Sorted ground indices that lie in the support of some set of ``groups``.
+def _active(sets: Sequence[DiscreteFuzzySet]) -> np.ndarray:
+    """Sorted ground indices that lie in the support of some set of ``sets``.
 
     Every array path works on these columns only, so sparse data and a 1 x 1
     evaluation never pay for the whole ground space.
     """
-    return np.unique(np.array([i for sets in groups for fs in sets for i in fs.degrees], dtype=np.intp))
+    return np.unique(np.array([i for fs in sets for i in fs.degrees], dtype=np.intp))
 
 
 def _memberships(sets: Sequence[DiscreteFuzzySet], cols: np.ndarray) -> np.ndarray:
@@ -598,8 +604,8 @@ def _segment_sum(a: np.ndarray, sizes: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _cross_block(spec: FuzzyKernelSpec, xs: list, ys: list, slot: int, pairs: _Pairs) -> np.ndarray:
-    ground, cols, mx, my = _discrete(spec, xs, ys, pairs)
+def _cross_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _Pairs) -> np.ndarray:
+    ground, cols, m = _discrete(spec, attrs, pairs)
     pts = ground.points[cols]
     k1 = spec.k1.pairwise(pts, pts)
     if spec.weights is not None:
@@ -611,38 +617,33 @@ def _cross_block(spec: FuzzyKernelSpec, xs: list, ys: list, slot: int, pairs: _P
     # form M K1 M^T; an overflowing k1 entry would turn 0 * inf into NaN for
     # pairs that never meet it, so that case sums over the supports instead
     if isinstance(spec.k2, LinearKernel) and np.isfinite(k1).all():
-        return mx @ k1 @ my.T
-    return _support_sum(spec.k2, k1, mx, my, pairs)
+        return m[pairs.rows] @ k1 @ m[pairs.cols].T
+    return _support_sum(spec.k2, k1, m, pairs)
 
 
-def _support_sum(
-    k2: BaseKernel, k1: np.ndarray, mx: np.ndarray, my: np.ndarray, pairs: _Pairs
-) -> np.ndarray:
+def _support_sum(k2: BaseKernel, k1: np.ndarray, m: np.ndarray, pairs: _Pairs) -> np.ndarray:
     """Sum of ``k1[a, b] k2(x_a, y_b)`` over a in supp x, b in supp y, on the
-    supports packed row after row."""
-    rx, ax = np.nonzero(mx)
-    ry, ay = np.nonzero(my)
-    dx, dy = mx[rx, ax], my[ry, ay]
-    nx = np.bincount(rx, minlength=len(mx))
-    ny = np.bincount(ry, minlength=len(my))
-    ox = np.concatenate(([0], np.cumsum(nx)))
-    oy = np.concatenate(([0], np.cumsum(ny)))
+    items' supports packed item after item."""
+    item, at = np.nonzero(m)
+    deg = m[item, at]
+    size = np.bincount(item, minlength=len(m))
+    start = np.concatenate(([0], np.cumsum(size)))
+    nx, ny = size[pairs.rows], size[pairs.cols]
     out = np.zeros(pairs.shape)
-    for a, b, c0 in pairs.row_blocks(int(nx.max(initial=0)) * len(dy)):
-        sx = slice(ox[a], ox[b])
-        sy = slice(oy[c0], oy[-1])
-        terms = k1[np.ix_(ax[sx], ay[sy])] * k2.pairwise(dx[sx, None], dy[sy, None])
+    for a, b, c0 in pairs.row_blocks(int(nx.max(initial=0)) * int(ny.sum())):
+        sx = slice(start[a], start[b])
+        sy = slice(start[pairs.cols.start + c0], start[pairs.cols.stop])
+        terms = k1[np.ix_(at[sx], at[sy])] * k2.pairwise(deg[sx, None], deg[sy, None])
         out[a:b, c0:] = _segment_sum(_segment_sum(terms, nx[a:b], 0), ny[c0:], 1)
     return out
 
 
-def _tnorm_block(
-    t: TNorm, a: np.ndarray, b: np.ndarray, pairs: _Pairs, weights: np.ndarray | None = None
-) -> np.ndarray:
+def _tnorm_block(t: TNorm, m: np.ndarray, pairs: _Pairs, weights: np.ndarray | None = None) -> np.ndarray:
     """Per pair, the ``weights``-weighted sum over ground points of
-    ``T(a_ip, b_jp)``, or with no weights its max (the intersection height)."""
+    ``T(x_p, y_p)``, or with no weights its max (the intersection height)."""
+    a, b = m[pairs.rows], m[pairs.cols]
     out = np.zeros(pairs.shape)
-    for r0, r1, c0 in pairs.row_blocks(a.shape[1] * len(b)):
+    for r0, r1, c0 in pairs.row_blocks(m.shape[1] * len(b)):
         rows = a[r0:r1]
         # T(0, y) = 0: points outside every support of the row block add nothing
         used = np.flatnonzero(rows.any(axis=0))
@@ -651,115 +652,99 @@ def _tnorm_block(
     return out
 
 
-def _intersection_block(spec: FuzzyKernelSpec, xs: list, ys: list, slot: int, pairs: _Pairs) -> np.ndarray:
-    ground, cols, mx, my = _discrete(spec, xs, ys, pairs)
+def _intersection_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _Pairs) -> np.ndarray:
+    ground, cols, m = _discrete(spec, attrs, pairs)
     part = ground.partition
     if part is None:
         pairs.check(True, "intersection kernel needs a partition on the ground space")
     cells, cell_of = np.unique(part.cell_index[cols], return_inverse=True)
     size = np.bincount(part.cell_index)[cells]
-
-    def whole_cells(m: np.ndarray) -> np.ndarray:
-        # degrees on the cells that lie wholly inside the row's support; the
-        # zeros elsewhere are exact, and T(a, 0) = 0 for every T-norm
-        rows, at = np.nonzero(m)
-        count = np.zeros((len(m), len(cells)), dtype=np.intp)
-        np.add.at(count, (rows, cell_of[at]), 1)
-        return np.where((count == size)[:, cell_of], m, 0.0)
-
-    a = whole_cells(mx)
-    b = a if pairs.symmetric else whole_cells(my)
-    return _tnorm_block(spec.tnorm, a, b, pairs, part.measures[cells][cell_of])
+    # degrees on the cells that lie wholly inside each item's support; the
+    # zeros elsewhere are exact, and T(a, 0) = 0 for every T-norm
+    item, at = np.nonzero(m)
+    count = np.zeros((len(m), len(cells)), dtype=np.intp)
+    np.add.at(count, (item, cell_of[at]), 1)
+    whole = np.where((count == size)[:, cell_of], m, 0.0)
+    return _tnorm_block(spec.tnorm, whole, pairs, part.measures[cells][cell_of])
 
 
-def _nonsingleton_block(spec: FuzzyKernelSpec, xs: list, ys: list, slot: int, pairs: _Pairs) -> np.ndarray:
-    _, _, mx, my = _discrete(spec, xs, ys, pairs)
-    return _tnorm_block(spec.tnorm, mx, my, pairs)
+def _nonsingleton_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _Pairs) -> np.ndarray:
+    return _tnorm_block(spec.tnorm, _discrete(spec, attrs, pairs)[2], pairs)
 
 
-def _gaussian_block(spec: FuzzyKernelSpec, xs: list, ys: list, slot: int, pairs: _Pairs) -> np.ndarray:
-    _check_kind(spec, xs, ys, pairs, GaussianFuzzySet)
-    dx = np.array([x.dim for x in xs])
-    dy = dx if pairs.symmetric else np.array([y.dim for y in ys])
-    pairs.check(dx[:, None] != dy[None, :], lambda i, j: f"dimension mismatch: {dx[i]} vs {dy[j]}")
-    mx = np.array([x.means for x in xs])
-    vx = np.array([x.widths for x in xs]) ** 2
-    if pairs.symmetric:
-        my, vy = mx, vx
-    else:
-        my, vy = np.array([y.means for y in ys]), np.array([y.widths for y in ys]) ** 2
+def _gaussian_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _Pairs) -> np.ndarray:
+    _check_kind(spec, attrs, pairs, GaussianFuzzySet)
+    dim = np.array([x.dim for x in attrs])
+    pairs.check(pairs.outer(dim != dim[0]), lambda p, q: f"dimension mismatch: {dim[p]} vs {dim[q]}")
+    means = np.array([x.means for x in attrs])
+    var = np.array([x.widths for x in attrs]) ** 2
+    mx, vx, my, vy = means[pairs.rows], var[pairs.rows], means[pairs.cols], var[pairs.cols]
     out = np.zeros(pairs.shape)
-    for a, b, c0 in pairs.row_blocks(len(ys)):
-        s = np.zeros((b - a, len(ys) - c0))
+    for a, b, c0 in pairs.row_blocks(len(my)):
+        s = np.zeros((b - a, len(my) - c0))
         # dimensions accumulate in a fixed order, so a pair's value does not
         # depend on where it sits in the block
-        for k in range(mx.shape[1]):
+        for k in range(means.shape[1]):
             dm = mx[a:b, k, None] - my[None, c0:, k]
             s += dm * dm / (vx[a:b, k, None] + vy[None, c0:, k])
         out[a:b, c0:] = np.exp(-0.5 * s)
     return out
 
 
-def _distance_block(spec: FuzzyKernelSpec, xs: list, ys: list, slot: int, pairs: _Pairs) -> np.ndarray:
+def _distance_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _Pairs) -> np.ndarray:
     refs = spec.reference
     ref = None if refs is None else refs[0] if len(refs) == 1 else refs[slot]
     if isinstance(spec.metric, str):
-        d, dx, dy = _ratio_distances(spec, xs, ys, ref, pairs)
+        d, d0 = _ratio_distances(spec, attrs, ref, pairs)
     else:
-        _check_kind(spec, xs, ys, pairs, DiscreteFuzzySet)
-        d, dx, dy = _metric_distances(spec.metric, xs, ys, ref, pairs)
+        _check_kind(spec, attrs, pairs, DiscreteFuzzySet)
+        d, d0 = _metric_distances(spec.metric, attrs, ref, pairs)
     if ref is None:  # distance_gaussian
         return np.exp(-spec.gamma * d**2)
     # distance_inner keeps coef0 = 0, gamma = 1 and degree = 1, which leave every bit of inner as it is
-    inner = 0.5 * (dx[:, None] ** 2 + dy[None, :] ** 2 - d**2)
+    inner = 0.5 * (d0[pairs.rows, None] ** 2 + d0[None, pairs.cols] ** 2 - d**2)
     return (spec.coef0 + spec.gamma * inner) ** spec.degree
 
 
-def _ratio_distances(
-    spec: FuzzyKernelSpec, xs: list, ys: list, ref: DiscreteFuzzySet | None, pairs: _Pairs
-):
+def _ratio_distances(spec: FuzzyKernelSpec, attrs: list, ref: DiscreteFuzzySet | None, pairs: _Pairs):
     """Ratio metric ``|X - Y|_1 / (|X|_1 + |Y|_1)`` between rows and columns,
-    and from each row and column to ``ref``."""
-    _, cols, mx, my = _discrete(spec, xs, ys, pairs, ref)
-    sx, sy = mx.sum(axis=1), my.sum(axis=1)
-    bad = (sx == 0)[:, None] & (sy == 0)[None, :]
+    and from each item to ``ref``."""
+    _, cols, m = _discrete(spec, attrs, pairs, ref)
+    s = m.sum(axis=1)
+    empty = s == 0
+    bad = empty[pairs.rows, None] & empty[None, pairs.cols]
     if ref is not None:
         m0 = _memberships([ref], cols)
         s0 = m0.sum()
-        if s0 == 0:
-            bad |= (sx == 0)[:, None] | (sy == 0)[None, :]
+        if s0 == 0:  # an empty set has no ratio distance to an empty reference either
+            bad = pairs.outer(empty)
     pairs.check(bad, "ratio distance is undefined for two empty fuzzy sets (0/0)")
+    mx, my = m[pairs.rows], m[pairs.cols]
     d = np.zeros(pairs.shape)
     for a, b, c0 in pairs.row_blocks(len(my) * len(cols)):
         d[a:b, c0:] = np.abs(mx[a:b, None, :] - my[None, c0:, :]).sum(axis=-1)
-    d /= sx[:, None] + sy[None, :]
-    if ref is None:
-        return d, None, None
-    dx = np.abs(mx - m0).sum(axis=1) / (sx + s0)
-    dy = dx if pairs.symmetric else np.abs(my - m0).sum(axis=1) / (sy + s0)
-    return d, dx, dy
+    d /= s[pairs.rows, None] + s[None, pairs.cols]
+    return d, None if ref is None else np.abs(m - m0).sum(axis=1) / (s + s0)
 
 
-def _metric_distances(metric: Metric, xs: list, ys: list, ref, pairs: _Pairs):
-    """A user metric is opaque Python: one call per pair, and one per record
-    to ``ref``, made in pair order so that a failure names its pair."""
+def _metric_distances(metric: Metric, attrs: list, ref, pairs: _Pairs):
+    """A user metric is opaque Python: one call per pair, and one per item to
+    ``ref`` at the item's first pair, made in pair order so that a failure
+    names its pair."""
     d = np.zeros(pairs.shape)
-    dx = np.zeros(len(xs))
-    dy = dx if pairs.symmetric else np.zeros(len(ys))
-    seen_x = np.zeros(len(xs), dtype=bool)
-    seen_y = seen_x if pairs.symmetric else np.zeros(len(ys), dtype=bool)
+    d0 = np.zeros(len(attrs))
+    seen = np.full(len(attrs), ref is None)  # with no reference, no item is measured against one
     for i, j in pairs.indices():
+        q = pairs.cols.start + j
         try:
-            if ref is not None and not seen_x[i]:
-                dx[i] = metric(xs[i], ref)
-                seen_x[i] = True
-            if ref is not None and not seen_y[j]:
-                dy[j] = metric(ys[j], ref)
-                seen_y[j] = True
-            d[i, j] = metric(xs[i], ys[j])
+            for k in (i, q):
+                if not seen[k]:
+                    d0[k] = metric(attrs[k], ref)
+                    seen[k] = True
+            d[i, j] = metric(attrs[i], attrs[q])
         except Exception as exc:
             raise ValidationError(f"{pairs.label(i, j)}: {exc}") from exc
-    return d, dx, dy
+    return d, d0
 
 
 # the one place that knows what a family is: its batch function and the spec fields it takes

@@ -324,6 +324,7 @@ class TestKernelConfigValues:
 
 
 TABLE = "1,2,3\n4,5,6\n"
+TABLES = {"table": TABLE, "inf": "1,2\n3,inf\n", "nan": "1,2\n3,nan\n"}
 RECORD = [{"type": "discrete", "degrees": {"0": 1.0}}]
 DATA = {"ground_space": {"points": [[0.0], [1.0]]}, "records": [RECORD, RECORD], "labels": [1, -1]}
 KERNEL = {"family": "cross_product"}
@@ -351,6 +352,15 @@ def _data(**ground):
         pytest.param(FUZZIFY + " histogram --bins 0", DATA, KERNEL, "--bins", id="fuzzify-no-bins"),
         # a non-number width once surfaced as a bare float() message
         pytest.param(FUZZIFY + " gaussian --widths a", DATA, KERNEL, "--widths", id="fuzzify-width-not-number"),
+        # a non-finite cell once ended in a numpy warning, or a message naming no cell
+        pytest.param(
+            "fuzzify --data {inf} --out {out} --method histogram --bins 3", DATA, KERNEL, "inf: row 2, column 2",
+            id="fuzzify-inf-cell",
+        ),
+        pytest.param(
+            "fuzzify --data {nan} --out {out} --method gaussian --widths 1", DATA, KERNEL, "nan: row 2, column 2",
+            id="fuzzify-nan-cell",
+        ),
         # an infinite tolerance once passed every matrix as PSD and wrote Infinity into the JSON report
         pytest.param("check-psd --data {data} --kernel {kernel} --tol inf", DATA, KERNEL, "--tol", id="psd-tol-inf"),
         # an infinite ridge once warned about NaNs and exited 3
@@ -396,13 +406,14 @@ def _data(**ground):
     ],
 )
 def test_invalid_input_exits_2_naming_where(tmp_path, capsys, argv, data, kernel, where):
-    files = {"table": TABLE, "data": json.dumps(data), "kernel": json.dumps(kernel)}
+    files = {**TABLES, "data": json.dumps(data), "kernel": json.dumps(kernel)}
     paths = {name: tmp_path / name for name in (*files, "out")}
     for name, text in files.items():
         paths[name].write_text(text)
     code, _, err = run_cli(capsys, *argv.format(tmp=tmp_path, **paths).split())
     assert code == 2
     assert where in err
+    assert "RuntimeWarning" not in err
     assert not paths["out"].exists()
 
 

@@ -339,6 +339,41 @@ def test_user_metric_error_keeps_its_cause(line):
     assert isinstance(info.value.__cause__, TwoArgError)
 
 
+def test_user_metric_call_order(line):
+    # a user metric is called once per computed pair, in row-major
+    # (upper-triangle) order, and once per item against the reference, at
+    # that item's first pair
+    sets = {f"s{k}": DiscreteFuzzySet(line, {k % 3: 0.25 + 0.05 * k, (k + 1) % 3: 0.5}) for k in range(9)}
+    ref = DiscreteFuzzySet(line, {1: 1.0})
+    name = {id(fs): key for key, fs in sets.items()} | {id(ref): "ref"}
+    calls = []
+
+    def metric(x, y):
+        calls.append((name[id(x)], name[id(y)]))
+        return ratio_distance(x, y)
+
+    def expected(rows, cols, gram):
+        seen, out = set(), []
+        for i, x in enumerate(rows):
+            for y in cols[i if gram else 0:]:
+                for item in (x, y):
+                    if item not in seen:
+                        seen.add(item)
+                        out.append((item, "ref"))
+                out.append((x, y))
+        return out
+
+    spec = FuzzyKernelSpec(family="distance_inner", metric=metric, reference=ref)
+    data = list(sets.values())
+    keys = list(sets)
+    compute_gram(data[:5], spec)
+    assert calls == expected(keys[:5], keys[:5], gram=True)
+    calls.clear()
+    kernels._kernel_matrix(spec, data[:4], data[4:], keys[:4], keys[4:])
+    assert calls == expected(keys[:4], keys[4:], gram=False)
+    assert len(calls) == 4 * 5 + 9
+
+
 def test_non_finite_value_names_first_pair():
     # polynomial k1 overflows only on the huge point: k1(1e80, 1e80) = inf
     ground = GroundSpace([[1.0], [1e80], [2.0]])

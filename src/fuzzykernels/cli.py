@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
         "mmd-test", parents=[common], help="MMD permutation two-sample test (labels split the samples)"
     )
     p.add_argument("--permutations", type=int, default=200)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True, help="seeds the one PCG64 stream of all permutations")
     p.set_defaults(func=cmd_mmd_test)
 
     return parser

@@ -67,8 +67,6 @@ def compute_gram(
     runs in the calling thread.
     """
     n = len(data)
-    if n == 0:
-        raise ValueError("cannot compute a Gram matrix over an empty dataset")
     ids = [str(i) for i in range(n)] if item_ids is None else [str(s) for s in item_ids]
     if len(ids) != n:
         raise ValueError("need exactly one item id per datum")

@@ -515,8 +515,11 @@ def _kernel_matrix(
     has only its upper triangle computed and then mirrored, so it is exactly
     symmetric.  Malformed input raises ValidationError and a non-finite value
     NumericError, each naming the first offending pair in row-major
-    (upper-triangle) order.
+    (upper-triangle) order.  A block with no rows or no columns has no pair
+    to name, so it raises ValidationError up front.
     """
+    if not len(rows) or not len(cols):
+        raise ValidationError(f"kernel block has no {'columns' if len(rows) else 'rows'}")
     pairs = _Pairs(row_ids, col_ids, symmetric)
     records = [_as_record(r) for r in (rows if symmetric else [*rows, *cols])]
     arity = np.array([len(r) for r in records])

@@ -23,7 +23,7 @@ __all__ = [
 ]
 
 RNG_NAME = "numpy-pcg64"
-_NULL_BLOCK_ELEMENTS = 1 << 16  # in one block's two MMD temporaries; 1 << 18 cost 3% peak RSS, no speed
+_NULL_BLOCK_ELEMENTS = 1 << 16  # in a block's 3 N-wide MMD temporaries; 1 << 18 cost 3% peak RSS, no speed
 
 
 @dataclass
@@ -115,6 +115,8 @@ def cross_validate(
         raise ValueError("labels must match the Gram matrix size")
     if not 2 <= folds <= n:
         raise ValueError(f"folds must be between 2 and {n}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     chunks = np.array_split(order, folds)
@@ -152,16 +154,19 @@ def mmd_permutation_test(
     """Two-sample permutation test on the MMD statistic.
 
     The pooled Gram matrix ``G`` (N x N, sample A first) is computed once.
-    Replica r takes as sample A the first n indices of a shuffle drawn from a
-    generator seeded by (seed, r), so the result is reproducible from (seed,
-    n_permutations).  Replicas run in blocks of 0/1 rows ``M`` that mark the
-    smaller sample S (size k): ``sss = rowsum((M @ G) * M)``, ``ss = M @
-    rowsum(G)``, the cross sum is ``ss - sss`` and the larger sample's sum
-    ``sum(G) - 2 ss + sss``, whose cancellation error stays O(eps max|G|)
-    after division by ``(N - k)^2``.  A block's two temporaries stay within
-    ``_NULL_BLOCK_ELEMENTS``, so memory is O(N^2) plus that budget for any
-    ``n_permutations``.  ``n_jobs`` is accepted for compatibility and does
-    not change the result.
+    Replica r takes as sample A the first n indices of the r-th
+    ``permutation(N)`` of one ``default_rng(seed)`` stream, independent of
+    block size, so the result is a function of (G, n, n_permutations, seed).
+    Earlier versions seeded one generator by (seed, r) per replica; p-values
+    differ from theirs for the same seed.  Replicas run in blocks of 0/1
+    rows ``M`` that mark the smaller sample S (size k): ``sss = rowsum((M @
+    G) * M)``, ``ss = M @ rowsum(G)``, the cross sum is ``ss - sss`` and the
+    larger sample's sum ``sum(G) - 2 ss + sss``, whose cancellation error
+    stays O(eps max|G|) after division by ``(N - k)^2``.  A block's three
+    N-wide temporaries (the integer shuffles, ``M`` and ``M @ G``) stay
+    within ``_NULL_BLOCK_ELEMENTS``, so memory is O(N^2) plus that budget
+    for any ``n_permutations``.  ``n_jobs`` is accepted for compatibility
+    and does not change the result.
 
     The reported statistic is :func:`mmd_statistic` of the given split.  A
     replica counts as ``>= observed`` when ``s >= observed - tol``, where
@@ -173,6 +178,8 @@ def mmd_permutation_test(
         raise ValueError("both samples must be non-empty")
     if n_permutations < 1:
         raise ValueError("need at least one permutation")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     n, m = len(sample_a), len(sample_b)
     total = n + m
     g = compute_gram(list(sample_a) + list(sample_b), spec, n_jobs=n_jobs).values
@@ -180,13 +187,14 @@ def mmd_permutation_test(
     tol = 8 * total * np.finfo(float).eps * np.abs(g).max()
     k, rest, marked = (n, m, slice(0, n)) if n <= m else (m, n, slice(n, total))
     row_sums, g_sum = g.sum(axis=1), g.sum()
-    step = max(1, _NULL_BLOCK_ELEMENTS // (2 * total))
+    rng = np.random.default_rng(seed)
+    step = max(1, _NULL_BLOCK_ELEMENTS // (3 * total))
     exceed = 0
     for first in range(0, n_permutations, step):
-        replicas = range(first, min(first + step, n_permutations))
-        member = np.zeros((len(replicas), total))
-        for i, r in enumerate(replicas):
-            member[i, np.random.default_rng([seed, r]).permutation(total)[marked]] = 1.0
+        shuffles = np.tile(np.arange(total), (min(step, n_permutations - first), 1))
+        rng.permuted(shuffles, axis=1, out=shuffles)  # row i: the stream's next permutation(N)
+        member = np.zeros(shuffles.shape)
+        np.put_along_axis(member, shuffles[:, marked], 1.0, axis=1)
         sss = np.einsum("ij,ij->i", member @ g, member)
         ss = member @ row_sums
         stats = sss / k**2 + (g_sum - 2 * ss + sss) / rest**2 - 2 * (ss - sss) / (k * rest)

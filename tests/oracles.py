@@ -159,10 +159,11 @@ def bf_mmd_p_value(gram, n, n_permutations, seed):
     """Permutation p-value of the biased MMD^2 on a pooled Gram matrix whose
     first ``n`` rows are sample A.
 
-    Replica r splits by ``default_rng([seed, r]).permutation(N)``, as the
-    library does.  Each block sum is an exactly rounded ``math.fsum`` over
-    sorted index sets, so equal splits give bit-equal statistics.  A replica
-    counts when ``s >= observed - 8 N eps max|G|``.
+    Replica r splits by the r-th ``permutation(N)`` of one
+    ``default_rng(seed)`` stream, as the library does.  Each block sum is an
+    exactly rounded ``math.fsum`` over sorted index sets, so equal splits
+    give bit-equal statistics.  A replica counts when ``s >= observed - 8 N
+    eps max|G|``.
     """
     g = np.asarray(gram, dtype=float)
     total = g.shape[0]
@@ -177,8 +178,9 @@ def bf_mmd_p_value(gram, n, n_permutations, seed):
 
     observed = statistic(range(n), range(n, total))
     tol = 8 * total * np.finfo(float).eps * np.abs(g).max()
+    rng = np.random.default_rng(seed)
     exceed = 0
-    for r in range(n_permutations):
-        perm = np.random.default_rng([seed, r]).permutation(total)
+    for _ in range(n_permutations):
+        perm = rng.permutation(total)
         exceed += statistic(perm[:n].tolist(), perm[n:].tolist()) >= observed - tol
     return (1 + exceed) / (1 + n_permutations)

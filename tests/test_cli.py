@@ -372,6 +372,14 @@ def _data(**ground):
             "mmd-test --data {data} --kernel {kernel} --seed 0", {**DATA, "labels": None}, KERNEL, "labels",
             id="mmd-no-labels",
         ),
+        # a negative seed once exited 2 with numpy's "expected non-negative integer", naming no option
+        pytest.param(
+            "classify --data {data} --kernel {kernel} --seed -1 --folds 2", DATA, KERNEL, "seed",
+            id="classify-negative-seed",
+        ),
+        pytest.param(
+            "mmd-test --data {data} --kernel {kernel} --seed -1", DATA, KERNEL, "seed", id="mmd-negative-seed",
+        ),
         pytest.param(GRAM, _data(), KERNEL, "ground_space: needs a 'points' list", id="no-points"),
         pytest.param(GRAM, _data(points=[[0.0], [float("nan")]]), KERNEL, "ground_space", id="nan-points"),
         pytest.param(GRAM, _data(points=[[0.0], [1.0, 2.0]]), KERNEL, "ground_space", id="ragged-points"),

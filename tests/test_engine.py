@@ -374,6 +374,20 @@ def test_user_metric_call_order(line):
     assert len(calls) == 4 * 5 + 9
 
 
+@pytest.mark.parametrize("empty", ["rows", "columns"])
+def test_empty_block_side_raises(line, empty):
+    # an empty block has no pair, so no pair check fires; the weight count
+    # and the missing partition once ended in IndexError and AttributeError
+    x = (DiscreteFuzzySet(line, {0: 1.0, 2: 0.5}),)
+    rows, cols = ([], [x]) if empty == "rows" else ([x], [])
+    for spec in (
+        FuzzyKernelSpec(family="weighted_cross_product", weights=[1.0]),
+        FuzzyKernelSpec(family="intersection", tnorm=TNorm.MINIMUM),
+    ):
+        with pytest.raises(ValidationError, match=f"kernel block has no {empty}"):
+            kernels._kernel_matrix(spec, rows, cols, ["a"] * len(rows), ["a"] * len(cols))
+
+
 def test_non_finite_value_names_first_pair():
     # polynomial k1 overflows only on the huge point: k1(1e80, 1e80) = inf
     ground = GroundSpace([[1.0], [1e80], [2.0]])

@@ -240,17 +240,32 @@ class TestMmdPermutationTest:
             mmd_permutation_test([], self._sample(rng, 3), spec, seed=0)
 
     def test_counts_every_repeat_of_the_observed_split(self, spec):
-        # n = 1, N = 24: 11 of the 200 replicas draw record 0 as sample A
-        # again; re-summing the reordered B block once put all 11 below the
-        # observed statistic, and the p-value came out 11/201 too small
+        # n = 1, N = 24: 7 of the 200 replicas draw record 0 as sample A
+        # again; re-summing the reordered B block once put every repeat below
+        # the observed statistic, and the p-value came out repeats/201 too small
         rng = np.random.default_rng(1)
         pooled = [fuzzify_gaussian([rng.normal()], [0.4]) for _ in range(24)]
         res = mmd_permutation_test(pooled[:1], pooled[1:], spec, n_permutations=200, seed=0)
-        repeats = sum(np.random.default_rng([0, r]).permutation(24)[0] == 0 for r in range(200))
-        assert repeats == 11
+        stream = np.random.default_rng(0)
+        repeats = sum(stream.permutation(24)[0] == 0 for _ in range(200))
+        assert repeats == 7
         g = compute_gram(pooled, spec).values
         assert res.p_value == oracles.bf_mmd_p_value(g, 1, 200, 0)
         assert round(res.p_value * 201) >= 1 + repeats
+
+    @pytest.mark.parametrize("n, m", [(6, 7), (7, 6)])
+    def test_result_independent_of_block_size(self, spec, monkeypatch, n, m):
+        # replica r is the r-th permutation of one stream however the
+        # replicas are blocked: one per block, 7 per block (250 = 35 * 7 + 5
+        # leaves a ragged last block), and the default budget
+        rng = np.random.default_rng(33)
+        a = self._sample(rng, n)
+        b = self._sample(rng, m, shift=0.3)
+        results = []
+        for budget in (1, 3 * (n + m) * 7, learn._NULL_BLOCK_ELEMENTS):
+            monkeypatch.setattr(learn, "_NULL_BLOCK_ELEMENTS", budget)
+            results.append(mmd_permutation_test(a, b, spec, n_permutations=250, seed=4))
+        assert results[0] == results[1] == results[2]
 
     def test_null_pass_memory_is_blocked(self, spec):
         # 5000 shuffles of 120 indices stacked up front take 4.8 MB; blocks

@@ -4,8 +4,8 @@ Five workflows: fuzzify a crisp CSV table into a fuzzy dataset, compute a
 Gram matrix, verify positive semidefiniteness, run k-fold kernel ridge
 classification, and run an MMD permutation two-sample test.  Reports go to
 stdout as JSON; randomized commands need an explicit --seed, so repeated runs
-are byte-identical.  Exit codes: 0 success, 2 validation error, 3 numeric
-error.
+are byte-identical.  Exit codes: 0 success, 2 validation error (an --out
+that cannot be written included), 3 numeric error.
 """
 
 from __future__ import annotations
@@ -232,7 +232,8 @@ def main(argv=None) -> int:
     except (NumericError, np.linalg.LinAlgError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, ValueError) as exc:
+    # input files are read by ValidationError-raising readers, so an OSError is an unwritable --out
+    except (ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

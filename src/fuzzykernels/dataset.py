@@ -83,7 +83,7 @@ def _parse_attribute(obj, ground: GroundSpace | None, where: str):
             degrees = obj.get("degrees")
             if not isinstance(degrees, dict):
                 raise ValidationError(f"{where}: discrete attribute needs a 'degrees' object")
-            return DiscreteFuzzySet(ground, {int(i): float(d) for i, d in degrees.items()})
+            return DiscreteFuzzySet(ground, {int(i): d for i, d in degrees.items()})
         if kind == "gaussian":
             if "m" not in obj or "sigma" not in obj:
                 raise ValidationError(f"{where}: gaussian attribute needs 'm' and 'sigma'")

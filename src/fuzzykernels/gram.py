@@ -135,13 +135,15 @@ def normalize(g: GramMatrix) -> GramMatrix:
 
 def write_matrix(path, g) -> None:
     """Dense matrix file: first line n, then n whitespace-separated rows
-    of decimal floats with 17 significant digits."""
+    of decimal floats with 17 significant digits.  Each row is one ``%``
+    format of a row template, so memory stays O(n)."""
     m = _as_matrix(g)
     n = m.shape[0]
+    line = " ".join(["%.17g"] * n) + "\n"
     with open(path, "w") as fh:
         fh.write(f"{n}\n")
         for row in m:
-            fh.write(" ".join(format(v, ".17g") for v in row) + "\n")
+            fh.write(line % tuple(row.tolist()))
 
 
 def read_matrix(path) -> np.ndarray:

@@ -175,7 +175,7 @@ class DiscreteFuzzySet:
             if not 0 <= i < n:
                 raise ValueError(f"index {i} outside ground space of {n} points")
             d = float(deg)
-            if not 0.0 < d <= 1.0 or not np.isfinite(d):
+            if not 0.0 < d <= 1.0:  # also false for NaN and +-inf
                 raise ValueError(f"degree {d!r} at index {i} outside (0, 1]")
             clean[i] = d
         self._degrees = clean

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from fuzzykernels import DiscreteFuzzySet, GroundSpace, Partition
+from fuzzykernels import DiscreteFuzzySet, GramMatrix, GroundSpace, Partition
 
 # local T-norm definitions, independent of fuzzykernels.tnorms
 TNORM_FN = {
@@ -184,3 +184,11 @@ def bf_mmd_p_value(gram, n, n_permutations, seed):
         perm = rng.permutation(total)
         exceed += statistic(perm[:n].tolist(), perm[n:].tolist()) >= observed - tol
     return (1 + exceed) / (1 + n_permutations)
+
+
+def bf_matrix_text(m):
+    """The text of a matrix file: the header n, then each row as its entries
+    formatted one at a time with ``format(v, ".17g")`` and joined by spaces."""
+    values = m.values if isinstance(m, GramMatrix) else np.asarray(m, dtype=float)
+    lines = [str(values.shape[0])] + [" ".join(format(v, ".17g") for v in row) for row in values]
+    return "\n".join(lines) + "\n"

@@ -344,6 +344,12 @@ def _data(**ground):
             "fuzzify --data {tmp}/nope.csv --out {out} --method histogram --bins 3", DATA, KERNEL,
             "nope.csv", id="fuzzify-missing-table",
         ),
+        # an --out that cannot be opened was once a raw FileNotFoundError or IsADirectoryError, exit 1
+        *(
+            pytest.param(cmd.replace("{out}", out), DATA, KERNEL, out, id=f"{cmd.split()[0]}-out-{name}")
+            for cmd in (GRAM, FUZZIFY + " histogram --bins 3")
+            for name, out in (("missing-dir", "{tmp}/missing/out"), ("is-dir", "{tmp}"))
+        ),
         pytest.param(FUZZIFY + " gaussian", DATA, KERNEL, "--widths", id="fuzzify-no-widths"),
         pytest.param(
             FUZZIFY + " gaussian --widths 0.1,0.2", DATA, KERNEL, "2 widths for 3 columns",
@@ -399,6 +405,14 @@ def _data(**ground):
             id="gaussian-no-sigma",
         ),
         pytest.param(GRAM, {**DATA, "records": [[{"type": "fuzzy"}]]}, KERNEL, "records[0][0]", id="unknown-type"),
+        # json reads NaN and +-Infinity; the (0, 1] degree check alone rejects them
+        *(
+            pytest.param(
+                GRAM, {**DATA, "records": [[{"type": "discrete", "degrees": {"0": d}}]]}, KERNEL, "records[0][0]",
+                id=f"degree-{d}",
+            )
+            for d in (float("nan"), float("inf"), float("-inf"))
+        ),
         pytest.param(GRAM, [DATA], KERNEL, "dataset document", id="document-not-object"),
         pytest.param(GRAM, {**DATA, "records": 5}, KERNEL, "'records' list", id="records-not-list"),
         pytest.param(GRAM, {**DATA, "records": [[]]}, KERNEL, "records[0]", id="empty-record"),
@@ -420,7 +434,7 @@ def test_invalid_input_exits_2_naming_where(tmp_path, capsys, argv, data, kernel
         paths[name].write_text(text)
     code, _, err = run_cli(capsys, *argv.format(tmp=tmp_path, **paths).split())
     assert code == 2
-    assert where in err
+    assert where.format(tmp=tmp_path) in err
     assert "RuntimeWarning" not in err
     assert not paths["out"].exists()
 

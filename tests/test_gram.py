@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,48 @@ class TestMatrixFile:
         path.write_text(text)
         with pytest.raises(ValueError):
             read_matrix(path)
+
+    @staticmethod
+    def _hostile(n):
+        """Full-precision values from 1e-300 to 1e300 with +-0, subnormals, +-inf and NaN."""
+        rng = np.random.default_rng(17)
+        m = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-300, 301, size=(n, n))
+        special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, np.inf, -np.inf, np.nan, 1e300, -1e-300, 0.1]
+        m.flat[rng.choice(n * n, size=len(special), replace=False)] = special
+        return m
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: TestMatrixFile._hostile(40), id="hostile"),
+            pytest.param(lambda: np.random.default_rng(18).random((7, 7)), id="non-symmetric"),
+            pytest.param(lambda: TestMatrixFile._hostile(40).T, id="transposed-view"),
+            pytest.param(lambda: np.zeros((0, 0)), id="n0"),
+            pytest.param(lambda: np.full((1, 1), -0.0), id="n1"),
+            pytest.param(
+                lambda: compute_gram(
+                    [GaussianFuzzySet([x], [0.5]) for x in range(4)], FuzzyKernelSpec("nonsingleton_gaussian")
+                ),
+                id="gram-matrix",
+            ),
+        ],
+    )
+    def test_writes_the_oracle_bytes(self, tmp_path, make):
+        m = make()
+        path = tmp_path / "gram.txt"
+        write_matrix(path, m)
+        assert path.read_bytes() == oracles.bf_matrix_text(m).encode()
+
+    def test_write_memory_is_one_row(self, tmp_path):
+        # the whole text at n = 500 is ~5 MB; row by row the writer holds a few rows' worth
+        m = self._hostile(500)
+        tracemalloc.start()
+        try:
+            write_matrix(tmp_path / "gram.txt", m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_small_round_trip(self, tmp_path, n):

@@ -83,7 +83,12 @@ def _parse_attribute(obj, ground: GroundSpace | None, where: str):
             degrees = obj.get("degrees")
             if not isinstance(degrees, dict):
                 raise ValidationError(f"{where}: discrete attribute needs a 'degrees' object")
-            return DiscreteFuzzySet(ground, {int(i): d for i, d in degrees.items()})
+            clean = {int(i): d for i, d in degrees.items()}
+            if len(clean) < len(degrees):  # two keys such as "1" and "01" name one index
+                keys = [int(i) for i in degrees]
+                twice = next(i for k, i in enumerate(keys) if i in keys[:k])
+                raise ValidationError(f"{where}: index {twice} is given more than once")
+            return DiscreteFuzzySet(ground, clean)
         if kind == "gaussian":
             if "m" not in obj or "sigma" not in obj:
                 raise ValidationError(f"{where}: gaussian attribute needs 'm' and 'sigma'")
@@ -128,20 +133,20 @@ def dataset_from_obj(obj) -> Dataset:
                 f"labels: expected a list of {len(records)} entries, got {raw_labels!r}"
             )
         for i, lab in enumerate(raw_labels):
-            if lab not in (1, -1):
+            if isinstance(lab, bool) or lab not in (1, -1):  # True == 1
                 raise ValidationError(f"labels[{i}]: must be 1 or -1, got {lab!r}")
         labels = np.array(raw_labels, dtype=int)
     return Dataset(ground=ground, records=records, labels=labels)
 
 
 def _read_json(path):
-    """The JSON document in a file; an unreadable file or malformed JSON raises ValidationError."""
+    """The JSON document in a file; a file that cannot be read or decoded raises ValidationError."""
     try:
         with open(path) as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}") from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
 

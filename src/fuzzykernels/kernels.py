@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import chain
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
@@ -558,37 +559,32 @@ def _check_kind(spec: FuzzyKernelSpec, attrs: list, pairs: _Pairs, kind: type) -
 
 def _discrete(
     spec: FuzzyKernelSpec, attrs: list, pairs: _Pairs, ref: DiscreteFuzzySet | None = None
-) -> tuple[GroundSpace, np.ndarray, np.ndarray]:
-    """Check that every pair of attributes (and ``ref``) are discrete fuzzy
-    sets on one ground space.  Returns that ground space, the active ground
-    columns and the items' degree matrix over them."""
+) -> tuple[GroundSpace, np.ndarray, np.ndarray, tuple]:
+    """Check that every pair of attributes (and ``ref``, packed as one more
+    item, the last) are discrete fuzzy sets on one ground space, and turn
+    their degrees into arrays: the one place that reads them.  Returns that
+    ground space; the active columns, the sorted ground indices of every
+    support, so sparse data and a 1 x 1 evaluation never pay for the whole
+    ground; the items' degree matrix over them; and the supports packed item
+    after item in ascending column order, ``(size, item, at, deg)``: each
+    support's size and each entry's item, column position and degree."""
     _check_kind(spec, attrs, pairs, DiscreteFuzzySet)
     if ref is not None and not isinstance(ref, DiscreteFuzzySet):
         pairs.check(True, f"the reference must be a DiscreteFuzzySet, got {type(ref).__name__}")
     ground = attrs[0].ground
     bad = pairs.outer([x.ground != ground for x in attrs]) | (ref is not None and ref.ground != ground)
     pairs.check(bad, "fuzzy sets live on different ground spaces")
-    cols = _active(attrs if ref is None else [*attrs, ref])
-    return ground, cols, _memberships(attrs, cols)
-
-
-def _active(sets: Sequence[DiscreteFuzzySet]) -> np.ndarray:
-    """Sorted ground indices that lie in the support of some set of ``sets``.
-
-    Every array path works on these columns only, so sparse data and a 1 x 1
-    evaluation never pay for the whole ground space.
-    """
-    return np.unique(np.array([i for fs in sets for i in fs.degrees], dtype=np.intp))
-
-
-def _memberships(sets: Sequence[DiscreteFuzzySet], cols: np.ndarray) -> np.ndarray:
-    """Degree matrix of ``sets`` over the ground indices ``cols`` (sorted, and
-    covering every support); zero outside the supports."""
-    out = np.zeros((len(sets), len(cols)))
-    for i, fs in enumerate(sets):
-        if fs.degrees:
-            out[i, np.searchsorted(cols, list(fs.degrees))] = list(fs.degrees.values())
-    return out
+    sets = attrs if ref is None else [*attrs, ref]
+    size = np.fromiter((len(x.degrees) for x in sets), np.intp, len(sets))
+    idx = np.fromiter(chain.from_iterable(x.degrees for x in sets), np.intp, size.sum())
+    deg = np.fromiter(chain.from_iterable(x.degrees.values() for x in sets), float, size.sum())
+    item = np.repeat(np.arange(len(sets)), size)
+    cols, at = np.unique(idx, return_inverse=True)
+    m = np.zeros((len(sets), len(cols)))
+    m[item, at] = deg
+    # a fixed summation order over each support, whatever the dicts' order
+    order = np.lexsort((at, item))
+    return ground, cols, m, (size, item[order], at[order], deg[order])
 
 
 def _segment_sum(a: np.ndarray, sizes: np.ndarray, axis: int) -> np.ndarray:
@@ -608,7 +604,7 @@ def _segment_sum(a: np.ndarray, sizes: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _cross_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _Pairs) -> np.ndarray:
-    ground, cols, m = _discrete(spec, attrs, pairs)
+    ground, cols, m, packed = _discrete(spec, attrs, pairs)
     pts = ground.points[cols]
     k1 = spec.k1.pairwise(pts, pts)
     if spec.weights is not None:
@@ -621,15 +617,13 @@ def _cross_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _Pairs) -
     # pairs that never meet it, so that case sums over the supports instead
     if isinstance(spec.k2, LinearKernel) and np.isfinite(k1).all():
         return m[pairs.rows] @ k1 @ m[pairs.cols].T
-    return _support_sum(spec.k2, k1, m, pairs)
+    return _support_sum(spec.k2, k1, packed, pairs)
 
 
-def _support_sum(k2: BaseKernel, k1: np.ndarray, m: np.ndarray, pairs: _Pairs) -> np.ndarray:
+def _support_sum(k2: BaseKernel, k1: np.ndarray, packed: tuple, pairs: _Pairs) -> np.ndarray:
     """Sum of ``k1[a, b] k2(x_a, y_b)`` over a in supp x, b in supp y, on the
-    items' supports packed item after item."""
-    item, at = np.nonzero(m)
-    deg = m[item, at]
-    size = np.bincount(item, minlength=len(m))
+    items' packed supports (see _discrete)."""
+    size, _, at, deg = packed
     start = np.concatenate(([0], np.cumsum(size)))
     nx, ny = size[pairs.rows], size[pairs.cols]
     out = np.zeros(pairs.shape)
@@ -656,7 +650,7 @@ def _tnorm_block(t: TNorm, m: np.ndarray, pairs: _Pairs, weights: np.ndarray | N
 
 
 def _intersection_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _Pairs) -> np.ndarray:
-    ground, cols, m = _discrete(spec, attrs, pairs)
+    ground, cols, m, (_, item, at, _) = _discrete(spec, attrs, pairs)
     part = ground.partition
     if part is None:
         pairs.check(True, "intersection kernel needs a partition on the ground space")
@@ -664,7 +658,6 @@ def _intersection_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _P
     size = np.bincount(part.cell_index)[cells]
     # degrees on the cells that lie wholly inside each item's support; the
     # zeros elsewhere are exact, and T(a, 0) = 0 for every T-norm
-    item, at = np.nonzero(m)
     count = np.zeros((len(m), len(cells)), dtype=np.intp)
     np.add.at(count, (item, cell_of[at]), 1)
     whole = np.where((count == size)[:, cell_of], m, 0.0)
@@ -712,22 +705,19 @@ def _distance_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _Pairs
 def _ratio_distances(spec: FuzzyKernelSpec, attrs: list, ref: DiscreteFuzzySet | None, pairs: _Pairs):
     """Ratio metric ``|X - Y|_1 / (|X|_1 + |Y|_1)`` between rows and columns,
     and from each item to ``ref``."""
-    _, cols, m = _discrete(spec, attrs, pairs, ref)
+    _, cols, m, _ = _discrete(spec, attrs, pairs, ref)
     s = m.sum(axis=1)
     empty = s == 0
     bad = empty[pairs.rows, None] & empty[None, pairs.cols]
-    if ref is not None:
-        m0 = _memberships([ref], cols)
-        s0 = m0.sum()
-        if s0 == 0:  # an empty set has no ratio distance to an empty reference either
-            bad = pairs.outer(empty)
+    if ref is not None and empty[-1]:  # an empty set has no ratio distance to an empty reference either
+        bad = pairs.outer(empty)
     pairs.check(bad, "ratio distance is undefined for two empty fuzzy sets (0/0)")
     mx, my = m[pairs.rows], m[pairs.cols]
     d = np.zeros(pairs.shape)
     for a, b, c0 in pairs.row_blocks(len(my) * len(cols)):
         d[a:b, c0:] = np.abs(mx[a:b, None, :] - my[None, c0:, :]).sum(axis=-1)
     d /= s[pairs.rows, None] + s[None, pairs.cols]
-    return d, None if ref is None else np.abs(m - m0).sum(axis=1) / (s + s0)
+    return d, None if ref is None else np.abs(m - m[-1]).sum(axis=1) / (s + s[-1])
 
 
 def _metric_distances(metric: Metric, attrs: list, ref, pairs: _Pairs):

@@ -174,10 +174,13 @@ class DiscreteFuzzySet:
             i = _index(idx)
             if not 0 <= i < n:
                 raise ValueError(f"index {i} outside ground space of {n} points")
-            d = float(deg)
-            if not 0.0 < d <= 1.0:  # also false for NaN and +-inf
-                raise ValueError(f"degree {d!r} at index {i} outside (0, 1]")
-            clean[i] = d
+            if type(deg) is not float:  # the parsed-dataset case stays cheap
+                if isinstance(deg, (bool, str, bytes)):  # which float() takes as 1.0 or parses
+                    raise ValueError(f"degree {deg!r} at index {i} is not a number")
+                deg = float(deg)
+            if not 0.0 < deg <= 1.0:  # also false for NaN and +-inf
+                raise ValueError(f"degree {deg!r} at index {i} outside (0, 1]")
+            clean[i] = deg
         self._degrees = clean
         self.degrees: Mapping[int, float] = MappingProxyType(clean)
 

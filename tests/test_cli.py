@@ -324,7 +324,14 @@ class TestKernelConfigValues:
 
 
 TABLE = "1,2,3\n4,5,6\n"
-TABLES = {"table": TABLE, "inf": "1,2\n3,inf\n", "nan": "1,2\n3,nan\n"}
+# raw files the cases can name: CSV tables, and JSON that json.load cannot decode
+TABLES = {
+    "table": TABLE,
+    "inf": "1,2\n3,inf\n",
+    "nan": "1,2\n3,nan\n",
+    "deep": "[" * 200_000,
+    "binary": b'{"records": [\xff]}',
+}
 RECORD = [{"type": "discrete", "degrees": {"0": 1.0}}]
 DATA = {"ground_space": {"points": [[0.0], [1.0]]}, "records": [RECORD, RECORD], "labels": [1, -1]}
 KERNEL = {"family": "cross_product"}
@@ -413,6 +420,31 @@ def _data(**ground):
             )
             for d in (float("nan"), float("inf"), float("-inf"))
         ),
+        # non-numbers that float() once took: true as 1.0, "0.5" parsed
+        pytest.param(
+            GRAM, {**DATA, "records": [[{"type": "discrete", "degrees": {"0": True}}]]}, KERNEL,
+            "records[0][0]: degree True at index 0 is not a number", id="degree-true",
+        ),
+        pytest.param(
+            GRAM, {**DATA, "records": [[{"type": "discrete", "degrees": {"0": "0.5"}}]]}, KERNEL,
+            "records[0][0]: degree '0.5' at index 0 is not a number", id="degree-string",
+        ),
+        # two keys for one index once kept the last degree silently
+        *(
+            pytest.param(
+                GRAM, {**DATA, "records": [[{"type": "discrete", "degrees": {"1": 0.5, key: 0.9}}]]}, KERNEL,
+                "records[0][0]: index 1 is given more than once", id=f"index-twice-{name}",
+            )
+            for name, key in (("zero-padded", "01"), ("space", " 1"))
+        ),
+        # JSON true once passed as label +1, because True == 1
+        pytest.param(
+            "mmd-test --data {data} --kernel {kernel} --seed 0", {**DATA, "labels": [True, -1]}, KERNEL,
+            "labels[0]", id="label-true",
+        ),
+        # once a RecursionError traceback (exit 1), and a decode error naming no file
+        pytest.param(GRAM.replace("{data}", "{deep}"), DATA, KERNEL, "{tmp}/deep: ", id="data-deep-nesting"),
+        pytest.param(GRAM.replace("{data}", "{binary}"), DATA, KERNEL, "{tmp}/binary: ", id="data-not-utf8"),
         pytest.param(GRAM, [DATA], KERNEL, "dataset document", id="document-not-object"),
         pytest.param(GRAM, {**DATA, "records": 5}, KERNEL, "'records' list", id="records-not-list"),
         pytest.param(GRAM, {**DATA, "records": [[]]}, KERNEL, "records[0]", id="empty-record"),
@@ -431,7 +463,7 @@ def test_invalid_input_exits_2_naming_where(tmp_path, capsys, argv, data, kernel
     files = {**TABLES, "data": json.dumps(data), "kernel": json.dumps(kernel)}
     paths = {name: tmp_path / name for name in (*files, "out")}
     for name, text in files.items():
-        paths[name].write_text(text)
+        paths[name].write_bytes(text if isinstance(text, bytes) else text.encode())
     code, _, err = run_cli(capsys, *argv.format(tmp=tmp_path, **paths).split())
     assert code == 2
     assert where.format(tmp=tmp_path) in err

@@ -264,6 +264,37 @@ def test_distance_families(family, per_slot, user_metric, seed, n_points, n_reco
     check_family(data, spec, budget, scalar, oracle, size)
 
 
+def test_degree_order_leaves_grams_bit_identical():
+    # a set's degrees may be given in any order; every family sums over a
+    # support in ground order, so the Gram keeps every bit
+    rng = np.random.default_rng(11)
+    ground, data = discrete_data(rng, 30, 12, 2, n_cells=6, allow_empty=False)
+
+    def rebuilt(fs, keys):
+        return DiscreteFuzzySet(ground, {k: fs.degrees[k] for k in keys})
+
+    ascending = [tuple(rebuilt(fs, sorted(fs.degrees)) for fs in rec) for rec in data]
+    shuffled = [tuple(rebuilt(fs, rng.permutation(sorted(fs.degrees)).tolist()) for fs in rec) for rec in data]
+    refs = (ascending[0][0], shuffled[1][1])
+    specs = [
+        *(FuzzyKernelSpec(family="cross_product", k1=BASE[k1][0], k2=BASE[k2][0]) for k1 in BASE for k2 in BASE),
+        FuzzyKernelSpec(
+            family="weighted_cross_product", k1=BASE["rbf"][0], k2=BASE["rbf"][0], weights=rng.uniform(0, 2, 30)
+        ),
+        *(
+            FuzzyKernelSpec(family=f, tnorm=TNorm.from_name(t))
+            for f in ("intersection", "nonsingleton")
+            for t in TNORMS
+        ),
+        FuzzyKernelSpec(family="distance_gaussian", gamma=1.5),
+        FuzzyKernelSpec(family="distance_inner", reference=refs),
+        FuzzyKernelSpec(family="distance_poly", reference=refs, coef0=1.0, gamma=0.5, degree=3),
+    ]
+    for spec in specs:
+        want = compute_gram(ascending, spec).values
+        assert compute_gram(shuffled, spec).values.tobytes() == want.tobytes(), spec.family
+
+
 # ---------------------------------------------------------------------------
 # Errors name the first offending pair
 # ---------------------------------------------------------------------------

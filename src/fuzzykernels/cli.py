@@ -205,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gram)
 
     p = sub.add_parser("check-psd", parents=[common], help="eigenvalue check of the Gram matrix")
-    p.add_argument("--tol", type=float, default=DEFAULT_PSD_TOL, help="relative PSD tolerance")
+    p.add_argument("--tol", type=float, default=DEFAULT_PSD_TOL, help="relative PSD tolerance; across BLAS "
+                   "thread counts the verdict is the same, eigenvalues agree within tol * max(1, |largest|)")
     p.set_defaults(func=cmd_check_psd)
 
     p = sub.add_parser("classify", parents=[common], help="seeded k-fold kernel ridge classification")

@@ -83,6 +83,10 @@ def _parse_attribute(obj, ground: GroundSpace | None, where: str):
             degrees = obj.get("degrees")
             if not isinstance(degrees, dict):
                 raise ValidationError(f"{where}: discrete attribute needs a 'degrees' object")
+            digits = "".join(degrees)  # every key plain decimal digits: no sign, space, "_" or other script
+            if not (digits.isascii() and digits.isdigit()) and degrees or "" in degrees:
+                bad = next(k for k in degrees if not (k.isascii() and k.isdigit()))
+                raise ValidationError(f"{where}: degree key {bad!r} is not a ground index")
             clean = {int(i): d for i, d in degrees.items()}
             if len(clean) < len(degrees):  # two keys such as "1" and "01" name one index
                 keys = [int(i) for i in degrees]

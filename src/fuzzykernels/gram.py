@@ -94,7 +94,9 @@ def check_psd(g, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
 
     The matrix passes when ``min_eig >= -tol * max(1, |max_eig|)``; the full
     spectrum is returned so indefinite kernels can be inspected, not just
-    flagged.
+    flagged.  The eigenvalues are bit-identical for a fixed BLAS thread
+    count; across thread counts the verdict is the same and they agree
+    within ``tol * max(1, |max_eig|)``.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tolerance must be finite and > 0, got {tol}")

@@ -24,8 +24,9 @@ distance_inner / distance_poly / distance_gaussian
 The per-family functions below evaluate one pair and are the reference.
 :func:`evaluate` and :func:`gram.compute_gram` run a batched engine instead:
 one array path per family computes a whole (rows x columns) block of kernel
-values at once.  Its arithmetic has a fixed order, so repeated evaluations
-are bit-identical.
+values at once: intersection and non-singleton join the support entries that
+share a ground point, so their work follows sum |supp x & supp y|.  The
+arithmetic has a fixed order, so repeated evaluations are bit-identical.
 """
 
 from __future__ import annotations
@@ -533,9 +534,9 @@ def _kernel_matrix(
     if refs is not None and len(refs) not in (1, arity[0]) and not isinstance(rows[0], FuzzyDatum):
         pairs.check(True, f"reference has {len(refs)} attributes but records have {arity[0]}")
     block = _FAMILIES[spec.family][0]
-    values = np.ones(pairs.shape)
     with np.errstate(all="ignore"):  # non-finite values are reported below, by pair
-        for slot in range(arity[0]):
+        values = block(spec, [r[0] for r in records], 0, pairs)
+        for slot in range(1, arity[0]):
             values *= block(spec, [r[slot] for r in records], slot, pairs)
     hit = pairs.first(~np.isfinite(values))
     if hit is not None:
@@ -543,8 +544,10 @@ def _kernel_matrix(
         raise NumericError(
             f"kernel value {values[i, j]} is not finite for pair ({row_ids[i]}, {col_ids[j]})"
         )
-    if symmetric:
-        values = np.triu(values) + np.triu(values, 1).T
+    # a Gram's upper triangle mirrored in bands of rows, three band-sized temporaries
+    # each; adding the other triangle's zeros makes each -0.0 a 0, which prints as 0
+    for a, b, _ in pairs.row_blocks(3 * len(values)) if symmetric else ():
+        values[a:b] = np.tril(values[:, a:b].T, a - 1) + np.triu(values[a:b], a)
     return values
 
 
@@ -559,15 +562,13 @@ def _check_kind(spec: FuzzyKernelSpec, attrs: list, pairs: _Pairs, kind: type) -
 
 def _discrete(
     spec: FuzzyKernelSpec, attrs: list, pairs: _Pairs, ref: DiscreteFuzzySet | None = None
-) -> tuple[GroundSpace, np.ndarray, np.ndarray, tuple]:
+) -> tuple[GroundSpace, tuple]:
     """Check that every pair of attributes (and ``ref``, packed as one more
-    item, the last) are discrete fuzzy sets on one ground space, and turn
+    item, the last) are discrete fuzzy sets on one ground space, and pack
     their degrees into arrays: the one place that reads them.  Returns that
-    ground space; the active columns, the sorted ground indices of every
-    support, so sparse data and a 1 x 1 evaluation never pay for the whole
-    ground; the items' degree matrix over them; and the supports packed item
-    after item in ascending column order, ``(size, item, at, deg)``: each
-    support's size and each entry's item, column position and degree."""
+    ground space and the supports packed item after item in ascending ground
+    order, ``(size, item, idx, deg)``: each support's size and each entry's
+    item, ground index and degree."""
     _check_kind(spec, attrs, pairs, DiscreteFuzzySet)
     if ref is not None and not isinstance(ref, DiscreteFuzzySet):
         pairs.check(True, f"the reference must be a DiscreteFuzzySet, got {type(ref).__name__}")
@@ -579,12 +580,20 @@ def _discrete(
     idx = np.fromiter(chain.from_iterable(x.degrees for x in sets), np.intp, size.sum())
     deg = np.fromiter(chain.from_iterable(x.degrees.values() for x in sets), float, size.sum())
     item = np.repeat(np.arange(len(sets)), size)
-    cols, at = np.unique(idx, return_inverse=True)
-    m = np.zeros((len(sets), len(cols)))
-    m[item, at] = deg
     # a fixed summation order over each support, whatever the dicts' order
-    order = np.lexsort((at, item))
-    return ground, cols, m, (size, item[order], at[order], deg[order])
+    order = np.argsort(item * len(ground) + idx)  # keys are unique, so any sort will do
+    return ground, (size, item, idx[order], deg[order])
+
+
+def _dense(packed: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The active columns of packed supports (every ground index in one, so
+    sparse data never pays for the whole ground), each entry's position among
+    them, and the items' degree matrix over them."""
+    size, item, idx, deg = packed
+    cols, at = np.unique(idx, return_inverse=True)
+    m = np.zeros((len(size), len(cols)))
+    m[item, at] = deg
+    return cols, at, m
 
 
 def _segment_sum(a: np.ndarray, sizes: np.ndarray, axis: int) -> np.ndarray:
@@ -604,7 +613,8 @@ def _segment_sum(a: np.ndarray, sizes: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _cross_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _Pairs) -> np.ndarray:
-    ground, cols, m, packed = _discrete(spec, attrs, pairs)
+    ground, packed = _discrete(spec, attrs, pairs)
+    (size, _, _, deg), (cols, at, m) = packed, _dense(packed)
     pts = ground.points[cols]
     k1 = spec.k1.pairwise(pts, pts)
     if spec.weights is not None:
@@ -617,13 +627,12 @@ def _cross_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _Pairs) -
     # pairs that never meet it, so that case sums over the supports instead
     if isinstance(spec.k2, LinearKernel) and np.isfinite(k1).all():
         return m[pairs.rows] @ k1 @ m[pairs.cols].T
-    return _support_sum(spec.k2, k1, packed, pairs)
+    return _support_sum(spec.k2, k1, size, at, deg, pairs)
 
 
-def _support_sum(k2: BaseKernel, k1: np.ndarray, packed: tuple, pairs: _Pairs) -> np.ndarray:
+def _support_sum(k2: BaseKernel, k1: np.ndarray, size, at, deg, pairs: _Pairs) -> np.ndarray:
     """Sum of ``k1[a, b] k2(x_a, y_b)`` over a in supp x, b in supp y, on the
-    items' packed supports (see _discrete)."""
-    size, _, at, deg = packed
+    items' packed supports (see _discrete), ``at`` indexing ``k1``."""
     start = np.concatenate(([0], np.cumsum(size)))
     nx, ny = size[pairs.rows], size[pairs.cols]
     out = np.zeros(pairs.shape)
@@ -635,37 +644,58 @@ def _support_sum(k2: BaseKernel, k1: np.ndarray, packed: tuple, pairs: _Pairs) -
     return out
 
 
-def _tnorm_block(t: TNorm, m: np.ndarray, pairs: _Pairs, weights: np.ndarray | None = None) -> np.ndarray:
-    """Per pair, the ``weights``-weighted sum over ground points of
-    ``T(x_p, y_p)``, or with no weights its max (the intersection height)."""
-    a, b = m[pairs.rows], m[pairs.cols]
+def _join(t: TNorm, item, idx, deg, pairs: _Pairs, weight: np.ndarray | None = None) -> np.ndarray:
+    """Per pair, the sum over common support points p of ``weight_p T(x_p,
+    y_p)``, or with no weights its max (the intersection height), on entries
+    packed as by _discrete.  T(a, 0) = 0, so only entries that share a point
+    meet: the work follows sum |supp x & supp y|, not rows x columns x ground."""
+    # by point, then item: an entry meets the column entries of its point from
+    # itself on (a Gram's upper triangle), or from the first column item on
+    by_point = np.argsort(idx * pairs.cols.stop + item)  # keys are unique, so any sort will do
+    pos = np.empty_like(by_point)
+    pos[by_point] = np.arange(len(idx))
+    new = np.diff(idx[by_point], prepend=-1) != 0
+    run, start = (np.cumsum(new) - 1)[pos], np.flatnonzero(new)
+    first = np.maximum(pos, (start + np.bincount(run[item < pairs.cols.start], minlength=len(start)))[run])
+    count = np.append(start[1:], len(idx))[run] - first  # read for the rows' entries only
+    item_p, deg_p = item[by_point] - pairs.cols.start, deg[by_point]
+    # bands of rows whose temporaries, about eight per term, stay within the
+    # element budget; a pair sums its terms in ascending ground order, so no
+    # bit depends on the bands or on the order of the records
+    row0 = np.searchsorted(item, np.arange(pairs.rows.stop + 1))
+    done = np.concatenate(([0], np.cumsum(count)))[row0]
     out = np.zeros(pairs.shape)
-    for r0, r1, c0 in pairs.row_blocks(m.shape[1] * len(b)):
-        rows = a[r0:r1]
-        # T(0, y) = 0: points outside every support of the row block add nothing
-        used = np.flatnonzero(rows.any(axis=0))
-        tv = tnorm_array(t, rows[:, None, used], b[None, c0:, used])
-        out[r0:r1, c0:] = tv.max(axis=-1, initial=0.0) if weights is None else tv @ weights[used]
+    a = 0
+    while a < pairs.rows.stop:
+        b = max(a + 1, int(np.searchsorted(done, done[a] + _BLOCK_ELEMENTS // 8, "right")) - 1)
+        s, c = slice(row0[a], row0[b]), count[row0[a] : row0[b]]
+        other = np.repeat(first[s] - np.cumsum(c) + c, c) + np.arange(done[b] - done[a])
+        v = tnorm_array(t, np.repeat(deg[s], c), deg_p[other])
+        cell = np.repeat(item[s] * pairs.shape[1], c) + item_p[other]
+        if weight is None:
+            np.maximum.at(out.reshape(-1), cell, v)
+        else:
+            np.add.at(out.reshape(-1), cell, v * np.repeat(weight[s], c))
+        a = b
     return out
 
 
 def _intersection_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _Pairs) -> np.ndarray:
-    ground, cols, m, (_, item, at, _) = _discrete(spec, attrs, pairs)
+    ground, (_, item, idx, deg) = _discrete(spec, attrs, pairs)
     part = ground.partition
     if part is None:
         pairs.check(True, "intersection kernel needs a partition on the ground space")
-    cells, cell_of = np.unique(part.cell_index[cols], return_inverse=True)
-    size = np.bincount(part.cell_index)[cells]
-    # degrees on the cells that lie wholly inside each item's support; the
-    # zeros elsewhere are exact, and T(a, 0) = 0 for every T-norm
-    count = np.zeros((len(m), len(cells)), dtype=np.intp)
-    np.add.at(count, (item, cell_of[at]), 1)
-    whole = np.where((count == size)[:, cell_of], m, 0.0)
-    return _tnorm_block(spec.tnorm, whole, pairs, part.measures[cells][cell_of])
+    # only entries in cells that lie wholly inside their item's support count;
+    # the zeros elsewhere are exact, and T(a, 0) = 0 for every T-norm
+    cell = part.cell_index[idx]
+    _, share, count = np.unique(item * len(part) + cell, return_inverse=True, return_counts=True)
+    whole = count[share] == np.bincount(part.cell_index)[cell]
+    return _join(spec.tnorm, item[whole], idx[whole], deg[whole], pairs, part.measures[cell[whole]])
 
 
 def _nonsingleton_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _Pairs) -> np.ndarray:
-    return _tnorm_block(spec.tnorm, _discrete(spec, attrs, pairs)[2], pairs)
+    _, (_, item, idx, deg) = _discrete(spec, attrs, pairs)
+    return _join(spec.tnorm, item, idx, deg, pairs)
 
 
 def _gaussian_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _Pairs) -> np.ndarray:
@@ -705,7 +735,7 @@ def _distance_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _Pairs
 def _ratio_distances(spec: FuzzyKernelSpec, attrs: list, ref: DiscreteFuzzySet | None, pairs: _Pairs):
     """Ratio metric ``|X - Y|_1 / (|X|_1 + |Y|_1)`` between rows and columns,
     and from each item to ``ref``."""
-    _, cols, m, _ = _discrete(spec, attrs, pairs, ref)
+    cols, _, m = _dense(_discrete(spec, attrs, pairs, ref)[1])
     s = m.sum(axis=1)
     empty = s == 0
     bad = empty[pairs.rows, None] & empty[None, pairs.cols]

@@ -37,7 +37,7 @@ __all__ = [
 def _index(value) -> int:
     """A ground-space index as an int; a bool, or a value of a type that is not
     an integer (1.5, 1.0, "1"), raises ValueError instead of being truncated."""
-    if type(value) is int:  # the parsed-dataset case, once per stored degree: keep it cheap
+    if type(value) is int:
         return value
     if isinstance(value, bool):
         raise ValueError(f"index {value!r} is not an integer")
@@ -171,7 +171,7 @@ class DiscreteFuzzySet:
         n = len(ground)
         clean: dict[int, float] = {}
         for idx, deg in degrees.items():
-            i = _index(idx)
+            i = idx if type(idx) is int else _index(idx)  # the parsed-dataset case stays cheap
             if not 0 <= i < n:
                 raise ValueError(f"index {i} outside ground space of {n} points")
             if type(deg) is not float:  # the parsed-dataset case stays cheap

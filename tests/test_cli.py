@@ -435,7 +435,27 @@ def _data(**ground):
                 GRAM, {**DATA, "records": [[{"type": "discrete", "degrees": {"1": 0.5, key: 0.9}}]]}, KERNEL,
                 "records[0][0]: index 1 is given more than once", id=f"index-twice-{name}",
             )
-            for name, key in (("zero-padded", "01"), ("space", " 1"))
+            for name, key in (("zero-padded", "01"), ("two-zeros", "001"))
+        ),
+        # " 1" is now refused as a key before it can name index 1 a second time
+        pytest.param(
+            GRAM, {**DATA, "records": [[{"type": "discrete", "degrees": {"1": 0.5, " 1": 0.9}}]]}, KERNEL,
+            "records[0][0]: degree key ' 1' is not a ground index", id="index-twice-space",
+        ),
+        # keys that int() once took silently: "1_0" as 10, " 1" and "+1" as 1, "-0" as 0, an Arabic-Indic digit as 3
+        *(
+            pytest.param(
+                GRAM,
+                {
+                    **_data(points=[[float(k)] for k in range(12)]),
+                    "records": [RECORD, [{"type": "discrete", "degrees": {key: 0.9}}]],
+                },
+                KERNEL, f"records[1][0]: degree key {key!r} is not a ground index", id=f"key-{name}",
+            )
+            for name, key in (
+                ("underscore", "1_0"), ("space", " 1"), ("plus", "+1"), ("minus-zero", "-0"),
+                ("arabic-indic", "\u0663"), ("empty", ""),
+            )
         ),
         # JSON true once passed as label +1, because True == 1
         pytest.param(
@@ -481,3 +501,66 @@ def test_import_loads_no_scipy():
     )
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "['fuzzykernels', 'numpy']"
+
+
+# runs the four computing commands in one process and prints their stdout and exit codes as JSON
+THREAD_RUN = """
+import contextlib, io, json, sys
+from fuzzykernels.cli import main
+out = {}
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    out[argv[0]] = [code, buf.getvalue()]
+print(json.dumps(out))
+"""
+
+
+def test_outputs_across_blas_thread_counts(tmp_path):
+    # 500 records of 1-3 whole 4 x 4 cells on a 32 x 32 grid: the intersection join at a size where BLAS splits work
+    rng = np.random.default_rng(8)
+    cells = [[(4 * r + i) * 32 + 4 * c + j for i in range(4) for j in range(4)] for r in range(8) for c in range(8)]
+    labels = rng.permutation(np.resize([1, -1], 500))
+    records = []
+    for lab in labels:
+        pool = np.arange(32) + (0 if lab == 1 else 32)
+        chosen = rng.choice(pool, int(rng.integers(1, 4)), replace=False)
+        degrees = {str(p): rng.uniform(0.05, 1.0) for k in sorted(chosen) for p in cells[k]}
+        records.append([{"type": "discrete", "degrees": degrees}])
+    data = tmp_path / "data.json"
+    kernel = tmp_path / "kernel.json"
+    data.write_text(json.dumps({
+        "ground_space": {"points": [[float(r), float(c)] for r in range(32) for c in range(32)],
+                         "partition": {"cells": cells}},
+        "records": records,
+        "labels": labels.tolist(),
+    }))
+    kernel.write_text(json.dumps({"family": "intersection", "tnorm": "product"}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = {}
+    for threads in ("1", "2"):
+        files = ["--data", str(data), "--kernel", str(kernel)]
+        argvs = [
+            ["gram", *files, "--out", str(tmp_path / f"gram{threads}.txt")],
+            ["check-psd", *files],
+            ["classify", *files, "--seed", "3"],
+            ["mmd-test", *files, "--seed", "3", "--permutations", "100"],
+        ]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-c", THREAD_RUN, json.dumps(argvs)], env=env, capture_output=True, text=True, check=True
+        )
+        runs[threads] = json.loads(result.stdout)
+    one, two = runs["1"], runs["2"]
+    assert all(code == 0 for code, _ in [*one.values(), *two.values()])
+    assert (tmp_path / "gram1.txt").read_bytes() == (tmp_path / "gram2.txt").read_bytes()
+    assert one["gram"][1].replace("gram1", "gram2") == two["gram"][1]
+    assert one["classify"] == two["classify"]
+    assert one["mmd-test"] == two["mmd-test"]
+    # eigvalsh is bit-identical only for one thread count; across counts the
+    # verdict holds and the eigenvalues agree within the tolerance
+    psd1, psd2 = json.loads(one["check-psd"][1]), json.loads(two["check-psd"][1])
+    assert psd1["verdict"] == psd2["verdict"]
+    bound = psd1["tolerance"] * max(1.0, abs(psd1["max_eigenvalue"]))
+    assert np.abs(np.subtract(psd1["eigenvalues"], psd2["eigenvalues"])).max() <= bound

@@ -6,6 +6,7 @@ brute-force oracles in ``oracles.py``.  The row-block budget is varied so
 that blocks of one row, of a few rows and of the whole data are all run.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -19,6 +20,7 @@ from fuzzykernels import (
     GroundSpace,
     LinearKernel,
     NumericError,
+    Partition,
     PolynomialKernel,
     RBFKernel,
     TNorm,
@@ -293,6 +295,60 @@ def test_degree_order_leaves_grams_bit_identical():
     for spec in specs:
         want = compute_gram(ascending, spec).values
         assert compute_gram(shuffled, spec).values.tobytes() == want.tobytes(), spec.family
+
+
+JOIN_FAMILIES = ["intersection", "nonsingleton"]
+
+
+@pytest.mark.parametrize("family", JOIN_FAMILIES)
+def test_join_grams_do_not_depend_on_the_budget(family):
+    # every pair takes its common points in ascending ground order, whatever
+    # the row bands: one row per band, a few rows, and the default budget
+    rng = np.random.default_rng(12)
+    _, data = discrete_data(rng, 30, 40, 2, n_cells=8)
+    ids = [str(i) for i in range(len(data))]
+    for tname in TNORMS:
+        spec = FuzzyKernelSpec(family=family, tnorm=TNorm.from_name(tname))
+        got = []
+        for budget in (1, 7, kernels._BLOCK_ELEMENTS):
+            with mock.patch.object(kernels, "_BLOCK_ELEMENTS", budget):
+                got.append(compute_gram(data, spec).values)
+                got.append(kernels._kernel_matrix(spec, data[:15], data, ids[:15], ids))
+        for k in range(2, len(got)):
+            assert np.array_equal(got[k], got[k % 2]), (tname, k)
+
+
+@pytest.mark.parametrize("family", JOIN_FAMILIES)
+def test_join_grams_are_permutation_equivariant(family):
+    # permuting the records permutes the Gram, bit for bit
+    rng = np.random.default_rng(13)
+    _, data = discrete_data(rng, 30, 40, 2, n_cells=8)
+    perm = rng.permutation(len(data))
+    for tname in TNORMS:
+        spec = FuzzyKernelSpec(family=family, tnorm=TNorm.from_name(tname))
+        want = compute_gram(data, spec).values[np.ix_(perm, perm)]
+        assert compute_gram([data[i] for i in perm], spec).values.tobytes() == want.tobytes(), tname
+
+
+@pytest.mark.parametrize("family", JOIN_FAMILIES)
+def test_join_memory_follows_the_supports(family):
+    # 400 sets of two 4-point cells on an 8000-point ground: memory follows
+    # the Gram and the supports, not records x active ground
+    rng = np.random.default_rng(14)
+    ground = GroundSpace(np.arange(8000.0)[:, None], Partition([range(k, k + 4) for k in range(0, 8000, 4)]))
+    data = [
+        DiscreteFuzzySet(ground, {4 * int(c) + k: rng.uniform(0.05, 1.0) for c in two for k in range(4)})
+        for two in (rng.choice(2000, 2, replace=False) for _ in range(400))
+    ]
+    spec = FuzzyKernelSpec(family=family, tnorm=TNorm.MINIMUM)
+    compute_gram(data, spec)
+    tracemalloc.start()
+    try:
+        compute_gram(data, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * (400 * 400 + 400 * 8) + 8 * kernels._BLOCK_ELEMENTS
 
 
 # ---------------------------------------------------------------------------

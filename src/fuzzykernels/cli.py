@@ -73,6 +73,7 @@ def cmd_fuzzify(args) -> int:
             widths = [float(w) for w in args.widths.split(",")]
         except ValueError:
             raise ValidationError(f"--widths must be comma-separated numbers, got {args.widths!r}") from None
+        widths = [_positive(w, "--widths") for w in widths]
         if len(widths) == 1:
             widths = widths * n_cols
         if len(widths) != n_cols:

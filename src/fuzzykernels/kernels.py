@@ -356,8 +356,10 @@ Record = Union[FuzzyDatum, tuple]
 class FuzzyKernelSpec:
     """Declarative description of a kernel on fuzzy sets.
 
-    Each family takes only its own fields (the family table ``_FAMILIES``);
-    any other field set away from its default raises ValidationError.
+    Each family takes only its own fields and attributes of one kind, Gaussian
+    fuzzy sets for nonsingleton_gaussian and discrete ones otherwise (the
+    family table ``_FAMILIES``); any other field set away from its default
+    raises ValidationError.
 
     * cross_product: ``k1``, ``k2`` (both default to linear);
     * weighted_cross_product: ``k1``, ``k2``, ``weights``;
@@ -380,7 +382,7 @@ class FuzzyKernelSpec:
     degree: int = 1
 
     def __post_init__(self):
-        _, takes = _family(self.family)
+        takes = _family(self.family)[1]
         for f in fields(self)[1:]:  # an untaken field keeps its default, which passes every check below
             value = getattr(self, f.name)  # compared by identity first, so never elementwise
             default = value is f.default or (isinstance(value, (str, int, float)) and value == f.default)
@@ -448,7 +450,15 @@ class _Pairs:
     needed; a rectangular block lists the rows and then the columns
     (``cols.start`` = row count).  ``rows`` and ``cols`` are the two ranges
     as slices, so an array over the items gives the rows' and the columns'
-    values as views."""
+    values as views.
+
+    A check flags items, not pairs, and names the first pair in row-major
+    (upper-triangle) order that meets a flagged item.  Row 0 meets every
+    column first, so that is (0, first flagged column), or (0, 0) if item 0
+    is flagged; if only rows are flagged, as only a rectangular block allows,
+    it is (first flagged row, 0).  Where both items must be flagged, it is
+    (first flagged row, first flagged column): in a Gram, the first flagged
+    item's diagonal pair."""
 
     def __init__(self, row_ids: Sequence[str], col_ids: Sequence[str], symmetric: bool):
         self.row_ids = row_ids
@@ -462,28 +472,18 @@ class _Pairs:
     def label(self, i: int, j: int) -> str:
         return f"kernel evaluation failed for pair ({self.row_ids[i]}, {self.col_ids[j]})"
 
-    def outer(self, flag) -> np.ndarray:
-        """Pairs whose row item or column item is flagged.
-
-        Flag the items that differ from item 0 (the first row) in some
-        property, and the first flagged pair is the first pair whose two
-        items differ in it: row 0 meets every column first, and if no column
-        differs, a pair's items differ exactly where its row does."""
-        flag = np.asarray(flag, dtype=bool)
-        return flag[self.rows, None] | flag[None, self.cols]
-
-    def first(self, bad) -> tuple[int, int] | None:
-        """First flagged pair in row-major (upper-triangle) order, or None."""
-        if not np.any(bad):
-            return None
-        bad = np.broadcast_to(bad, self.shape)
-        hits = np.argwhere(np.triu(bad) if self.symmetric else bad)
-        return (int(hits[0][0]), int(hits[0][1])) if len(hits) else None
-
-    def check(self, bad, message: Union[str, Callable[[int, int], str]]) -> None:
-        """Raise ValidationError naming the first pair flagged in ``bad``;
-        a callable ``message`` takes that pair's row item and column item."""
-        hit = self.first(bad)
+    def check(self, flag, message: Union[str, Callable[[int, int], str]], both: bool = False) -> None:
+        """Raise ValidationError naming the first pair (see above) that meets
+        an item flagged in ``flag``, one bool per item or one for all; with
+        ``both``, the first pair of two flagged items.  A callable ``message``
+        takes that pair's row item and column item."""
+        flag = np.broadcast_to(np.asarray(flag, dtype=bool), (self.cols.stop,))
+        row, col = flag[self.rows], flag[self.cols]
+        if both:
+            hit = (row.argmax(), col.argmax()) if row.any() and col.any() else None
+        else:
+            col = col | row[0]
+            hit = (0, col.argmax()) if col.any() else (row.argmax(), 0) if row.any() else None
         if hit is not None:
             text = message(hit[0], self.cols.start + hit[1]) if callable(message) else message
             raise ValidationError(f"{self.label(*hit)}: {text}")
@@ -493,12 +493,19 @@ class _Pairs:
             for j in range(i if self.symmetric else 0, self.shape[1]):
                 yield i, j
 
-    def row_blocks(self, per_row: int):
-        """(first row, row stop, first column) of row blocks whose temporaries,
-        ``per_row`` elements for each row, stay within the element budget."""
-        step = max(1, _BLOCK_ELEMENTS // max(per_row, 1))
-        for a in range(0, self.shape[0], step):
-            yield a, min(a + step, self.shape[0]), a if self.symmetric else 0
+    def row_blocks(self, per_row):
+        """(first row, row stop, first column) of the row bands whose
+        temporaries, ``per_row`` elements for each row (or one count per
+        row), stay within the element budget: each band takes as many rows
+        as fit, and at least one."""
+        n = self.shape[0]
+        cost = np.full(n, max(per_row, 1)) if np.isscalar(per_row) else per_row
+        done = np.concatenate(([0], np.cumsum(cost)))
+        a = 0
+        while a < n:
+            b = max(a + 1, int(np.searchsorted(done, done[a] + _BLOCK_ELEMENTS, "right")) - 1)
+            yield a, b, a if self.symmetric else 0
+            a = b
 
 
 def _kernel_matrix(
@@ -512,38 +519,42 @@ def _kernel_matrix(
     """Kernel values between two lists of records, attribute by attribute.
 
     The records form one item list, ``rows`` for a Gram matrix (``symmetric``:
-    ``cols`` is ``rows``) and ``[*rows, *cols]`` otherwise (see _Pairs); each
-    family block prepares the items of one attribute slot once.  A Gram matrix
-    has only its upper triangle computed and then mirrored, so it is exactly
-    symmetric.  Malformed input raises ValidationError and a non-finite value
-    NumericError, each naming the first offending pair in row-major
-    (upper-triangle) order.  A block with no rows or no columns has no pair
-    to name, so it raises ValidationError up front.
+    ``cols`` is ``rows``) and ``[*rows, *cols]`` otherwise (see _Pairs).  The
+    items of each attribute slot are checked against the family's kind, then
+    its block prepares them once.  A Gram matrix has only its upper triangle
+    computed and then mirrored, so it is exactly symmetric.  Malformed input
+    raises ValidationError and a non-finite value NumericError, each naming
+    the first offending pair in row-major (upper-triangle) order.  A block
+    with no rows or no columns has no pair to name, so it raises
+    ValidationError up front.
     """
     if not len(rows) or not len(cols):
         raise ValidationError(f"kernel block has no {'columns' if len(rows) else 'rows'}")
     pairs = _Pairs(row_ids, col_ids, symmetric)
     records = [_as_record(r) for r in (rows if symmetric else [*rows, *cols])]
     arity = np.array([len(r) for r in records])
-    pairs.check(
-        pairs.outer(arity != arity[0]), lambda p, q: f"records have different arity: {arity[p]} vs {arity[q]}"
-    )
+    pairs.check(arity != arity[0], lambda p, q: f"records have different arity: {arity[p]} vs {arity[q]}")
     if arity[0] == 0:
         pairs.check(True, "empty record")
     refs = spec.reference  # a bare fuzzy set is a lone attribute 0, not a record
     if refs is not None and len(refs) not in (1, arity[0]) and not isinstance(rows[0], FuzzyDatum):
         pairs.check(True, f"reference has {len(refs)} attributes but records have {arity[0]}")
-    block = _FAMILIES[spec.family][0]
+    block, _, kind = _FAMILIES[spec.family]
     with np.errstate(all="ignore"):  # non-finite values are reported below, by pair
-        values = block(spec, [r[0] for r in records], 0, pairs)
-        for slot in range(1, arity[0]):
-            values *= block(spec, [r[slot] for r in records], slot, pairs)
-    hit = pairs.first(~np.isfinite(values))
-    if hit is not None:
-        i, j = hit
-        raise NumericError(
-            f"kernel value {values[i, j]} is not finite for pair ({row_ids[i]}, {col_ids[j]})"
-        )
+        for slot in range(arity[0]):
+            attrs = [r[slot] for r in records]
+            bad = np.array([not isinstance(a, kind) for a in attrs])
+            pairs.check(bad, lambda p, q: f"kernel family {spec.family!r} needs {kind.__name__} attributes, "
+                        f"got {type(attrs[p] if bad[p] else attrs[q]).__name__}")
+            v = block(spec, attrs, slot, pairs)
+            values = v if slot == 0 else np.multiply(values, v, out=values)
+        # a row with a non-finite value has a non-finite sum; only those rows are scanned
+        for i in np.flatnonzero(~np.isfinite(values.sum(axis=1))):
+            j = i * symmetric + np.flatnonzero(~np.isfinite(values[i, i * symmetric :]))
+            if len(j):
+                raise NumericError(
+                    f"kernel value {values[i, j[0]]} is not finite for pair ({row_ids[i]}, {col_ids[j[0]]})"
+                )
     # a Gram's upper triangle mirrored in bands of rows, three band-sized temporaries
     # each; adding the other triangle's zeros makes each -0.0 a 0, which prints as 0
     for a, b, _ in pairs.row_blocks(3 * len(values)) if symmetric else ():
@@ -551,29 +562,18 @@ def _kernel_matrix(
     return values
 
 
-def _check_kind(spec: FuzzyKernelSpec, attrs: list, pairs: _Pairs, kind: type) -> None:
-    bad = np.array([not isinstance(a, kind) for a in attrs])
-    pairs.check(
-        pairs.outer(bad),
-        lambda p, q: f"kernel family {spec.family!r} needs {kind.__name__} attributes, "
-        f"got {type(attrs[p] if bad[p] else attrs[q]).__name__}",
-    )
-
-
 def _discrete(
     spec: FuzzyKernelSpec, attrs: list, pairs: _Pairs, ref: DiscreteFuzzySet | None = None
 ) -> tuple[GroundSpace, tuple]:
-    """Check that every pair of attributes (and ``ref``, packed as one more
-    item, the last) are discrete fuzzy sets on one ground space, and pack
-    their degrees into arrays: the one place that reads them.  Returns that
-    ground space and the supports packed item after item in ascending ground
-    order, ``(size, item, idx, deg)``: each support's size and each entry's
-    item, ground index and degree."""
-    _check_kind(spec, attrs, pairs, DiscreteFuzzySet)
+    """Check that the attributes (and ``ref``, packed as the last item)
+    share one ground space, and pack their degrees into arrays: the one place
+    that reads them.  Returns that ground space and the supports packed item
+    after item in ascending ground order, ``(size, item, idx, deg)``: each
+    support's size and each entry's item, ground index and degree."""
     if ref is not None and not isinstance(ref, DiscreteFuzzySet):
         pairs.check(True, f"the reference must be a DiscreteFuzzySet, got {type(ref).__name__}")
     ground = attrs[0].ground
-    bad = pairs.outer([x.ground != ground for x in attrs]) | (ref is not None and ref.ground != ground)
+    bad = np.array([x.ground != ground for x in attrs]) | (ref is not None and ref.ground != ground)
     pairs.check(bad, "fuzzy sets live on different ground spaces")
     sets = attrs if ref is None else [*attrs, ref]
     size = np.fromiter((len(x.degrees) for x in sets), np.intp, len(sets))
@@ -599,16 +599,11 @@ def _dense(packed: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _segment_sum(a: np.ndarray, sizes: np.ndarray, axis: int) -> np.ndarray:
     """Sums of a 2-D array over consecutive runs of ``sizes`` entries along
     ``axis``; an empty run sums to 0."""
-    shape = list(a.shape)
-    shape[axis] = len(sizes)
-    out = np.zeros(shape)
+    out = np.zeros(a.shape[:axis] + (len(sizes),) + a.shape[axis + 1 :])
     full = sizes > 0
     if full.any():
         sums = np.add.reduceat(a, (np.cumsum(sizes) - sizes)[full], axis=axis)
-        if axis == 0:
-            out[full] = sums
-        else:
-            out[:, full] = sums
+        np.moveaxis(out, axis, 0)[full] = np.moveaxis(sums, axis, 0)
     return out
 
 
@@ -665,9 +660,7 @@ def _join(t: TNorm, item, idx, deg, pairs: _Pairs, weight: np.ndarray | None = N
     row0 = np.searchsorted(item, np.arange(pairs.rows.stop + 1))
     done = np.concatenate(([0], np.cumsum(count)))[row0]
     out = np.zeros(pairs.shape)
-    a = 0
-    while a < pairs.rows.stop:
-        b = max(a + 1, int(np.searchsorted(done, done[a] + _BLOCK_ELEMENTS // 8, "right")) - 1)
+    for a, b, _ in pairs.row_blocks(8 * np.diff(done)):
         s, c = slice(row0[a], row0[b]), count[row0[a] : row0[b]]
         other = np.repeat(first[s] - np.cumsum(c) + c, c) + np.arange(done[b] - done[a])
         v = tnorm_array(t, np.repeat(deg[s], c), deg_p[other])
@@ -676,7 +669,6 @@ def _join(t: TNorm, item, idx, deg, pairs: _Pairs, weight: np.ndarray | None = N
             np.maximum.at(out.reshape(-1), cell, v)
         else:
             np.add.at(out.reshape(-1), cell, v * np.repeat(weight[s], c))
-        a = b
     return out
 
 
@@ -699,9 +691,8 @@ def _nonsingleton_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _P
 
 
 def _gaussian_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _Pairs) -> np.ndarray:
-    _check_kind(spec, attrs, pairs, GaussianFuzzySet)
     dim = np.array([x.dim for x in attrs])
-    pairs.check(pairs.outer(dim != dim[0]), lambda p, q: f"dimension mismatch: {dim[p]} vs {dim[q]}")
+    pairs.check(dim != dim[0], lambda p, q: f"dimension mismatch: {dim[p]} vs {dim[q]}")
     means = np.array([x.means for x in attrs])
     var = np.array([x.widths for x in attrs]) ** 2
     mx, vx, my, vy = means[pairs.rows], var[pairs.rows], means[pairs.cols], var[pairs.cols]
@@ -723,7 +714,6 @@ def _distance_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _Pairs
     if isinstance(spec.metric, str):
         d, d0 = _ratio_distances(spec, attrs, ref, pairs)
     else:
-        _check_kind(spec, attrs, pairs, DiscreteFuzzySet)
         d, d0 = _metric_distances(spec.metric, attrs, ref, pairs)
     if ref is None:  # distance_gaussian
         return np.exp(-spec.gamma * d**2)
@@ -737,11 +727,9 @@ def _ratio_distances(spec: FuzzyKernelSpec, attrs: list, ref: DiscreteFuzzySet |
     and from each item to ``ref``."""
     cols, _, m = _dense(_discrete(spec, attrs, pairs, ref)[1])
     s = m.sum(axis=1)
-    empty = s == 0
-    bad = empty[pairs.rows, None] & empty[None, pairs.cols]
-    if ref is not None and empty[-1]:  # an empty set has no ratio distance to an empty reference either
-        bad = pairs.outer(empty)
-    pairs.check(bad, "ratio distance is undefined for two empty fuzzy sets (0/0)")
+    # against an empty reference, one empty item of a pair is enough to fail
+    both = ref is None or s[-1] != 0
+    pairs.check(s[: len(attrs)] == 0, "ratio distance is undefined for two empty fuzzy sets (0/0)", both)
     mx, my = m[pairs.rows], m[pairs.cols]
     d = np.zeros(pairs.shape)
     for a, b, c0 in pairs.row_blocks(len(my) * len(cols)):
@@ -770,20 +758,21 @@ def _metric_distances(metric: Metric, attrs: list, ref, pairs: _Pairs):
     return d, d0
 
 
-# the one place that knows what a family is: its batch function and the spec fields it takes
+# the one place that knows what a family is: its batch function, the spec
+# fields it takes, and the kind of fuzzy set each of its attributes must be
 _FAMILIES = {
-    "cross_product": (_cross_block, ("k1", "k2")),
-    "weighted_cross_product": (_cross_block, ("k1", "k2", "weights")),
-    "intersection": (_intersection_block, ("tnorm",)),
-    "nonsingleton": (_nonsingleton_block, ("tnorm",)),
-    "nonsingleton_gaussian": (_gaussian_block, ()),
-    "distance_inner": (_distance_block, ("metric", "reference")),
-    "distance_poly": (_distance_block, ("metric", "reference", "coef0", "gamma", "degree")),
-    "distance_gaussian": (_distance_block, ("metric", "gamma")),
+    "cross_product": (_cross_block, ("k1", "k2"), DiscreteFuzzySet),
+    "weighted_cross_product": (_cross_block, ("k1", "k2", "weights"), DiscreteFuzzySet),
+    "intersection": (_intersection_block, ("tnorm",), DiscreteFuzzySet),
+    "nonsingleton": (_nonsingleton_block, ("tnorm",), DiscreteFuzzySet),
+    "nonsingleton_gaussian": (_gaussian_block, (), GaussianFuzzySet),
+    "distance_inner": (_distance_block, ("metric", "reference"), DiscreteFuzzySet),
+    "distance_poly": (_distance_block, ("metric", "reference", "coef0", "gamma", "degree"), DiscreteFuzzySet),
+    "distance_gaussian": (_distance_block, ("metric", "gamma"), DiscreteFuzzySet),
 }
 
 
-def _family(name: str) -> tuple[Callable, tuple[str, ...]]:
+def _family(name: str) -> tuple[Callable, tuple[str, ...], type]:
     if name not in _FAMILIES:
         raise ValidationError(f"unknown kernel family {name!r}; expected one of {', '.join(_FAMILIES)}")
     return _FAMILIES[name]

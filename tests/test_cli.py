@@ -365,6 +365,11 @@ def _data(**ground):
         pytest.param(FUZZIFY + " histogram --bins 0", DATA, KERNEL, "--bins", id="fuzzify-no-bins"),
         # a non-number width once surfaced as a bare float() message
         pytest.param(FUZZIFY + " gaussian --widths a", DATA, KERNEL, "--widths", id="fuzzify-width-not-number"),
+        # a zero, negative or non-finite width once exited 2 with a message naming no option
+        *(
+            pytest.param(FUZZIFY + f" gaussian --widths{w}", DATA, KERNEL, "--widths", id=f"fuzzify-width-{name}")
+            for name, w in (("zero", " 0"), ("nan", " nan"), ("inf", " inf"), ("negative", "=-1"))
+        ),
         # a non-finite cell once ended in a numpy warning, or a message naming no cell
         pytest.param(
             "fuzzify --data {inf} --out {out} --method histogram --bins 3", DATA, KERNEL, "inf: row 2, column 2",

@@ -351,6 +351,30 @@ def test_join_memory_follows_the_supports(family):
     assert peak <= 2 * 8 * (400 * 400 + 400 * 8) + 8 * kernels._BLOCK_ELEMENTS
 
 
+@pytest.mark.parametrize("budget", [1, 7, 64, 1000])
+def test_row_blocks_cover_the_rows_in_bands_within_the_budget(budget):
+    # one count per row, some rows costing nothing, or one count for all rows:
+    # the bands run in order with no gap, each within the budget or one row,
+    # and each stops only where one more row would break the budget
+    rng = np.random.default_rng(15)
+    for trial in range(40):
+        n, symmetric = int(rng.integers(1, 30)), bool(trial % 2)
+        if trial % 4 < 2:
+            cost = rng.integers(0, 3 * budget, n) * (rng.random(n) < 0.8)
+            per_row = cost
+        else:
+            per_row = int(rng.integers(1, 2 * budget + 1))
+            cost = np.full(n, per_row)
+        with mock.patch.object(kernels, "_BLOCK_ELEMENTS", budget):
+            bands = list(kernels._Pairs([""] * n, [""] * n, symmetric).row_blocks(per_row))
+        assert [a for a, _, _ in bands] == [0] + [b for _, b, _ in bands[:-1]]
+        assert bands[-1][1] == n
+        for a, b, c0 in bands:
+            assert b > a and c0 == (a if symmetric else 0)
+            assert cost[a:b].sum() <= budget or b == a + 1
+            assert b == n or cost[a : b + 1].sum() > budget
+
+
 # ---------------------------------------------------------------------------
 # Errors name the first offending pair
 # ---------------------------------------------------------------------------
@@ -488,3 +512,57 @@ def test_non_finite_value_names_first_pair():
         compute_gram(data, spec, item_ids=IDS[:3])
     # a pair that never meets the huge point stays finite
     assert evaluate(spec, data[0], data[2]) == pytest.approx(4.0)
+
+
+LINE = GroundSpace([[0.0], [1.0], [2.0]])
+FULL, EMPTY = DiscreteFuzzySet(LINE, {0: 1.0}), DiscreteFuzzySet(LINE, {})
+G1, G2 = GaussianFuzzySet([0.0], [1.0]), GaussianFuzzySet([0.0, 1.0], [1.0, 1.0])
+# k1(1e80, 1e80) = inf: only the pair of two S[1] overflows
+S = [DiscreteFuzzySet(GroundSpace([[1.0], [1e80], [2.0]]), {i: 1.0}) for i in range(3)]
+SQUARE = FuzzyKernelSpec(family="cross_product", k1=PolynomialKernel(coef0=0.0, gamma=1.0, degree=2))
+
+
+@pytest.mark.parametrize(
+    "spec, rows, cols, pair, error",
+    [
+        pytest.param(
+            FuzzyKernelSpec(family="distance_gaussian"), [FULL, EMPTY, FULL], [FULL, FULL, EMPTY, EMPTY],
+            "b, z", "ratio distance is undefined", id="ratio-both-empty",
+        ),
+        *(
+            pytest.param(
+                FuzzyKernelSpec(family="distance_inner", reference=EMPTY), rows, cols, pair,
+                "ratio distance is undefined", id=f"empty-reference-{pair[0]}",
+            )
+            for rows, cols, pair in (([FULL, EMPTY], [FULL, FULL], "b, x"), ([FULL, FULL], [FULL, EMPTY], "a, y"))
+        ),
+        pytest.param(
+            FuzzyKernelSpec(family="nonsingleton_gaussian"), [G1, G2], [G1, G1], "b, x", "dimension mismatch: 2 vs 1",
+            id="dimension-rectangular",
+        ),
+        pytest.param(
+            FuzzyKernelSpec(family="nonsingleton_gaussian"), [G1, G1, G2], None, "a, c", "dimension mismatch: 1 vs 2",
+            id="dimension-gram",
+        ),
+        pytest.param(
+            FuzzyKernelSpec(family="cross_product"), [FULL, G1], [FULL, FULL], "b, x", "got GaussianFuzzySet",
+            id="kind-rows-only",
+        ),
+        pytest.param(
+            FuzzyKernelSpec(family="cross_product"), [(FULL, FULL), (FULL,)], [(FULL, FULL)] * 2, "b, x",
+            "records have different arity: 1 vs 2", id="arity-rows-only",
+        ),
+        pytest.param(SQUARE, [S[0], S[2], S[1]], [S[2], S[1], S[0]], "c, y", "not finite", id="non-finite"),
+    ],
+)
+def test_checks_name_the_first_pair_in_both_layouts(spec, rows, cols, pair, error):
+    # rows are named a, b, c, ... and a rectangular block's columns x, y, z, w;
+    # no cols is a Gram on the rows
+    with pytest.raises((ValidationError, NumericError)) as info:
+        if cols is None:
+            compute_gram(rows, spec, item_ids=IDS[: len(rows)])
+        else:
+            kernels._kernel_matrix(spec, rows, cols, IDS[: len(rows)], ["x", "y", "z", "w"][: len(cols)])
+    assert f"pair ({pair})" in str(info.value)
+    assert error in str(info.value)
+    assert isinstance(info.value, NumericError if error == "not finite" else ValidationError)

@@ -133,6 +133,8 @@ def cmd_classify(args) -> int:
     ds, _, spec = _load(args)
     if ds.labels is None:
         raise ValidationError("classification needs a dataset with labels")
+    if not 2 <= args.folds <= len(ds.records):
+        raise ValidationError(f"--folds must be between 2 and {len(ds.records)}, got {args.folds}")
     gram = compute_gram(ds.records, spec, n_jobs=args.jobs)
     fold_acc, mean_acc = cross_validate(
         gram, ds.labels, regularization=_positive(args.ridge, "--ridge"), folds=args.folds, seed=args.seed
@@ -163,7 +165,7 @@ def cmd_mmd_test(args) -> int:
         sample_a,
         sample_b,
         spec,
-        n_permutations=args.permutations,
+        n_permutations=_positive(args.permutations, "--permutations"),
         seed=args.seed,
         n_jobs=args.jobs,
     )

@@ -276,13 +276,22 @@ def nonsingleton_gaussian_kernel(x: GaussianFuzzySet, y: GaussianFuzzySet) -> fl
     """Closed form of the product-T-norm supremum for Gaussian memberships.
 
     Returns ``prod_d exp(-(m_d - m'_d)^2 / (2 (sigma_d^2 + sigma'_d^2)))``,
-    which is 1 exactly when the mean vectors coincide.
+    which is 1 exactly when the mean vectors coincide.  It is taken as
+    ``exp(-z.z / 2)`` with ``z = (m - m') / hypot(sigma, sigma')`` on halved
+    operands (see _halved), so every finite input gives a finite value.
     """
     if x.dim != y.dim:
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
-    dm = x.means - y.means
-    var = x.widths**2 + y.widths**2
-    return float(np.exp(-0.5 * float(np.sum(dm * dm / var))))
+    m, w = _halved([x, y])
+    with np.errstate(over="ignore"):  # a z too large to square gives 0
+        return float(np.exp(-0.5 * float(np.sum(np.square((m[0] - m[1]) / np.hypot(*w))))))
+
+
+def _halved(sets: list[GaussianFuzzySet]) -> tuple[np.ndarray, np.ndarray]:
+    """The sets' means and widths, halved so that no ``m - m'`` or ``hypot(w,
+    w')`` overflows: exact unless a half is subnormal, and no width halves to 0."""
+    m, w = np.array([x.means for x in sets]), np.array([x.widths for x in sets])
+    return m / 2, w - w / 2
 
 
 # ---------------------------------------------------------------------------
@@ -493,16 +502,15 @@ class _Pairs:
             for j in range(i if self.symmetric else 0, self.shape[1]):
                 yield i, j
 
-    def row_blocks(self, per_row):
-        """(first row, row stop, first column) of the row bands whose
-        temporaries, ``per_row`` elements for each row (or one count per
-        row), stay within the element budget: each band takes as many rows
-        as fit, and at least one."""
-        n = self.shape[0]
-        cost = np.full(n, max(per_row, 1)) if np.isscalar(per_row) else per_row
+    def row_blocks(self, cost):
+        """(first, stop, first column) of the bands whose temporaries stay
+        within the element budget: ``cost`` elements for each row, or one
+        count per row or per entry of any list (the join bands over support
+        entries); each band takes as many as fit, and at least one."""
+        cost = np.full(self.shape[0], max(cost, 1)) if np.isscalar(cost) else cost
         done = np.concatenate(([0], np.cumsum(cost)))
         a = 0
-        while a < n:
+        while a < len(cost):
             b = max(a + 1, int(np.searchsorted(done, done[a] + _BLOCK_ELEMENTS, "right")) - 1)
             yield a, b, a if self.symmetric else 0
             a = b
@@ -534,8 +542,7 @@ def _kernel_matrix(
     records = [_as_record(r) for r in (rows if symmetric else [*rows, *cols])]
     arity = np.array([len(r) for r in records])
     pairs.check(arity != arity[0], lambda p, q: f"records have different arity: {arity[p]} vs {arity[q]}")
-    if arity[0] == 0:
-        pairs.check(True, "empty record")
+    pairs.check(arity[0] == 0, "empty record")
     refs = spec.reference  # a bare fuzzy set is a lone attribute 0, not a record
     if refs is not None and len(refs) not in (1, arity[0]) and not isinstance(rows[0], FuzzyDatum):
         pairs.check(True, f"reference has {len(refs)} attributes but records have {arity[0]}")
@@ -567,9 +574,9 @@ def _discrete(
 ) -> tuple[GroundSpace, tuple]:
     """Check that the attributes (and ``ref``, packed as the last item)
     share one ground space, and pack their degrees into arrays: the one place
-    that reads them.  Returns that ground space and the supports packed item
-    after item in ascending ground order, ``(size, item, idx, deg)``: each
-    support's size and each entry's item, ground index and degree."""
+    that reads them.  Returns that ground space and the supports packed in
+    (point, item) order, as the join walks them: ``(size, item, idx, deg)``,
+    each support's size and each entry's item, ground index and degree."""
     if ref is not None and not isinstance(ref, DiscreteFuzzySet):
         pairs.check(True, f"the reference must be a DiscreteFuzzySet, got {type(ref).__name__}")
     ground = attrs[0].ground
@@ -581,8 +588,8 @@ def _discrete(
     deg = np.fromiter(chain.from_iterable(x.degrees.values() for x in sets), float, size.sum())
     item = np.repeat(np.arange(len(sets)), size)
     # a fixed summation order over each support, whatever the dicts' order
-    order = np.argsort(item * len(ground) + idx)  # keys are unique, so any sort will do
-    return ground, (size, item, idx[order], deg[order])
+    order = np.argsort(idx * len(sets) + item)  # keys are unique, so any sort will do
+    return ground, (size, item[order], idx[order], deg[order])
 
 
 def _dense(packed: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -609,25 +616,25 @@ def _segment_sum(a: np.ndarray, sizes: np.ndarray, axis: int) -> np.ndarray:
 
 def _cross_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _Pairs) -> np.ndarray:
     ground, packed = _discrete(spec, attrs, pairs)
-    (size, _, _, deg), (cols, at, m) = packed, _dense(packed)
+    (size, item, _, deg), (cols, at, m) = packed, _dense(packed)
     pts = ground.points[cols]
     k1 = spec.k1.pairwise(pts, pts)
     if spec.weights is not None:
         w = np.asarray(spec.weights)
-        if w.shape != (len(ground),):
-            pairs.check(True, f"got {w.size} weights for {len(ground)} ground points")
+        pairs.check(w.shape != (len(ground),), f"got {w.size} weights for {len(ground)} ground points")
         k1 = k1 * np.outer(w[cols], w[cols])
     # a linear k2 vanishes off the supports, so the double sum is the bilinear
     # form M K1 M^T; an overflowing k1 entry would turn 0 * inf into NaN for
     # pairs that never meet it, so that case sums over the supports instead
     if isinstance(spec.k2, LinearKernel) and np.isfinite(k1).all():
         return m[pairs.rows] @ k1 @ m[pairs.cols].T
-    return _support_sum(spec.k2, k1, size, at, deg, pairs)
+    order = np.argsort(item * len(cols) + at)  # item after item, each in ascending ground order
+    return _support_sum(spec.k2, k1, size, at[order], deg[order], pairs)
 
 
 def _support_sum(k2: BaseKernel, k1: np.ndarray, size, at, deg, pairs: _Pairs) -> np.ndarray:
     """Sum of ``k1[a, b] k2(x_a, y_b)`` over a in supp x, b in supp y, on the
-    items' packed supports (see _discrete), ``at`` indexing ``k1``."""
+    items' supports packed item after item, ``at`` indexing ``k1``."""
     start = np.concatenate(([0], np.cumsum(size)))
     nx, ny = size[pairs.rows], size[pairs.cols]
     out = np.zeros(pairs.shape)
@@ -642,43 +649,36 @@ def _support_sum(k2: BaseKernel, k1: np.ndarray, size, at, deg, pairs: _Pairs) -
 def _join(t: TNorm, item, idx, deg, pairs: _Pairs, weight: np.ndarray | None = None) -> np.ndarray:
     """Per pair, the sum over common support points p of ``weight_p T(x_p,
     y_p)``, or with no weights its max (the intersection height), on entries
-    packed as by _discrete.  T(a, 0) = 0, so only entries that share a point
-    meet: the work follows sum |supp x & supp y|, not rows x columns x ground."""
-    # by point, then item: an entry meets the column entries of its point from
-    # itself on (a Gram's upper triangle), or from the first column item on
-    by_point = np.argsort(idx * pairs.cols.stop + item)  # keys are unique, so any sort will do
-    pos = np.empty_like(by_point)
-    pos[by_point] = np.arange(len(idx))
-    new = np.diff(idx[by_point], prepend=-1) != 0
-    run, start = (np.cumsum(new) - 1)[pos], np.flatnonzero(new)
-    first = np.maximum(pos, (start + np.bincount(run[item < pairs.cols.start], minlength=len(start)))[run])
-    count = np.append(start[1:], len(idx))[run] - first  # read for the rows' entries only
-    item_p, deg_p = item[by_point] - pairs.cols.start, deg[by_point]
-    # bands of rows whose temporaries, about eight per term, stay within the
-    # element budget; a pair sums its terms in ascending ground order, so no
-    # bit depends on the bands or on the order of the records
-    row0 = np.searchsorted(item, np.arange(pairs.rows.stop + 1))
-    done = np.concatenate(([0], np.cumsum(count)))[row0]
+    in (point, item) order, walked in bands of entries.  T(a, 0) = 0, so only
+    entries that share a point meet: the work follows sum |supp x & supp y|."""
+    key = idx * pairs.cols.stop + item  # ascending, as packed
+    # a row entry meets the column entries of its point from itself on (a
+    # Gram's upper triangle), or from the first column item on; a column
+    # entry of a rectangular block meets none
+    first = np.maximum(np.arange(len(key)), np.searchsorted(key, key - item + pairs.cols.start))
+    count = (np.searchsorted(idx, idx, "right") - first) * (item < pairs.rows.stop)
+    done = np.concatenate(([0], np.cumsum(count)))
+    # about eight temporaries per term; a pair meets its common points in
+    # ascending ground order, so no bit depends on the bands or the record order
     out = np.zeros(pairs.shape)
-    for a, b, _ in pairs.row_blocks(8 * np.diff(done)):
-        s, c = slice(row0[a], row0[b]), count[row0[a] : row0[b]]
-        other = np.repeat(first[s] - np.cumsum(c) + c, c) + np.arange(done[b] - done[a])
-        v = tnorm_array(t, np.repeat(deg[s], c), deg_p[other])
-        cell = np.repeat(item[s] * pairs.shape[1], c) + item_p[other]
+    for a, b, _ in pairs.row_blocks(8 * count):
+        c = count[a:b]
+        other = np.repeat(first[a:b] - done[a:b] + done[a], c) + np.arange(done[b] - done[a])
+        v = tnorm_array(t, np.repeat(deg[a:b], c), deg[other])
+        cell = np.repeat(item[a:b] * pairs.shape[1] - pairs.cols.start, c) + item[other]
         if weight is None:
             np.maximum.at(out.reshape(-1), cell, v)
         else:
-            np.add.at(out.reshape(-1), cell, v * np.repeat(weight[s], c))
+            np.add.at(out.reshape(-1), cell, v * np.repeat(weight[a:b], c))
     return out
 
 
 def _intersection_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _Pairs) -> np.ndarray:
     ground, (_, item, idx, deg) = _discrete(spec, attrs, pairs)
     part = ground.partition
-    if part is None:
-        pairs.check(True, "intersection kernel needs a partition on the ground space")
-    # only entries in cells that lie wholly inside their item's support count;
-    # the zeros elsewhere are exact, and T(a, 0) = 0 for every T-norm
+    pairs.check(part is None, "intersection kernel needs a partition on the ground space")
+    # only entries of cells wholly inside their item's support count (T(a, 0) = 0);
+    # a cell's entries need not be adjacent in ground order, so a sort counts them
     cell = part.cell_index[idx]
     _, share, count = np.unique(item * len(part) + cell, return_inverse=True, return_counts=True)
     whole = count[share] == np.bincount(part.cell_index)[cell]
@@ -693,17 +693,15 @@ def _nonsingleton_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _P
 def _gaussian_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _Pairs) -> np.ndarray:
     dim = np.array([x.dim for x in attrs])
     pairs.check(dim != dim[0], lambda p, q: f"dimension mismatch: {dim[p]} vs {dim[q]}")
-    means = np.array([x.means for x in attrs])
-    var = np.array([x.widths for x in attrs]) ** 2
-    mx, vx, my, vy = means[pairs.rows], var[pairs.rows], means[pairs.cols], var[pairs.cols]
+    means, widths = _halved(attrs)
+    mx, wx, my, wy = means[pairs.rows, None], widths[pairs.rows, None], means[pairs.cols], widths[pairs.cols]
     out = np.zeros(pairs.shape)
     for a, b, c0 in pairs.row_blocks(len(my)):
         s = np.zeros((b - a, len(my) - c0))
         # dimensions accumulate in a fixed order, so a pair's value does not
         # depend on where it sits in the block
         for k in range(means.shape[1]):
-            dm = mx[a:b, k, None] - my[None, c0:, k]
-            s += dm * dm / (vx[a:b, k, None] + vy[None, c0:, k])
+            s += np.square((mx[a:b, :, k] - my[c0:, k]) / np.hypot(wx[a:b, :, k], wy[c0:, k]))
         out[a:b, c0:] = np.exp(-0.5 * s)
     return out
 

@@ -309,6 +309,9 @@ class TestKernelConfigValues:
             # iterables that are not lists of numbers, once read as (1, 2, 3, 4) and the keys (0, 1, 2, 3)
             ({"family": "weighted_cross_product", "weights": "1234"}, "weights"),
             ({"family": "weighted_cross_product", "weights": {"0": 1, "1": 1, "2": 1, "3": 1}}, "weights"),
+            # an unknown metric name and a polynomial gamma of 0
+            ({"family": "distance_gaussian", "metric": "euclid"}, "metric"),
+            ({"family": "cross_product", "k1": {"kind": "polynomial", "gamma": 0}}, "gamma"),
         ],
     )
     def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, discrete_dataset, cfg, key):
@@ -397,6 +400,21 @@ def _data(**ground):
         ),
         pytest.param(
             "mmd-test --data {data} --kernel {kernel} --seed -1", DATA, KERNEL, "seed", id="mmd-negative-seed",
+        ),
+        # counts out of range once exited 2 with a message naming no option
+        *(
+            pytest.param(
+                "mmd-test --data {data} --kernel {kernel} --seed 0 --permutations " + p, DATA, KERNEL,
+                "--permutations", id=f"mmd-permutations-{p}",
+            )
+            for p in ("0", "-3")
+        ),
+        *(
+            pytest.param(
+                "classify --data {data} --kernel {kernel} --seed 0 --folds " + k, DATA, KERNEL, "--folds",
+                id=f"classify-folds-{k}",
+            )
+            for k in ("1", "999")
         ),
         pytest.param(GRAM, _data(), KERNEL, "ground_space: needs a 'points' list", id="no-points"),
         pytest.param(GRAM, _data(points=[[0.0], [float("nan")]]), KERNEL, "ground_space", id="nan-points"),

@@ -210,16 +210,16 @@ def test_nonsingleton(tname, seed, n_points, n_records, n_attrs, budget):
 @engine_settings
 @given(
     seed=seeds, dim=st.integers(1, 4), n_records=st.integers(1, 7), n_attrs=st.integers(1, 3),
-    log_width=st.floats(-150.0, 1.0), budget=budgets,
+    log_mean=st.floats(-300.0, 300.0), log_width=st.floats(-300.0, 300.0), budget=budgets,
 )
-def test_nonsingleton_gaussian(seed, dim, n_records, n_attrs, log_width, budget):
-    # widths down to 1e-150: the closed form's variance stays a normal float
+def test_nonsingleton_gaussian(seed, dim, n_records, n_attrs, log_mean, log_width, budget):
+    # means spread by about a width around a common level; the level and the
+    # widths range apart from 1e-300 to 1e300, where squares over- or underflow
     rng = np.random.default_rng(seed)
-    scale = 10.0**log_width
-    base = rng.normal(size=dim)
+    level, scale = 10.0**log_mean * rng.normal(size=dim), 10.0**log_width
     data = [
         tuple(
-            GaussianFuzzySet(base + scale * rng.normal(size=dim), scale * rng.uniform(0.5, 2.0, dim))
+            GaussianFuzzySet(level + scale * rng.normal(size=dim), scale * rng.uniform(0.5, 2.0, dim))
             for _ in range(n_attrs)
         )
         for _ in range(n_records)
@@ -266,9 +266,35 @@ def test_distance_families(family, per_slot, user_metric, seed, n_points, n_reco
     check_family(data, spec, budget, scalar, oracle, size)
 
 
+@pytest.mark.parametrize(
+    "x, y, want",
+    [
+        # widths**2 underflows to 0, and 0/0 once gave NaN
+        pytest.param(GaussianFuzzySet([1.0], [1e-200]), GaussianFuzzySet([1.0], [1e-200]), 1.0, id="tiny-widths"),
+        # (1e200)**2 overflows, and inf/inf once gave NaN
+        pytest.param(
+            GaussianFuzzySet([1e200], [1e200]), GaussianFuzzySet([0.0], [1e200]), np.exp(-0.25), id="huge-scale",
+        ),
+        # m - m' and hypot(w, w') both overflow, and inf/inf gave NaN; halved, z is 1
+        pytest.param(
+            GaussianFuzzySet([8.75 * 2.0**1020], [10.5 * 2.0**1020]),
+            GaussianFuzzySet([-8.75 * 2.0**1020], [14.0 * 2.0**1020]),
+            np.exp(-0.5),
+            id="near-float-limit",
+        ),
+        # the smallest width must not halve to 0, which gave 0/0
+        pytest.param(GaussianFuzzySet([0.0], [5e-324]), GaussianFuzzySet([0.0], [5e-324]), 1.0, id="smallest-width"),
+    ],
+)
+def test_nonsingleton_gaussian_is_exact_at_extreme_scales(x, y, want):
+    assert nonsingleton_gaussian_kernel(x, y) == want
+    assert compute_gram([x, y], FuzzyKernelSpec(family="nonsingleton_gaussian")).values[0, 1] == want
+
+
 def test_degree_order_leaves_grams_bit_identical():
     # a set's degrees may be given in any order; every family sums over a
-    # support in ground order, so the Gram keeps every bit
+    # support in ground order, so Grams and rectangular blocks keep every bit,
+    # also where the join meets row and column entries of one point in turn
     rng = np.random.default_rng(11)
     ground, data = discrete_data(rng, 30, 12, 2, n_cells=6, allow_empty=False)
 
@@ -292,9 +318,14 @@ def test_degree_order_leaves_grams_bit_identical():
         FuzzyKernelSpec(family="distance_inner", reference=refs),
         FuzzyKernelSpec(family="distance_poly", reference=refs, coef0=1.0, gamma=0.5, degree=3),
     ]
+    ids = [str(i) for i in range(len(data))]
     for spec in specs:
         want = compute_gram(ascending, spec).values
         assert compute_gram(shuffled, spec).values.tobytes() == want.tobytes(), spec.family
+        for rows, cols in ((slice(0, 5), slice(5, None)), (slice(5, None), slice(0, 5))):
+            want = kernels._kernel_matrix(spec, ascending[rows], ascending[cols], ids[rows], ids[cols])
+            got = kernels._kernel_matrix(spec, shuffled[rows], shuffled[cols], ids[rows], ids[cols])
+            assert got.tobytes() == want.tobytes(), (spec.family, rows)
 
 
 JOIN_FAMILIES = ["intersection", "nonsingleton"]
@@ -353,14 +384,16 @@ def test_join_memory_follows_the_supports(family):
 
 @pytest.mark.parametrize("budget", [1, 7, 64, 1000])
 def test_row_blocks_cover_the_rows_in_bands_within_the_budget(budget):
-    # one count per row, some rows costing nothing, or one count for all rows:
-    # the bands run in order with no gap, each within the budget or one row,
-    # and each stops only where one more row would break the budget
+    # one count per row or per entry of a longer list (the join's support
+    # entries), some costing nothing, or one count for all rows: the bands run
+    # in order with no gap, each within the budget or one long, and each stops
+    # only where one more would break the budget
     rng = np.random.default_rng(15)
     for trial in range(40):
         n, symmetric = int(rng.integers(1, 30)), bool(trial % 2)
         if trial % 4 < 2:
-            cost = rng.integers(0, 3 * budget, n) * (rng.random(n) < 0.8)
+            size = n if trial % 8 < 4 else int(rng.integers(n + 1, 4 * n + 2))
+            cost = rng.integers(0, 3 * budget, size) * (rng.random(size) < 0.8)
             per_row = cost
         else:
             per_row = int(rng.integers(1, 2 * budget + 1))
@@ -368,11 +401,11 @@ def test_row_blocks_cover_the_rows_in_bands_within_the_budget(budget):
         with mock.patch.object(kernels, "_BLOCK_ELEMENTS", budget):
             bands = list(kernels._Pairs([""] * n, [""] * n, symmetric).row_blocks(per_row))
         assert [a for a, _, _ in bands] == [0] + [b for _, b, _ in bands[:-1]]
-        assert bands[-1][1] == n
+        assert bands[-1][1] == len(cost)
         for a, b, c0 in bands:
             assert b > a and c0 == (a if symmetric else 0)
             assert cost[a:b].sum() <= budget or b == a + 1
-            assert b == n or cost[a : b + 1].sum() > budget
+            assert b == len(cost) or cost[a : b + 1].sum() > budget
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +586,11 @@ SQUARE = FuzzyKernelSpec(family="cross_product", k1=PolynomialKernel(coef0=0.0, 
             "records have different arity: 1 vs 2", id="arity-rows-only",
         ),
         pytest.param(SQUARE, [S[0], S[2], S[1]], [S[2], S[1], S[0]], "c, y", "not finite", id="non-finite"),
+        # with no attribute, the slot loop would leave no values to return
+        pytest.param(FuzzyKernelSpec(family="cross_product"), [(), ()], None, "a, a", "empty record", id="empty-record"),
+        pytest.param(
+            FuzzyKernelSpec(family="cross_product"), [(), ()], [()], "a, x", "empty record", id="empty-record-rectangular",
+        ),
     ],
 )
 def test_checks_name_the_first_pair_in_both_layouts(spec, rows, cols, pair, error):

@@ -89,6 +89,13 @@ class TestComputeGram:
         with pytest.raises(ValueError):
             compute_gram([], gaussian_spec)
 
+    def test_item_ids_must_match_the_items(self, gaussian_spec):
+        data = [GaussianFuzzySet([0.0], [1.0])] * 2
+        with pytest.raises(ValueError, match="one item id per datum"):
+            compute_gram(data, gaussian_spec, item_ids=["a"])
+        with pytest.raises(ValueError, match="item_ids length"):
+            GramMatrix(values=np.eye(2), spec=None, item_ids=["a"])
+
 
 class TestCheckPsd:
     def test_identity_is_psd(self):

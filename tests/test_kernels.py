@@ -193,6 +193,11 @@ class TestWeightedCrossProduct:
         with pytest.raises(ValueError):
             weighted_cross_product_kernel(x, x, LinearKernel(), LinearKernel(), w)
 
+    def test_weight_count_must_match_the_ground(self, line_ground):
+        x = DiscreteFuzzySet(line_ground, {0: 1.0})
+        with pytest.raises(ValueError, match="one weight per ground point"):
+            weighted_cross_product_kernel(x, x, LinearKernel(), LinearKernel(), [1.0, 1.0])
+
     def test_matches_bruteforce(self, line_ground):
         rng = np.random.default_rng(7)
         for _ in range(10):

@@ -322,3 +322,29 @@ def test_mmd_permutation_test_matches_tie_oracle(kind, n, m, seed, permutations)
     g = compute_gram(pooled, spec).values
     assert res.statistic == mmd_statistic(g[:n, :n], g[n:, n:], g[:n, n:])
     assert res.p_value == oracles.bf_mmd_p_value(g, n, permutations, seed)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        pytest.param(lambda: fit(as_gram(np.eye(2)), [[1, -1]], 1.0), "flat vector", id="fit-nested-labels"),
+        pytest.param(
+            lambda: cross_validate(as_gram(np.eye(4)), [1, -1, 1], 1.0, folds=2), "labels must match",
+            id="cv-label-count",
+        ),
+        pytest.param(
+            lambda: mmd_statistic(np.ones((0, 0)), np.eye(2), np.ones((0, 2))), "two non-empty samples",
+            id="mmd-empty-sample",
+        ),
+        pytest.param(
+            lambda: mmd_permutation_test(
+                [GaussianFuzzySet([0.0], [1.0])], [GaussianFuzzySet([1.0], [1.0])],
+                FuzzyKernelSpec(family="nonsingleton_gaussian"), n_permutations=0,
+            ),
+            "at least one permutation", id="mmd-no-permutations",
+        ),
+    ],
+)
+def test_bad_arguments_raise_value_error(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -244,3 +244,20 @@ class TestSupportCells:
         g = GroundSpace([[float(i)] for i in range(4)], partition=p)
         fs = DiscreteFuzzySet(g, {0: 0.5, 1: 0.9})
         assert support_measure(fs, p) == 2.5
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        pytest.param(lambda: Partition([[0], [1]], measures=[1.0]), "one measure per cell", id="measure-count"),
+        pytest.param(lambda: GaussianFuzzySet([0.0, 1.0], [1.0]), "equal-length", id="gaussian-shapes"),
+        pytest.param(lambda: GaussianFuzzySet([0.0], [np.inf]), "finite", id="gaussian-infinite-width"),
+        pytest.param(
+            lambda: fuzzify_from_histogram([1.0, np.nan], GroundSpace([0.0, 1.0])), "samples must be finite",
+            id="histogram-nan-sample",
+        ),
+    ],
+)
+def test_bad_arguments_raise_value_error(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -28,6 +28,10 @@ class TestApply:
         with pytest.raises(ValueError):
             apply(t, 0.5, bad)
 
+    def test_rejects_a_name_for_a_tnorm(self):
+        with pytest.raises(TypeError, match="not a TNorm"):
+            apply("min", 0.5, 0.5)
+
     def test_from_name_aliases(self):
         assert TNorm.from_name("min") is TNorm.MINIMUM
         assert TNorm.from_name("MINIMUM") is TNorm.MINIMUM

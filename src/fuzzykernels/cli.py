@@ -18,7 +18,7 @@ import warnings
 import numpy as np
 
 from .dataset import Dataset, _read_json, parse_dataset, write_dataset
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, _number
 from .gram import DEFAULT_PSD_TOL, check_psd, compute_gram, write_matrix
 from .kernels import FuzzyKernelSpec, spec_from_config
 from .learn import cross_validate, mmd_permutation_test
@@ -53,12 +53,6 @@ def _load_table(path) -> np.ndarray:
     return table
 
 
-def _positive(value: float, option: str) -> float:
-    if not 0 < value < np.inf:
-        raise ValidationError(f"{option} must be finite and > 0, got {value}")
-    return value
-
-
 def _emit(report: dict) -> None:
     print(json.dumps(report, indent=2))
 
@@ -73,7 +67,7 @@ def cmd_fuzzify(args) -> int:
             widths = [float(w) for w in args.widths.split(",")]
         except ValueError:
             raise ValidationError(f"--widths must be comma-separated numbers, got {args.widths!r}") from None
-        widths = [_positive(w, "--widths") for w in widths]
+        widths = [_number(w, "--widths") for w in widths]
         if len(widths) == 1:
             widths = widths * n_cols
         if len(widths) != n_cols:
@@ -114,7 +108,7 @@ def cmd_gram(args) -> int:
 def cmd_check_psd(args) -> int:
     ds, _, spec = _load(args)
     gram = compute_gram(ds.records, spec, n_jobs=args.jobs)
-    report = check_psd(gram, tol=_positive(args.tol, "--tol"))
+    report = check_psd(gram, tol=_number(args.tol, "--tol"))
     _emit(
         {
             "command": "check-psd",
@@ -137,7 +131,7 @@ def cmd_classify(args) -> int:
         raise ValidationError(f"--folds must be between 2 and {len(ds.records)}, got {args.folds}")
     gram = compute_gram(ds.records, spec, n_jobs=args.jobs)
     fold_acc, mean_acc = cross_validate(
-        gram, ds.labels, regularization=_positive(args.ridge, "--ridge"), folds=args.folds, seed=args.seed
+        gram, ds.labels, regularization=_number(args.ridge, "--ridge"), folds=args.folds, seed=args.seed
     )
     _emit(
         {
@@ -165,7 +159,7 @@ def cmd_mmd_test(args) -> int:
         sample_a,
         sample_b,
         spec,
-        n_permutations=_positive(args.permutations, "--permutations"),
+        n_permutations=_number(args.permutations, "--permutations"),
         seed=args.seed,
         n_jobs=args.jobs,
     )

@@ -144,10 +144,18 @@ def dataset_from_obj(obj) -> Dataset:
 
 
 def _read_json(path):
-    """The JSON document in a file; a file that cannot be read or decoded raises ValidationError."""
+    """The JSON document in a file; a file that cannot be read or decoded, or
+    an object that gives one key twice, raises ValidationError."""
+
+    def unique(pairs):
+        if len(obj := dict(pairs)) < len(pairs):
+            key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+            raise ValidationError(f"{path}: key {key!r} is given more than once")
+        return obj
+
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}") from exc
     except (OSError, UnicodeDecodeError, RecursionError) as exc:

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import NumericError, _number
 from .kernels import FuzzyKernelSpec, Record, _kernel_matrix
 
 __all__ = [
@@ -98,8 +98,7 @@ def check_psd(g, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
     count; across thread counts the verdict is the same and they agree
     within ``tol * max(1, |max_eig|)``.
     """
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tolerance must be finite and > 0, got {tol}")
+    tol = _number(tol, "tol")
     m = _as_matrix(g)
     if not np.isfinite(m).all():
         raise NumericError("Gram matrix contains non-finite entries")

@@ -39,7 +39,7 @@ from typing import Callable, Mapping, Sequence, Union
 import numpy as np
 
 from .dataset import _parse_attribute
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, _number
 from .sets import (
     DiscreteFuzzySet,
     GaussianFuzzySet,
@@ -76,16 +76,15 @@ __all__ = [
 # Base kernels on ground elements and on degrees
 # ---------------------------------------------------------------------------
 
-def _number(value, key: str, integral: bool = False) -> float | int:
-    """``value`` as a float (an int with ``integral``); a value that is not a
-    number, or not integral where asked, raises ValidationError naming ``key``."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{key} must be a number, got {value!r}") from exc
-    if integral and not x.is_integer():
-        raise ValidationError(f"{key} must be an integer, got {value!r}")
-    return int(x) if integral else x
+# where each scalar parameter keeps the kernels positive definite: _number's (least, closed, integral)
+_RANGES = {"coef0": (0, True, False), "gamma": (0, False, False), "degree": (1, True, True)}
+
+
+def _check_params(obj) -> None:
+    """Convert and check each scalar parameter field of a frozen dataclass."""
+    for f in fields(obj):
+        if f.name in _RANGES:
+            object.__setattr__(obj, f.name, _number(getattr(obj, f.name), f.name, *_RANGES[f.name]))
 
 
 @dataclass(frozen=True)
@@ -105,10 +104,7 @@ class RBFKernel:
 
     gamma: float = 1.0
 
-    def __post_init__(self):
-        object.__setattr__(self, "gamma", _number(self.gamma, "gamma"))
-        if not self.gamma > 0:
-            raise ValueError("rbf gamma must be > 0")
+    __post_init__ = _check_params
 
     def __call__(self, u: np.ndarray, v: np.ndarray) -> float:
         diff = np.asarray(u, dtype=float) - np.asarray(v, dtype=float)
@@ -133,15 +129,7 @@ class PolynomialKernel:
     gamma: float = 1.0
     degree: int = 2
 
-    def __post_init__(self):
-        for key, integral in (("coef0", False), ("gamma", False), ("degree", True)):
-            object.__setattr__(self, key, _number(getattr(self, key), key, integral))
-        if not self.coef0 >= 0:
-            raise ValueError("polynomial coef0 must be >= 0")
-        if not self.gamma > 0:
-            raise ValueError("polynomial gamma must be > 0")
-        if self.degree < 1:
-            raise ValueError("polynomial degree must be an integer >= 1")
+    __post_init__ = _check_params
 
     def __call__(self, u: np.ndarray, v: np.ndarray) -> float:
         return float((self.coef0 + self.gamma * np.dot(u, v)) ** self.degree)
@@ -151,6 +139,7 @@ class PolynomialKernel:
 
 
 BaseKernel = Union[LinearKernel, RBFKernel, PolynomialKernel]
+_BASE_KERNELS = {"linear": LinearKernel, "rbf": RBFKernel, "polynomial": PolynomialKernel}
 
 
 def base_eval(k: BaseKernel, u, v) -> float:
@@ -166,17 +155,14 @@ def base_kernel_from_config(cfg: Mapping) -> BaseKernel:
     """Build a base kernel from ``{"kind": ..., params...}``."""
     if not isinstance(cfg, Mapping) or "kind" not in cfg:
         raise ValidationError(f"base kernel config needs a 'kind' key, got {cfg!r}")
-    kind = str(cfg["kind"]).lower()
-    try:
-        if kind == "linear":
-            return LinearKernel()
-        if kind == "rbf":
-            return RBFKernel(gamma=cfg.get("gamma", 1.0))
-        if kind == "polynomial":
-            return PolynomialKernel(**{k: cfg[k] for k in ("coef0", "gamma", "degree") if k in cfg})
-    except ValueError as exc:
-        raise ValidationError(f"bad base kernel config {cfg!r}: {exc}") from exc
-    raise ValidationError(f"unknown base kernel kind {cfg['kind']!r}")
+    name = str(cfg["kind"]).lower()
+    if name not in _BASE_KERNELS:
+        raise ValidationError(f"unknown base kernel kind {cfg['kind']!r}")
+    takes = {f.name for f in fields(_BASE_KERNELS[name])}
+    for key in cfg:
+        if key != "kind" and key not in takes:
+            raise ValidationError(f"base kernel {name!r} takes no {key!r}")
+    return _BASE_KERNELS[name](**{key: value for key, value in cfg.items() if key != "kind"})
 
 
 # ---------------------------------------------------------------------------
@@ -339,18 +325,15 @@ def distance_polynomial_kernel(
     degree: int = 1,
 ) -> float:
     """Polynomial kernel over the metric-induced inner product."""
-    if coef0 < 0 or not gamma > 0 or int(degree) != degree or degree < 1:
-        raise ValueError("need coef0 >= 0, gamma > 0 and integer degree >= 1")
-    return float((coef0 + gamma * distance_inner(x, y, x0, d)) ** degree)
+    k = PolynomialKernel(coef0, gamma, degree)  # which checks the parameters
+    return float((k.coef0 + k.gamma * distance_inner(x, y, x0, d)) ** k.degree)
 
 
 def distance_gaussian_kernel(
     x: DiscreteFuzzySet, y: DiscreteFuzzySet, d: Metric = ratio_distance, gamma: float = 1.0
 ) -> float:
     """Gaussian kernel over a metric: ``exp(-gamma d(x, y)^2)``."""
-    if not gamma > 0:
-        raise ValueError("gamma must be > 0")
-    return math.exp(-gamma * d(x, y) ** 2)
+    return math.exp(-RBFKernel(gamma).gamma * d(x, y) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -397,20 +380,15 @@ class FuzzyKernelSpec:
             default = value is f.default or (isinstance(value, (str, int, float)) and value == f.default)
             if f.name not in takes and not default:
                 raise ValidationError(f"kernel family {self.family!r} takes no {f.name!r}")
-        for key, integral in (("coef0", False), ("gamma", False), ("degree", True)):
-            object.__setattr__(self, key, _number(getattr(self, key), key, integral))
+        _check_params(self)
         for key in ("k1", "k2"):
             if key in takes and getattr(self, key) is None:
                 object.__setattr__(self, key, LinearKernel())
         if "weights" in takes:
-            try:
-                if isinstance(self.weights, (str, bytes, Mapping)):  # iterable, but not a list of numbers
-                    raise TypeError
-                weights = tuple(float(w) for w in self.weights)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValidationError(f"weights must be a list of numbers, got {self.weights!r}") from exc
-            if any(not w >= 0 or not math.isfinite(w) for w in weights):
-                raise ValidationError("weights must be finite and non-negative")
+            # strings and mappings are iterable, but not lists of numbers
+            if isinstance(self.weights, (str, bytes, Mapping)) or not np.iterable(self.weights):
+                raise ValidationError(f"weights must be a list of numbers, got {self.weights!r}")
+            weights = tuple(_number(w, f"weights[{k}]", closed=True) for k, w in enumerate(self.weights))
             object.__setattr__(self, "weights", weights)
         if "tnorm" in takes and self.tnorm is None:
             raise ValidationError(f"{self.family} needs a T-norm")
@@ -419,8 +397,6 @@ class FuzzyKernelSpec:
             if not isinstance(refs, Sequence) or not refs:
                 raise ValidationError(f"{self.family} needs one reference fuzzy set or a non-empty list")
             object.__setattr__(self, "reference", tuple(refs))
-        if not self.coef0 >= 0 or not self.gamma > 0 or self.degree < 1:
-            raise ValidationError(f"{self.family} needs coef0 >= 0, gamma > 0, integer degree >= 1")
         if self.metric != "ratio" and not callable(self.metric):
             raise ValidationError(f"unknown metric {self.metric!r}; only 'ratio' is built in")
 
@@ -597,7 +573,8 @@ def _dense(packed: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sparse data never pays for the whole ground), each entry's position among
     them, and the items' degree matrix over them."""
     size, item, idx, deg = packed
-    cols, at = np.unique(idx, return_inverse=True)
+    new = np.diff(idx, prepend=-1) != 0  # idx ascends, as packed
+    cols, at = idx[new], np.cumsum(new) - 1
     m = np.zeros((len(size), len(cols)))
     m[item, at] = deg
     return cols, at, m

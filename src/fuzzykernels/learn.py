@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import NumericError, _number
 from .gram import GramMatrix, _as_matrix, _provenance, compute_gram
 from .kernels import FuzzyKernelSpec, Record
 
@@ -61,8 +61,7 @@ def fit(gram: GramMatrix, labels, regularization: float) -> DualModel:
     Labels are +/-1 and treated as centered, so the bias is fixed at 0.  A
     non-finite Gram entry or a singular system raises NumericError.
     """
-    if not 0 < regularization < np.inf:
-        raise ValueError(f"regularization must be finite and > 0, got {regularization}")
+    regularization = _number(regularization, "regularization")
     g = _as_matrix(gram)
     y = _labels_pm1(labels)
     if y.shape[0] != g.shape[0]:
@@ -81,7 +80,7 @@ def fit(gram: GramMatrix, labels, regularization: float) -> DualModel:
         item_ids=ids,
         bias=0.0,
         spec=spec,
-        regularization=float(regularization),
+        regularization=regularization,
     )
 
 
@@ -115,9 +114,7 @@ def cross_validate(
         raise ValueError("labels must match the Gram matrix size")
     if not 2 <= folds <= n:
         raise ValueError(f"folds must be between 2 and {n}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_number(seed, "seed", closed=True, integral=True))
     order = rng.permutation(n)
     chunks = np.array_split(order, folds)
     accuracies = []
@@ -157,16 +154,14 @@ def mmd_permutation_test(
     Replica r takes as sample A the first n indices of the r-th
     ``permutation(N)`` of one ``default_rng(seed)`` stream, independent of
     block size, so the result is a function of (G, n, n_permutations, seed).
-    Earlier versions seeded one generator by (seed, r) per replica; p-values
-    differ from theirs for the same seed.  Replicas run in blocks of 0/1
-    rows ``M`` that mark the smaller sample S (size k): ``sss = rowsum((M @
-    G) * M)``, ``ss = M @ rowsum(G)``, the cross sum is ``ss - sss`` and the
-    larger sample's sum ``sum(G) - 2 ss + sss``, whose cancellation error
-    stays O(eps max|G|) after division by ``(N - k)^2``.  A block's three
-    N-wide temporaries (the integer shuffles, ``M`` and ``M @ G``) stay
-    within ``_NULL_BLOCK_ELEMENTS``, so memory is O(N^2) plus that budget
-    for any ``n_permutations``.  ``n_jobs`` is accepted for compatibility
-    and does not change the result.
+    Replicas run in blocks of 0/1 rows ``M`` that mark the smaller sample S
+    (size k): ``sss = rowsum((M @ G) * M)``, ``ss = M @ rowsum(G)``, the
+    cross sum is ``ss - sss`` and the larger sample's sum ``sum(G) - 2 ss +
+    sss``, whose cancellation error stays O(eps max|G|) after division by
+    ``(N - k)^2``.  A block's three N-wide temporaries (the integer
+    shuffles, ``M`` and ``M @ G``) stay within ``_NULL_BLOCK_ELEMENTS``, so
+    memory is O(N^2) plus that budget for any ``n_permutations``.
+    ``n_jobs`` is accepted for compatibility and does not change the result.
 
     The reported statistic is :func:`mmd_statistic` of the given split.  A
     replica counts as ``>= observed`` when ``s >= observed - tol``, where
@@ -176,10 +171,8 @@ def mmd_permutation_test(
     """
     if len(sample_a) == 0 or len(sample_b) == 0:
         raise ValueError("both samples must be non-empty")
-    if n_permutations < 1:
-        raise ValueError("need at least one permutation")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    n_permutations = _number(n_permutations, "n_permutations", 1, closed=True, integral=True)
+    seed = _number(seed, "seed", closed=True, integral=True)
     n, m = len(sample_a), len(sample_b)
     total = n + m
     g = compute_gram(list(sample_a) + list(sample_b), spec, n_jobs=n_jobs).values
@@ -202,6 +195,6 @@ def mmd_permutation_test(
     return MmdResult(
         statistic=observed,
         p_value=(1 + exceed) / (1 + n_permutations),
-        n_permutations=int(n_permutations),
-        seed=int(seed),
+        n_permutations=n_permutations,
+        seed=seed,
     )

@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
@@ -6,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzykernels import parse_dataset, read_matrix
 from fuzzykernels.cli import main
@@ -312,6 +316,15 @@ class TestKernelConfigValues:
             # an unknown metric name and a polynomial gamma of 0
             ({"family": "distance_gaussian", "metric": "euclid"}, "metric"),
             ({"family": "cross_product", "k1": {"kind": "polynomial", "gamma": 0}}, "gamma"),
+            # a base-kernel key its kind does not take, once silently ignored
+            ({"family": "cross_product", "k1": {"kind": "rbf", "gama": 7}}, "gama"),
+            ({"family": "cross_product", "k2": {"kind": "linear", "gamma": 5}}, "gamma"),
+            # json reads Infinity (and 1e309) as inf, once a non-finite kernel value and exit 3
+            ({"family": "distance_gaussian", "gamma": float("inf")}, "gamma"),
+            ({"family": "cross_product", "k1": {"kind": "polynomial", "coef0": float("inf")}}, "coef0"),
+            # non-numbers that float() once took: "2" parsed, true as 1.0
+            ({"family": "cross_product", "k1": {"kind": "rbf", "gamma": "2"}}, "gamma"),
+            ({"family": "distance_gaussian", "gamma": True}, "gamma"),
         ],
     )
     def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, discrete_dataset, cfg, key):
@@ -326,14 +339,112 @@ class TestKernelConfigValues:
         assert not out.exists()
 
 
+# the datasets the mutated configs run on: nonsingleton_gaussian takes the Gaussian one
+MUTATED_DATA = {
+    "discrete": {
+        "ground_space": {
+            "points": [[float(k)] for k in range(6)], "partition": {"cells": [[0, 1], [2, 3], [4, 5]]},
+        },
+        "records": [
+            [{"type": "discrete", "degrees": d}]
+            for d in ({"0": 1.0, "1": 0.5}, {"1": 0.25, "2": 1.0, "3": 0.75}, {"2": 0.5, "3": 0.5}, {"4": 1.0})
+        ],
+    },
+    "gaussian": {
+        "records": [
+            [{"type": "gaussian", "m": [0.0, 1.0], "sigma": [0.5, 1.0]}],
+            [{"type": "gaussian", "m": [0.5, -1.0], "sigma": [1.0, 0.25]}],
+        ],
+    },
+}
+BASE_KERNELS = [
+    {"kind": "linear"},
+    {"kind": "rbf", "gamma": 0.5},
+    {"kind": "polynomial", "coef0": 1.0, "gamma": 0.5, "degree": 2},
+]
+REFERENCE = {"type": "discrete", "degrees": {"1": 0.5, "2": 1.0}}
+WEIGHTS = [1.0, 0.5, 2.0, 1.0, 0.25, 1.0]
+# valid configs of every family, with the cross products over each base kernel (k2 a
+# copy of k1, so that one mutation changes one of them)
+VALID_CONFIGS = [
+    *({"family": "cross_product", "k1": k, "k2": {**k}} for k in BASE_KERNELS),
+    *({"family": "weighted_cross_product", "k1": k, "k2": {**k}, "weights": WEIGHTS} for k in BASE_KERNELS),
+    {"family": "intersection", "tnorm": "min"},
+    {"family": "nonsingleton", "tnorm": "product"},
+    {"family": "nonsingleton_gaussian"},
+    {"family": "distance_inner", "metric": "ratio", "reference": REFERENCE},
+    {
+        "family": "distance_poly", "metric": "ratio", "reference": [REFERENCE],
+        "coef0": 1.0, "gamma": 0.5, "degree": 2,
+    },
+    {"family": "distance_gaussian", "metric": "ratio", "gamma": 2.0},
+]
+HOSTILE = [float("nan"), float("inf"), float("-inf"), 1e308, 5e-324, -0.0, True, None, "", [], {}, 2**63]
+
+
+def _sites(obj, path=()):
+    """Paths to every key and list entry of a JSON document."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield (*path, key)
+        yield from _sites(value, (*path, key))
+
+
+@pytest.fixture(scope="module")
+def mutation_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("mutations")
+    for name, doc in MUTATED_DATA.items():
+        (root / f"{name}.json").write_text(json.dumps(doc))
+    return root
+
+
+# derandomized, so every run of the suite draws the same mutations
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_kernel_config_keeps_exit_contract(mutation_files, data):
+    """One mutation of a valid config (a key renamed or dropped, or a value
+    made hostile) ends in exit 0 with a finite matrix, or in exit 2 or 3 with
+    no output file; a renamed key exits 2, naming the old or the new key."""
+    cfg = copy.deepcopy(data.draw(st.sampled_from(VALID_CONFIGS)))
+    dataset = mutation_files / ("gaussian.json" if cfg["family"] == "nonsingleton_gaussian" else "discrete.json")
+    *path, key = data.draw(st.sampled_from(list(_sites(cfg))))
+    parent = cfg
+    for step in path:
+        parent = parent[step]
+    op = data.draw(st.sampled_from(["set", "drop", "rename"] if isinstance(parent, dict) else ["set", "drop"]))
+    if op == "set":
+        parent[key] = copy.deepcopy(data.draw(st.sampled_from(HOSTILE)))
+    elif op == "drop":
+        del parent[key]
+    else:
+        parent[f"{key}_"] = parent.pop(key)
+    kernel, out = mutation_files / "kernel.json", mutation_files / "gram.txt"
+    kernel.write_text(json.dumps(cfg))
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(["gram", "--data", str(dataset), "--kernel", str(kernel), "--out", str(out)])
+    err = stderr.getvalue()
+    assert code in (0, 2, 3), err
+    if code == 0:
+        assert np.isfinite(read_matrix(out)).all()
+        out.unlink()
+    assert not out.exists()
+    if op == "rename":
+        assert code == 2 and (repr(key) in err or repr(f"{key}_") in err), err
+
+
 TABLE = "1,2,3\n4,5,6\n"
-# raw files the cases can name: CSV tables, and JSON that json.load cannot decode
+# raw files the cases can name: CSV tables, JSON that json.load cannot decode,
+# and JSON that gives one key twice, which json.dumps cannot write
 TABLES = {
     "table": TABLE,
     "inf": "1,2\n3,inf\n",
     "nan": "1,2\n3,nan\n",
     "deep": "[" * 200_000,
     "binary": b'{"records": [\xff]}',
+    "degree_twice": '{"ground_space": {"points": [[0.0], [1.0]]}, '
+    '"records": [[{"type": "discrete", "degrees": {"1": 0.5, "1": 0.9}}]]}',
+    "family_twice": '{"family": "cross_product", "family": "intersection"}',
 }
 RECORD = [{"type": "discrete", "degrees": {"0": 1.0}}]
 DATA = {"ground_space": {"points": [[0.0], [1.0]]}, "records": [RECORD, RECORD], "labels": [1, -1]}
@@ -488,6 +599,15 @@ def _data(**ground):
         # once a RecursionError traceback (exit 1), and a decode error naming no file
         pytest.param(GRAM.replace("{data}", "{deep}"), DATA, KERNEL, "{tmp}/deep: ", id="data-deep-nesting"),
         pytest.param(GRAM.replace("{data}", "{binary}"), DATA, KERNEL, "{tmp}/binary: ", id="data-not-utf8"),
+        # a repeated key once kept its last value silently
+        pytest.param(
+            GRAM.replace("{data}", "{degree_twice}"), DATA, KERNEL,
+            "{tmp}/degree_twice: key '1' is given more than once", id="degree-key-twice",
+        ),
+        pytest.param(
+            GRAM.replace("{kernel}", "{family_twice}"), DATA, KERNEL,
+            "{tmp}/family_twice: key 'family' is given more than once", id="family-twice",
+        ),
         pytest.param(GRAM, [DATA], KERNEL, "dataset document", id="document-not-object"),
         pytest.param(GRAM, {**DATA, "records": 5}, KERNEL, "'records' list", id="records-not-list"),
         pytest.param(GRAM, {**DATA, "records": [[]]}, KERNEL, "records[0]", id="empty-record"),

@@ -63,6 +63,16 @@ class TestFit:
         with pytest.raises(NumericError, match="non-finite"):
             fit(g, [1, -1], regularization=1.0)
 
+    def test_singular_system_raises_numeric_error(self):
+        # G + lambda I = [[0]]
+        with pytest.raises(NumericError, match="singular"):
+            fit(as_gram([[-1.0]]), [1], regularization=1.0)
+
+    def test_non_finite_coefficients_raise_numeric_error(self):
+        # G + lambda I is a subnormal (~1.7e-316) whose inverse overflows
+        with pytest.raises(NumericError, match="non-finite coefficients"):
+            fit(as_gram([[-1e-300]]), [1], regularization=1.0000000000000002e-300)
+
     def test_non_square_gram_rejected(self):
         # a 3 x 1 array once broadcast against the ridge term into a 3 x 3 system
         with pytest.raises(ValueError, match="must be square"):
@@ -341,7 +351,7 @@ def test_mmd_permutation_test_matches_tie_oracle(kind, n, m, seed, permutations)
                 [GaussianFuzzySet([0.0], [1.0])], [GaussianFuzzySet([1.0], [1.0])],
                 FuzzyKernelSpec(family="nonsingleton_gaussian"), n_permutations=0,
             ),
-            "at least one permutation", id="mmd-no-permutations",
+            "n_permutations must be finite and >= 1", id="mmd-no-permutations",
         ),
     ],
 )

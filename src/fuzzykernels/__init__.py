@@ -1,9 +1,9 @@
 """Kernels on fuzzy sets.
 
-Similarity measures for membership functions: the cross product,
-intersection, non-singleton and distance-based kernel families, together
-with Gram-matrix tooling (PSD verification, normalization), a dual-form
-kernel ridge classifier and an MMD permutation two-sample test.
+Discrete and Gaussian fuzzy sets, each callable as its membership function;
+the cross product, intersection, non-singleton and distance-based kernel
+families on them; Gram-matrix tooling (PSD verification, normalization); a
+dual-form kernel ridge classifier and an MMD permutation two-sample test.
 """
 
 from . import dataset, errors, gram, kernels, learn, sets, tnorms

@@ -79,27 +79,25 @@ def _parse_attribute(obj, ground: GroundSpace | None, where: str):
     try:
         if kind == "discrete":
             if ground is None:
-                raise ValidationError(f"{where}: discrete attribute but no ground_space in file")
+                raise ValidationError("discrete attribute but no ground_space in file")
             degrees = obj.get("degrees")
             if not isinstance(degrees, dict):
-                raise ValidationError(f"{where}: discrete attribute needs a 'degrees' object")
+                raise ValidationError("discrete attribute needs a 'degrees' object")
             digits = "".join(degrees)  # every key plain decimal digits: no sign, space, "_" or other script
             if not (digits.isascii() and digits.isdigit()) and degrees or "" in degrees:
                 bad = next(k for k in degrees if not (k.isascii() and k.isdigit()))
-                raise ValidationError(f"{where}: degree key {bad!r} is not a ground index")
+                raise ValidationError(f"degree key {bad!r} is not a ground index")
             clean = {int(i): d for i, d in degrees.items()}
             if len(clean) < len(degrees):  # two keys such as "1" and "01" name one index
                 keys = [int(i) for i in degrees]
                 twice = next(i for k, i in enumerate(keys) if i in keys[:k])
-                raise ValidationError(f"{where}: index {twice} is given more than once")
+                raise ValidationError(f"index {twice} is given more than once")
             return DiscreteFuzzySet(ground, clean)
         if kind == "gaussian":
             if "m" not in obj or "sigma" not in obj:
-                raise ValidationError(f"{where}: gaussian attribute needs 'm' and 'sigma'")
+                raise ValidationError("gaussian attribute needs 'm' and 'sigma'")
             return GaussianFuzzySet(obj["m"], obj["sigma"])
-    except ValidationError:
-        raise
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:  # ValidationError too, so one place names the record
         raise ValidationError(f"{where}: {exc}") from exc
     raise ValidationError(f"{where}: unknown attribute type {kind!r}")
 
@@ -110,8 +108,8 @@ def dataset_from_obj(obj) -> Dataset:
         raise ValidationError("dataset document must be a JSON object")
     ground = _parse_ground(obj["ground_space"]) if obj.get("ground_space") is not None else None
     raw_records = obj.get("records")
-    if not isinstance(raw_records, list):
-        raise ValidationError("dataset needs a 'records' list")
+    if not isinstance(raw_records, list) or not raw_records:
+        raise ValidationError("dataset needs a non-empty 'records' list")
     records: list[tuple] = []
     arity = None
     kinds = None

@@ -39,15 +39,8 @@ from typing import Callable, Mapping, Sequence, Union
 import numpy as np
 
 from .dataset import _parse_attribute
-from .errors import NumericError, ValidationError, _number
-from .sets import (
-    DiscreteFuzzySet,
-    GaussianFuzzySet,
-    GroundSpace,
-    Partition,
-    _check_partition,
-    _check_same_ground,
-)
+from .errors import NumericError, ValidationError, _number, _numbers
+from .sets import DiscreteFuzzySet, GaussianFuzzySet, GroundSpace, Partition, _check_same_ground, support_cells
 from .tnorms import TNorm, apply as tnorm_apply, apply_array as tnorm_array
 
 __all__ = [
@@ -55,7 +48,6 @@ __all__ = [
     "RBFKernel",
     "PolynomialKernel",
     "BaseKernel",
-    "base_eval",
     "base_kernel_from_config",
     "cross_product_kernel",
     "weighted_cross_product_kernel",
@@ -91,9 +83,6 @@ def _check_params(obj) -> None:
 class LinearKernel:
     """k(u, v) = <u, v>"""
 
-    def __call__(self, u: np.ndarray, v: np.ndarray) -> float:
-        return float(np.dot(u, v))
-
     def pairwise(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
         return U @ V.T
 
@@ -105,10 +94,6 @@ class RBFKernel:
     gamma: float = 1.0
 
     __post_init__ = _check_params
-
-    def __call__(self, u: np.ndarray, v: np.ndarray) -> float:
-        diff = np.asarray(u, dtype=float) - np.asarray(v, dtype=float)
-        return float(np.exp(-self.gamma * np.dot(diff, diff)))
 
     def pairwise(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
         U, V = np.asarray(U, dtype=float), np.asarray(V, dtype=float)
@@ -131,24 +116,12 @@ class PolynomialKernel:
 
     __post_init__ = _check_params
 
-    def __call__(self, u: np.ndarray, v: np.ndarray) -> float:
-        return float((self.coef0 + self.gamma * np.dot(u, v)) ** self.degree)
-
     def pairwise(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
         return (self.coef0 + self.gamma * (U @ V.T)) ** self.degree
 
 
 BaseKernel = Union[LinearKernel, RBFKernel, PolynomialKernel]
 _BASE_KERNELS = {"linear": LinearKernel, "rbf": RBFKernel, "polynomial": PolynomialKernel}
-
-
-def base_eval(k: BaseKernel, u, v) -> float:
-    """Evaluate a base kernel on two equal-dimension vectors (or scalars)."""
-    uv = np.atleast_1d(np.asarray(u, dtype=float))
-    vv = np.atleast_1d(np.asarray(v, dtype=float))
-    if uv.shape != vv.shape:
-        raise ValueError(f"dimension mismatch: {uv.shape} vs {vv.shape}")
-    return k(uv, vv)
 
 
 def base_kernel_from_config(cfg: Mapping) -> BaseKernel:
@@ -196,13 +169,11 @@ def weighted_cross_product_kernel(
     the reading where ground elements are drawn at random.
     """
     _check_same_ground(x, y)
-    w = np.asarray(weights, dtype=float)
+    w = _numbers(weights, "weights", 0, closed=True)
     if w.shape != (len(x.ground),):
         raise ValueError(
             f"need one weight per ground point ({len(x.ground)}), got shape {w.shape}"
         )
-    if not np.isfinite(w).all() or (w < 0).any():
-        raise ValueError("weights must be finite and non-negative")
     ix, dx = _sorted_support(x)
     iy, dy = _sorted_support(y)
     if not ix or not iy:
@@ -226,16 +197,12 @@ def intersection_kernel(
     partially covered by either support contributes nothing.
     """
     _check_same_ground(x, y)
-    _check_partition(x.ground, p)
-    sx = x.support
-    sy = y.support
     total = 0.0
-    for cell, rho in zip(p.cells, p.measures):
-        if all(i in sx for i in cell) and all(i in sy for i in cell):
-            cell_sum = 0.0
-            for i in cell:
-                cell_sum += tnorm_apply(t, x.degrees[i], y.degrees[i])
-            total += cell_sum * float(rho)
+    for k in sorted(support_cells(x, p) & support_cells(y, p)):
+        cell_sum = 0.0
+        for i in p.cells[k]:
+            cell_sum += tnorm_apply(t, x.degrees[i], y.degrees[i])
+        total += cell_sum * float(p.measures[k])
     return total
 
 
@@ -385,11 +352,12 @@ class FuzzyKernelSpec:
             if key in takes and getattr(self, key) is None:
                 object.__setattr__(self, key, LinearKernel())
         if "weights" in takes:
-            # strings and mappings are iterable, but not lists of numbers
-            if isinstance(self.weights, (str, bytes, Mapping)) or not np.iterable(self.weights):
+            weights = None  # a string, mapping or None is no list, whatever it iterates to
+            if isinstance(self.weights, (list, tuple, np.ndarray)):
+                weights = _numbers(self.weights, "weights", 0, closed=True)
+            if weights is None or weights.ndim != 1:
                 raise ValidationError(f"weights must be a list of numbers, got {self.weights!r}")
-            weights = tuple(_number(w, f"weights[{k}]", closed=True) for k, w in enumerate(self.weights))
-            object.__setattr__(self, "weights", weights)
+            object.__setattr__(self, "weights", tuple(weights.tolist()))
         if "tnorm" in takes and self.tnorm is None:
             raise ValidationError(f"{self.family} needs a T-norm")
         if "reference" in takes:

@@ -1,7 +1,7 @@
 """Fuzzy sets over a finite ground space.
 
 A fuzzy set is identified with its membership function mapping elements to
-degrees in [0, 1].  Two representations are provided:
+degrees in [0, 1], and both representations are callable as one:
 
 * :class:`DiscreteFuzzySet` stores positive degrees sparsely over the indexed
   points of a :class:`GroundSpace`; anything not stored has degree exactly 0,
@@ -9,7 +9,8 @@ degrees in [0, 1].  Two representations are provided:
 * :class:`GaussianFuzzySet` is parametric: a product of per-dimension Gaussian
   bumps ``exp(-(x_d - m_d)^2 / (2 sigma_d^2))``.
 
-All types are immutable after construction and every function here is pure.
+Every number that defines a set, a point or a cell measure passes the rule of
+``errors._numbers``.  All types are immutable and every function here is pure.
 """
 
 from __future__ import annotations
@@ -20,17 +21,16 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .errors import _numbers
+
 __all__ = [
     "GroundSpace",
     "Partition",
     "DiscreteFuzzySet",
     "GaussianFuzzySet",
-    "membership",
-    "gaussian_membership",
     "fuzzify_gaussian",
     "fuzzify_from_histogram",
     "support_cells",
-    "support_measure",
 ]
 
 
@@ -79,11 +79,9 @@ class Partition:
         if measures is None:
             meas = np.array([float(len(cell)) for cell in self.cells])
         else:
-            meas = np.asarray(measures, dtype=float)
+            meas = _numbers(measures, "measures", 0, closed=True)
             if meas.shape != (len(self.cells),):
                 raise ValueError("need exactly one measure per cell")
-            if not np.isfinite(meas).all() or (meas < 0).any():
-                raise ValueError("cell measures must be finite and non-negative")
         meas.flags.writeable = False
         self.measures: np.ndarray = meas
 
@@ -110,13 +108,11 @@ class GroundSpace:
     """
 
     def __init__(self, points: Sequence[Sequence[float]] | np.ndarray, partition: Partition | None = None):
-        pts = np.asarray(points, dtype=float)
+        pts = _numbers(points, "points")
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] == 0:
             raise ValueError("points must be a non-empty list of equal-dimension vectors")
-        if not np.isfinite(pts).all():
-            raise ValueError("points must be finite")
         pts.flags.writeable = False
         self.points: np.ndarray = pts
         if partition is not None and partition.size != len(pts):
@@ -132,9 +128,6 @@ class GroundSpace:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def point(self, idx: int) -> np.ndarray:
-        return self.points[idx]
-
     def __eq__(self, other) -> bool:
         if other is self:
             return True
@@ -149,14 +142,6 @@ class GroundSpace:
 def _check_same_ground(x: "DiscreteFuzzySet", y: "DiscreteFuzzySet") -> None:
     if x.ground != y.ground:
         raise ValueError("fuzzy sets live on different ground spaces")
-
-
-def _check_partition(ground: GroundSpace, partition: Partition) -> None:
-    """Reject a partition that is not the ground space's own (or, when the
-    ground carries none, one that does not cover its indices)."""
-    own = ground.partition
-    if partition.size != len(ground) or (own is not None and partition != own):
-        raise ValueError("partition does not belong to the fuzzy sets' ground space")
 
 
 class DiscreteFuzzySet:
@@ -188,13 +173,12 @@ class DiscreteFuzzySet:
     def support(self) -> frozenset[int]:
         return frozenset(self._degrees)
 
-    @property
-    def height(self) -> float:
-        """Maximum membership degree (0 for the empty fuzzy set)."""
-        return max(self._degrees.values(), default=0.0)
-
     def __call__(self, idx: int) -> float:
-        return membership(self, idx)
+        """Degree of membership of the point at ``idx``; 0 outside the support."""
+        i = _index(idx)
+        if not 0 <= i < len(self.ground):
+            raise ValueError(f"index {i} outside ground space of {len(self.ground)} points")
+        return self._degrees.get(i, 0.0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiscreteFuzzySet):
@@ -209,14 +193,10 @@ class GaussianFuzzySet:
     """Parametric fuzzy set ``x -> prod_d exp(-(x_d - m_d)^2 / (2 sigma_d^2))``."""
 
     def __init__(self, means: Sequence[float] | np.ndarray, widths: Sequence[float] | np.ndarray):
-        m = np.atleast_1d(np.asarray(means, dtype=float))
-        s = np.atleast_1d(np.asarray(widths, dtype=float))
+        m = np.atleast_1d(_numbers(means, "m"))
+        s = np.atleast_1d(_numbers(widths, "sigma", 0))
         if m.ndim != 1 or m.shape != s.shape or m.size == 0:
             raise ValueError("means and widths must be equal-length non-empty vectors")
-        if not np.isfinite(m).all() or not np.isfinite(s).all():
-            raise ValueError("means and widths must be finite")
-        if (s <= 0).any():
-            raise ValueError("every width must be strictly positive")
         m.flags.writeable = False
         s.flags.writeable = False
         self.means: np.ndarray = m
@@ -227,7 +207,12 @@ class GaussianFuzzySet:
         return self.means.size
 
     def __call__(self, x) -> float:
-        return gaussian_membership(self, x)
+        """The membership degree at a point of matching dimension."""
+        v = np.atleast_1d(_numbers(x, "x"))
+        if v.shape != self.means.shape:
+            raise ValueError(f"point has dimension {v.size}, fuzzy set has {self.dim}")
+        z = (v - self.means) / self.widths
+        return float(np.exp(-0.5 * np.dot(z, z)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GaussianFuzzySet):
@@ -236,23 +221,6 @@ class GaussianFuzzySet:
 
     def __repr__(self) -> str:
         return f"GaussianFuzzySet(dim={self.dim})"
-
-
-def membership(fs: DiscreteFuzzySet, idx: int) -> float:
-    """Degree of membership of the point at ``idx``; 0 outside the support."""
-    i = _index(idx)
-    if not 0 <= i < len(fs.ground):
-        raise ValueError(f"index {i} outside ground space of {len(fs.ground)} points")
-    return fs._degrees.get(i, 0.0)
-
-
-def gaussian_membership(fs: GaussianFuzzySet, x) -> float:
-    """Evaluate the Gaussian membership product at a point of matching dimension."""
-    v = np.atleast_1d(np.asarray(x, dtype=float))
-    if v.shape != fs.means.shape:
-        raise ValueError(f"point has dimension {v.size}, fuzzy set has {fs.dim}")
-    z = (v - fs.means) / fs.widths
-    return float(np.exp(-0.5 * np.dot(z, z)))
 
 
 def fuzzify_gaussian(value, widths) -> GaussianFuzzySet:
@@ -267,11 +235,9 @@ def fuzzify_from_histogram(samples: Sequence[float], ground: GroundSpace) -> Dis
     index); counts are divided by the maximum count, so the tallest bin has
     degree exactly 1 and empty bins stay out of the support.
     """
-    vals = np.asarray(samples, dtype=float)
+    vals = _numbers(samples, "samples")
     if vals.size == 0:
         raise ValueError("cannot fuzzify an empty sample list")
-    if not np.isfinite(vals).all():
-        raise ValueError("samples must be finite")
     if ground.dim != 1:
         raise ValueError("histogram fuzzification needs a 1-dimensional ground space")
     centers = ground.points[:, 0]
@@ -284,13 +250,11 @@ def fuzzify_from_histogram(samples: Sequence[float], ground: GroundSpace) -> Dis
 
 
 def support_cells(fs: DiscreteFuzzySet, partition: Partition) -> set[int]:
-    """Indices of the partition cells entirely contained in ``supp(fs)``."""
-    _check_partition(fs.ground, partition)
+    """Indices of the partition cells entirely contained in ``supp(fs)``.  A
+    partition that is not the ground space's own (or, when the ground carries
+    none, one that does not cover its indices) raises ValueError."""
+    own = fs.ground.partition
+    if partition.size != len(fs.ground) or (own is not None and partition != own):
+        raise ValueError("partition does not belong to the fuzzy sets' ground space")
     supp = fs.support
     return {k for k, cell in enumerate(partition.cells) if all(i in supp for i in cell)}
-
-
-def support_measure(fs: DiscreteFuzzySet, partition: Partition) -> float:
-    """Measure of the support: sum of rho(A) over cells contained in it."""
-    covered = support_cells(fs, partition)
-    return float(sum(partition.measures[k] for k in sorted(covered)))

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -339,16 +340,19 @@ class TestKernelConfigValues:
         assert not out.exists()
 
 
-# the datasets the mutated configs run on: nonsingleton_gaussian takes the Gaussian one
+# the datasets the mutated configs run on (nonsingleton_gaussian takes the Gaussian one),
+# and the valid documents the dataset mutations start from
 MUTATED_DATA = {
     "discrete": {
         "ground_space": {
-            "points": [[float(k)] for k in range(6)], "partition": {"cells": [[0, 1], [2, 3], [4, 5]]},
+            "points": [[float(k)] for k in range(6)],
+            "partition": {"cells": [[0, 1], [2, 3], [4, 5]], "measures": [2.0, 1.0, 0.5]},
         },
         "records": [
             [{"type": "discrete", "degrees": d}]
             for d in ({"0": 1.0, "1": 0.5}, {"1": 0.25, "2": 1.0, "3": 0.75}, {"2": 0.5, "3": 0.5}, {"4": 1.0})
         ],
+        "labels": [1, -1, 1, -1],
     },
     "gaussian": {
         "records": [
@@ -431,6 +435,57 @@ def test_mutated_kernel_config_keeps_exit_contract(mutation_files, data):
     assert not out.exists()
     if op == "rename":
         assert code == 2 and (repr(key) in err or repr(f"{key}_") in err), err
+
+
+# the kernel each mutated dataset runs under: intersection reads the cells and measures
+DATA_KERNELS = {"discrete": {"family": "intersection", "tnorm": "min"}, "gaussian": {"family": "nonsingleton_gaussian"}}
+
+
+def _finite_number(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_dataset_keeps_exit_contract(mutation_files, data):
+    """One mutation of a valid dataset (a value made hostile, or a key dropped
+    or given twice) ends in exit 0 with a finite matrix, or in exit 2 or 3 with
+    no output file and a message naming a key, record, pair or the file.  A
+    hostile value that is no finite number, put where the document held a
+    number, exits 2, and so does a key given twice, naming it."""
+    name = data.draw(st.sampled_from(sorted(MUTATED_DATA)))
+    doc = copy.deepcopy(MUTATED_DATA[name])
+    *path, key = data.draw(st.sampled_from(list(_sites(doc))))
+    parent = doc
+    for step in path:
+        parent = parent[step]
+    op = data.draw(st.sampled_from(["set", "drop", "twice"] if isinstance(parent, dict) else ["set", "drop"]))
+    old = parent[key]
+    if op == "set":
+        parent[key] = new = copy.deepcopy(data.draw(st.sampled_from(HOSTILE)))
+    elif op == "drop":
+        del parent[key]
+    else:  # json.dumps gives no key twice, so a placeholder stands for the pair
+        parent[key] = chr(0)
+    pair = f"{json.dumps(key)}: {json.dumps(old)}"
+    dataset, kernel, out = (mutation_files / f for f in ("dataset.json", "kernel.json", "gram.txt"))
+    dataset.write_text(json.dumps(doc).replace(f"{json.dumps(key)}: {json.dumps(chr(0))}", f"{pair}, {pair}"))
+    kernel.write_text(json.dumps(DATA_KERNELS[name]))
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(["gram", "--data", str(dataset), "--kernel", str(kernel), "--out", str(out)])
+    err = stderr.getvalue()
+    assert code in (0, 2, 3), err
+    if code == 0:
+        assert np.isfinite(read_matrix(out)).all()
+        out.unlink()
+    else:
+        assert any(word in err for word in ("records", "ground_space", "labels", "pair", str(dataset))), err
+    assert not out.exists()
+    if op == "set" and _finite_number(old) and not _finite_number(new):
+        assert code == 2, (path, key, new)
+    if op == "twice":
+        assert code == 2 and repr(key) in err, err
 
 
 TABLE = "1,2,3\n4,5,6\n"
@@ -562,6 +617,20 @@ def _data(**ground):
         pytest.param(
             GRAM, {**DATA, "records": [[{"type": "discrete", "degrees": {"0": "0.5"}}]]}, KERNEL,
             "records[0][0]: degree '0.5' at index 0 is not a number", id="degree-string",
+        ),
+        # arrays of the same, once read by np.asarray(..., dtype=float), each to exit 0 with a matrix
+        pytest.param(
+            GRAM, {"records": [[{"type": "gaussian", "m": ["0.5", True], "sigma": [True, "2"]}]]},
+            {"family": "nonsingleton_gaussian"}, "records[0][0]: m[0] must be a number, got '0.5'",
+            id="gaussian-string-and-true",
+        ),
+        pytest.param(
+            GRAM, _data(points=[["0"], [True]]), KERNEL, "ground_space: points[0][0] must be a number, got '0'",
+            id="points-string-and-true",
+        ),
+        pytest.param(
+            GRAM, _data(points=[[0.0], [1.0]], partition={"cells": [[0], [1]], "measures": ["2", True]}), KERNEL,
+            "ground_space.partition: measures[0] must be a number, got '2'", id="measures-string-and-true",
         ),
         # two keys for one index once kept the last degree silently
         *(

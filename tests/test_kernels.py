@@ -15,7 +15,6 @@ from fuzzykernels import (
     RBFKernel,
     TNorm,
     ValidationError,
-    base_eval,
     base_kernel_from_config,
     cross_product_kernel,
     distance_gaussian_kernel,
@@ -35,18 +34,20 @@ import oracles
 
 class TestBaseKernels:
     def test_linear_dot(self):
-        assert base_eval(LinearKernel(), [2.0], [3.0]) == 6.0
+        assert LinearKernel().pairwise(np.array([[2.0]]), np.array([[3.0]])).tolist() == [[6.0]]
 
     def test_rbf_at_zero_distance(self):
-        assert base_eval(RBFKernel(gamma=1.0), [1.0, 2.0], [1.0, 2.0]) == 1.0
+        u = np.array([[1.0, 2.0]])
+        assert RBFKernel(gamma=1.0).pairwise(u, u).tolist() == [[1.0]]
 
     def test_polynomial(self):
         k = PolynomialKernel(coef0=1.0, gamma=1.0, degree=2)
-        assert base_eval(k, [1.0], [1.0]) == 4.0
+        assert k.pairwise(np.array([[1.0]]), np.array([[1.0]])).tolist() == [[4.0]]
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            base_eval(LinearKernel(), [1.0], [1.0, 2.0])
+        for k in [LinearKernel(), RBFKernel(), PolynomialKernel()]:
+            with pytest.raises(ValueError):
+                k.pairwise(np.ones((1, 1)), np.ones((1, 2)))
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
@@ -68,11 +69,15 @@ class TestBaseKernels:
         rng = np.random.default_rng(3)
         U = rng.normal(size=(4, 2))
         V = rng.normal(size=(5, 2))
-        for k in [LinearKernel(), RBFKernel(gamma=0.7), PolynomialKernel(1.0, 0.5, 3)]:
+        for k, kind, params in [
+            (LinearKernel(), "linear", {}),
+            (RBFKernel(gamma=0.7), "rbf", {"gamma": 0.7}),
+            (PolynomialKernel(1.0, 0.5, 3), "polynomial", {"coef0": 1.0, "gamma": 0.5, "degree": 3}),
+        ]:
             M = k.pairwise(U, V)
             for i in range(4):
                 for j in range(5):
-                    assert M[i, j] == pytest.approx(k(U[i], V[j]), rel=1e-12)
+                    assert M[i, j] == pytest.approx(oracles.bf_base_eval(kind, U[i], V[j], **params), rel=1e-12)
 
     def test_rbf_pairwise_rejects_mismatched_columns(self):
         # a column-by-column sum would index past V's one column (IndexError)
@@ -190,7 +195,7 @@ class TestWeightedCrossProduct:
     def test_negative_weight_rejected(self, line_ground):
         x = DiscreteFuzzySet(line_ground, {0: 1.0})
         w = np.full(len(line_ground), -1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"weights\[0\] must be finite and >= 0"):
             weighted_cross_product_kernel(x, x, LinearKernel(), LinearKernel(), w)
 
     def test_weight_count_must_match_the_ground(self, line_ground):
@@ -629,10 +634,12 @@ class TestEvaluateDispatch:
         with pytest.raises(ValidationError, match="reference must be a DiscreteFuzzySet"):
             evaluate(spec, x, x)
 
-    @pytest.mark.parametrize("weights", ["12", b"12", {"0": 1, "1": 3}])
+    @pytest.mark.parametrize("weights", ["12", b"12", {"0": 1, "1": 3}, [1.0, "2"], [1.0, True], [1.0, [2.0]]])
     def test_weights_must_be_a_list_of_numbers(self, weights):
-        # each iterates to numbers: (1, 2), (49, 50) and the keys (0, 1)
-        with pytest.raises(ValidationError, match="weights"):
+        # the first three iterate to numbers: (1, 2), (49, 50) and the keys (0, 1);
+        # a list names its first element that is no number
+        match = r"weights\[1\] must be a number" if isinstance(weights, list) else "weights must be a list"
+        with pytest.raises(ValidationError, match=match):
             FuzzyKernelSpec(family="weighted_cross_product", weights=weights)
 
     @pytest.mark.parametrize("refs", [(), []])

@@ -11,10 +11,7 @@ from fuzzykernels import (
     Partition,
     fuzzify_from_histogram,
     fuzzify_gaussian,
-    gaussian_membership,
-    membership,
     support_cells,
-    support_measure,
 )
 
 
@@ -28,7 +25,7 @@ class TestGroundSpace:
         g = GroundSpace([0.0, 5.0, 10.0])
         assert g.dim == 1
         assert len(g) == 3
-        assert g.point(1)[0] == 5.0
+        assert g.points[1, 0] == 5.0
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -84,21 +81,20 @@ class TestPartition:
 class TestMembership:
     def test_stored_value(self, ground6):
         fs = DiscreteFuzzySet(ground6, {3: 0.7})
-        assert membership(fs, 3) == 0.7
+        assert fs(3) == 0.7
 
     def test_unstored_index_is_zero(self, ground6):
         fs = DiscreteFuzzySet(ground6, {3: 0.7})
-        assert membership(fs, 5) == 0.0
+        assert fs(5) == 0.0
 
     def test_empty_set(self, ground6):
         fs = DiscreteFuzzySet(ground6, {})
-        assert membership(fs, 0) == 0.0
-        assert fs.height == 0.0
+        assert fs(0) == 0.0
 
     def test_invalid_index(self, ground6):
         fs = DiscreteFuzzySet(ground6, {3: 0.7})
         with pytest.raises(ValueError):
-            membership(fs, 6)
+            fs(6)
 
     def test_rejects_zero_degree(self, ground6):
         with pytest.raises(ValueError):
@@ -117,41 +113,41 @@ class TestMembership:
         with pytest.raises(ValueError, match="not an integer"):
             DiscreteFuzzySet(ground6, {index: 0.5})
         with pytest.raises(ValueError, match="not an integer"):
-            membership(DiscreteFuzzySet(ground6, {1: 0.5}), index)
+            DiscreteFuzzySet(ground6, {1: 0.5})(index)
 
     @given(st.dictionaries(st.integers(0, 5), st.floats(1e-6, 1.0), max_size=6))
     def test_positive_membership_iff_support(self, degrees):
         g = GroundSpace([[float(i)] for i in range(6)])
         fs = DiscreteFuzzySet(g, degrees)
         for idx in range(6):
-            assert (membership(fs, idx) > 0) == (idx in fs.support)
+            assert (fs(idx) > 0) == (idx in fs.support)
 
 
 class TestGaussianMembership:
     def test_peak_at_mean(self):
         fs = GaussianFuzzySet([0.0], [1.0])
-        assert gaussian_membership(fs, [0.0]) == 1.0
+        assert fs([0.0]) == 1.0
 
     def test_one_dim_value(self):
         fs = GaussianFuzzySet([0.0], [1.0])
-        assert gaussian_membership(fs, [1.0]) == pytest.approx(math.exp(-0.5), rel=1e-12)
+        assert fs([1.0]) == pytest.approx(math.exp(-0.5), rel=1e-12)
 
     def test_product_across_dimensions(self):
         fs = GaussianFuzzySet([0.0, 0.0], [1.0, 2.0])
-        assert gaussian_membership(fs, [1.0, 2.0]) == pytest.approx(math.exp(-1.0), rel=1e-12)
+        assert fs([1.0, 2.0]) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_dimension_mismatch(self):
         fs = GaussianFuzzySet([0.0, 0.0], [1.0, 1.0])
         with pytest.raises(ValueError):
-            gaussian_membership(fs, [1.0])
+            fs([1.0])
 
     @given(st.floats(-5, 5), st.floats(0.5, 5.0), st.floats(-5, 5))
     def test_strictly_positive_and_peaked(self, mean, width, x):
         # ranges chosen so the exponent stays clear of float64 underflow
         fs = GaussianFuzzySet([mean], [width])
-        v = gaussian_membership(fs, [x])
+        v = fs([x])
         assert 0.0 < v <= 1.0
-        assert v <= gaussian_membership(fs, [mean])
+        assert v <= fs([mean])
 
 
 class TestFuzzifyGaussian:
@@ -162,7 +158,7 @@ class TestFuzzifyGaussian:
 
     def test_peak_property(self):
         fs = fuzzify_gaussian([0.0, 0.0], [1.0, 1.0])
-        assert gaussian_membership(fs, [0.0, 0.0]) == 1.0
+        assert fs([0.0, 0.0]) == 1.0
 
     def test_zero_width_rejected(self):
         with pytest.raises(ValueError):
@@ -199,7 +195,7 @@ class TestFuzzifyFromHistogram:
     def test_max_degree_exactly_one(self, samples):
         g = GroundSpace([-10.0, -5.0, 0.0, 5.0, 10.0])
         fs = fuzzify_from_histogram(samples, g)
-        assert fs.height == 1.0
+        assert max(fs.degrees.values()) == 1.0
         assert all(0 < d <= 1 for d in fs.degrees.values())
 
 
@@ -236,14 +232,8 @@ class TestSupportCells:
         fs = DiscreteFuzzySet(g, {0: 0.1, 1: 0.2, 2: 0.3, 4: 1.0, 5: 0.01})
         got = support_cells(fs, p)
         for k, cell in enumerate(p.cells):
-            min_deg = min(membership(fs, i) for i in cell)
+            min_deg = min(fs(i) for i in cell)
             assert (k in got) == (min_deg > 0)
-
-    def test_support_measure(self):
-        p = Partition([[0, 1], [2, 3]], measures=[2.5, 7.0])
-        g = GroundSpace([[float(i)] for i in range(4)], partition=p)
-        fs = DiscreteFuzzySet(g, {0: 0.5, 1: 0.9})
-        assert support_measure(fs, p) == 2.5
 
 
 @pytest.mark.parametrize(
@@ -253,8 +243,45 @@ class TestSupportCells:
         pytest.param(lambda: GaussianFuzzySet([0.0, 1.0], [1.0]), "equal-length", id="gaussian-shapes"),
         pytest.param(lambda: GaussianFuzzySet([0.0], [np.inf]), "finite", id="gaussian-infinite-width"),
         pytest.param(
-            lambda: fuzzify_from_histogram([1.0, np.nan], GroundSpace([0.0, 1.0])), "samples must be finite",
+            lambda: fuzzify_from_histogram([1.0, np.nan], GroundSpace([0.0, 1.0])), r"samples\[1\] must be finite",
             id="histogram-nan-sample",
+        ),
+        # a string, a bool or a nested list where a number belongs, each once read by
+        # np.asarray(..., dtype=float) as the number it spells, as 1.0, or as one more axis
+        pytest.param(
+            lambda: GaussianFuzzySet([0.0, "0.5"], [1.0, 1.0]), r"m\[1\] must be a number", id="gaussian-string",
+        ),
+        pytest.param(lambda: GaussianFuzzySet([0.0], [True]), r"sigma\[0\] must be a number", id="gaussian-bool"),
+        pytest.param(
+            lambda: GaussianFuzzySet([0.0, [1.0]], [1.0, 1.0]), r"m\[1\] must be a number", id="gaussian-nested",
+        ),
+        pytest.param(lambda: GroundSpace([["0"], [1.0]]), r"points\[0\]\[0\] must be a number", id="points-string"),
+        pytest.param(lambda: GroundSpace([[0.0], [True]]), r"points\[1\]\[0\] must be a number", id="points-bool"),
+        pytest.param(lambda: GroundSpace([0.0, [1.0, 2.0]]), r"points\[1\] must be a number", id="points-nested"),
+        pytest.param(
+            lambda: GroundSpace([[0.0], [1.0, 2.0]]), r"points\[1\] must be a list of length 1", id="points-ragged",
+        ),
+        pytest.param(
+            lambda: Partition([[0], [1]], measures=["2", 1.0]), r"measures\[0\] must be a number", id="measure-string",
+        ),
+        pytest.param(
+            lambda: Partition([[0], [1]], measures=[2.0, True]), r"measures\[1\] must be a number", id="measure-bool",
+        ),
+        pytest.param(
+            lambda: Partition([[0], [1]], measures=[2.0, [1.0]]), r"measures\[1\] must be a number",
+            id="measure-nested",
+        ),
+        pytest.param(
+            lambda: fuzzify_from_histogram([1.0, "2"], GroundSpace([0.0, 1.0])), r"samples\[1\] must be a number",
+            id="histogram-string",
+        ),
+        pytest.param(
+            lambda: fuzzify_from_histogram([True], GroundSpace([0.0, 1.0])), r"samples\[0\] must be a number",
+            id="histogram-bool",
+        ),
+        pytest.param(
+            lambda: fuzzify_from_histogram([1.0, [2.0]], GroundSpace([0.0, 1.0])), r"samples\[1\] must be a number",
+            id="histogram-nested",
         ),
     ],
 )

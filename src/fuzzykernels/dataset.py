@@ -20,6 +20,9 @@ Each record is a list of attributes; an attribute is either
 ``{"type": "gaussian", "m": [...], "sigma": [...]}``.  "partition",
 "measures" (counting measure when omitted), "labels" and — for purely
 Gaussian data — "ground_space" are optional.
+
+Records are checked one attribute slot (attribute j of every record) at a time, or
+one by one where that declines; an error names the first bad record in row-major order.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ def _parse_ground(obj) -> GroundSpace:
     partition = None
     if obj.get("partition") is not None:
         pobj = obj["partition"]
-        if not isinstance(pobj, dict) or "cells" not in pobj:
+        if not isinstance(pobj, dict) or not isinstance(pobj.get("cells"), list):
             raise ValidationError("ground_space.partition: needs a 'cells' list")
         try:
             partition = Partition(pobj["cells"], pobj.get("measures"))
@@ -102,31 +105,53 @@ def _parse_attribute(obj, ground: GroundSpace | None, where: str):
     raise ValidationError(f"{where}: unknown attribute type {kind!r}")
 
 
+def _slots(raw_records: list, ground: GroundSpace | None) -> list[tuple] | None:
+    """The records built one attribute slot (attribute j of every record) at a time by the batch
+    constructors of ``sets``; None, never an exception, where the slots are not all whole and of
+    one kind each, or a batch constructor declines one."""
+    if not all(isinstance(raw, list) and raw and len(raw) == len(raw_records[0]) for raw in raw_records):
+        return None
+    columns = []
+    for slot in zip(*raw_records):
+        if all(isinstance(a, dict) and a.get("type") == "gaussian" and "m" in a and "sigma" in a for a in slot):
+            columns.append(GaussianFuzzySet._slot([a["m"] for a in slot], [a["sigma"] for a in slot]))
+        elif ground is not None and all(
+            isinstance(a, dict) and a.get("type") == "discrete" and isinstance(a.get("degrees"), dict) for a in slot
+        ):
+            columns.append(DiscreteFuzzySet._slot(ground, [a["degrees"] for a in slot]))
+        else:
+            return None
+    return None if None in columns else list(zip(*columns))
+
+
 def dataset_from_obj(obj) -> Dataset:
-    """Validate a decoded JSON document into a :class:`Dataset`."""
+    """Validate a decoded JSON document into a :class:`Dataset`: one attribute slot at a time,
+    or record by record where that declines, naming the first bad record in row-major order."""
     if not isinstance(obj, dict):
         raise ValidationError("dataset document must be a JSON object")
     ground = _parse_ground(obj["ground_space"]) if obj.get("ground_space") is not None else None
     raw_records = obj.get("records")
     if not isinstance(raw_records, list) or not raw_records:
         raise ValidationError("dataset needs a non-empty 'records' list")
-    records: list[tuple] = []
-    arity = None
-    kinds = None
-    for i, raw in enumerate(raw_records):
-        if not isinstance(raw, list) or not raw:
-            raise ValidationError(f"records[{i}]: must be a non-empty list of attributes")
-        attrs = tuple(
-            _parse_attribute(a, ground, f"records[{i}][{j}]") for j, a in enumerate(raw)
-        )
-        row_kinds = tuple(type(a).__name__ for a in attrs)
-        if arity is None:
-            arity, kinds = len(attrs), row_kinds
-        elif len(attrs) != arity:
-            raise ValidationError(f"records[{i}]: has {len(attrs)} attributes, expected {arity}")
-        elif row_kinds != kinds:
-            raise ValidationError(f"records[{i}]: attribute kinds {row_kinds} differ from {kinds}")
-        records.append(attrs)
+    records = _slots(raw_records, ground)
+    if records is None:  # the record loop words every error
+        records = []
+        arity = None
+        kinds = None
+        for i, raw in enumerate(raw_records):
+            if not isinstance(raw, list) or not raw:
+                raise ValidationError(f"records[{i}]: must be a non-empty list of attributes")
+            attrs = tuple(
+                _parse_attribute(a, ground, f"records[{i}][{j}]") for j, a in enumerate(raw)
+            )
+            row_kinds = tuple(type(a).__name__ for a in attrs)
+            if arity is None:
+                arity, kinds = len(attrs), row_kinds
+            elif len(attrs) != arity:
+                raise ValidationError(f"records[{i}]: has {len(attrs)} attributes, expected {arity}")
+            elif row_kinds != kinds:
+                raise ValidationError(f"records[{i}]: attribute kinds {row_kinds} differ from {kinds}")
+            records.append(attrs)
     labels = None
     if obj.get("labels") is not None:
         raw_labels = obj["labels"]

@@ -16,6 +16,7 @@ Every number that defines a set, a point or a cell measure passes the rule of
 from __future__ import annotations
 
 import operator
+from itertools import islice
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -47,6 +48,13 @@ def _index(value) -> int:
         raise ValueError(f"index {value!r} is not an integer") from exc
 
 
+def _built(cls, **fields):
+    """An instance of ``cls`` holding ``fields``, for a batch constructor that checked them."""
+    obj = cls.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 class Partition:
     """Pairwise-disjoint cells of ground-space indices, one measure per cell.
 
@@ -57,22 +65,25 @@ class Partition:
     def __init__(self, cells: Sequence[Iterable[int]], measures: Sequence[float] | None = None):
         norm_cells = []
         for k, cell in enumerate(cells):
-            idxs = tuple(sorted(_index(i) for i in cell))
+            if not isinstance(cell, Iterable):
+                raise ValueError(f"cells[{k}] must be a list of ground indices, got {cell!r}")
+            idxs = [*cell]
+            if {*map(type, idxs)} != {int}:  # _index refuses a bool, float or string, and converts a numpy int
+                idxs = [*map(_index, idxs)]
             if not idxs:
                 raise ValueError(f"cell {k} is empty")
-            norm_cells.append(idxs)
+            norm_cells.append(tuple(sorted(idxs)))
         self.cells: tuple[tuple[int, ...], ...] = tuple(norm_cells)
 
         flat = [i for cell in self.cells for i in cell]
-        if len(flat) != len(set(flat)):
-            raise ValueError("cells are not pairwise disjoint")
         n = len(flat)
-        if set(flat) != set(range(n)):
+        if len(set(flat)) < n:
+            raise ValueError("cells are not pairwise disjoint")
+        if n and (min(flat) < 0 or max(flat) >= n):  # n distinct indices in 0..n-1 are all of them
             raise ValueError("cells must cover the index set 0..n-1 without gaps")
         self.size = n
         cell_index = np.empty(n, dtype=np.intp)
-        for k, cell in enumerate(self.cells):
-            cell_index[list(cell)] = k
+        cell_index[np.array(flat, dtype=np.intp)] = np.repeat(np.arange(len(self.cells)), [*map(len, self.cells)])
         cell_index.flags.writeable = False
         self.cell_index: np.ndarray = cell_index  # cell number of each ground index
 
@@ -160,14 +171,40 @@ class DiscreteFuzzySet:
             if not 0 <= i < n:
                 raise ValueError(f"index {i} outside ground space of {n} points")
             if type(deg) is not float:  # the parsed-dataset case stays cheap
-                if isinstance(deg, (bool, str, bytes)):  # which float() takes as 1.0 or parses
-                    raise ValueError(f"degree {deg!r} at index {i} is not a number")
-                deg = float(deg)
+                try:
+                    if isinstance(deg, (bool, str, bytes)):  # which float() takes as 1.0 or parses
+                        raise TypeError
+                    deg = float(deg)
+                except (TypeError, OverflowError):  # OverflowError: an int too large for a float
+                    raise ValueError(f"degree {deg!r} at index {i} is not a number") from None
             if not 0.0 < deg <= 1.0:  # also false for NaN and +-inf
                 raise ValueError(f"degree {deg!r} at index {i} outside (0, 1]")
             clean[i] = deg
         self._degrees = clean
         self.degrees: Mapping[int, float] = MappingProxyType(clean)
+
+    @classmethod
+    def _slot(cls, ground: GroundSpace, objs: Sequence[dict]) -> list[DiscreteFuzzySet] | None:
+        """One set per dict of index strings to degrees, as in a dataset file, by the rule of ``__init__``
+        and of the file's keys (plain decimal digits, one index each) checked over all the dicts at
+        once; None, never an exception, where one breaks it or holds a degree that is not a float."""
+        keys = [k for obj in objs for k in obj]
+        degs = [d for obj in objs for d in obj.values()]
+        try:
+            digits = "".join(keys)
+            if keys and not (digits.isascii() and digits.isdigit()):
+                return None
+            idx = [*map(int, keys)]
+        except (TypeError, ValueError):  # a key that is not a string; an empty key, or too many digits for int()
+            return None
+        if (max(idx, default=-1) >= len(ground) or {*map(type, degs)} - {float}
+                or not ((0.0 < (at := np.array(degs))) & (at <= 1.0)).all()):  # also false for NaN
+            return None
+        pairs = zip(idx, degs)
+        cleans = [dict(islice(pairs, len(obj))) for obj in objs]
+        if sum(map(len, cleans)) < len(idx):  # two keys such as "1" and "01" name one index
+            return None
+        return [_built(cls, ground=ground, _degrees=clean, degrees=MappingProxyType(clean)) for clean in cleans]
 
     @property
     def support(self) -> frozenset[int]:
@@ -201,6 +238,20 @@ class GaussianFuzzySet:
         s.flags.writeable = False
         self.means: np.ndarray = m
         self.widths: np.ndarray = s
+
+    @classmethod
+    def _slot(cls, means: Sequence, widths: Sequence) -> list[GaussianFuzzySet] | None:
+        """``[GaussianFuzzySet(m, s) for m, s in zip(means, widths)]`` by the rule of ``__init__``, checked
+        over the stacks at once; None, never an exception, where a set breaks it or the stacks are not
+        both N x d with d >= 1 (a scalar mean, ragged rows)."""
+        try:
+            m, s = _numbers(means, "m"), _numbers(widths, "sigma", 0)
+        except (ValueError, TypeError):  # ValidationError too; and a ragged stack that astype cannot take
+            return None
+        if m.ndim != 2 or m.shape != s.shape or m.shape[1] == 0:
+            return None
+        m.flags.writeable = s.flags.writeable = False  # and so is each set's row of them
+        return [_built(cls, means=row_m, widths=row_s) for row_m, row_s in zip(m, s)]
 
     @property
     def dim(self) -> int:

@@ -595,6 +595,15 @@ def _data(**ground):
             _data(points=[[0.0], [1.0]], partition={"cells": [[0], [1.5]]}), KERNEL,
             "ground_space.partition", id="partition-fractional-index",
         ),
+        # a number for the cells or a cell was once "'int' object is not iterable", naming no cell
+        pytest.param(
+            GRAM, _data(points=[[0.0], [1.0]], partition={"cells": 5}), KERNEL,
+            "ground_space.partition: needs a 'cells' list", id="cells-number",
+        ),
+        pytest.param(
+            GRAM, _data(points=[[0.0], [1.0]], partition={"cells": [[0], 1]}), KERNEL,
+            "ground_space.partition: cells[1] must be a list of ground indices, got 1", id="cell-number",
+        ),
         pytest.param(GRAM, {**DATA, "records": [[5]]}, KERNEL, "records[0][0]", id="attribute-not-object"),
         pytest.param(
             GRAM, {**DATA, "records": [[{"type": "gaussian", "m": [0.0]}]]}, KERNEL, "records[0][0]",
@@ -617,6 +626,17 @@ def _data(**ground):
         pytest.param(
             GRAM, {**DATA, "records": [[{"type": "discrete", "degrees": {"0": "0.5"}}]]}, KERNEL,
             "records[0][0]: degree '0.5' at index 0 is not a number", id="degree-string",
+        ),
+        # values float() refuses were once its own message, naming neither the degree nor its index,
+        # and an int too large for a float was an OverflowError traceback (exit 1)
+        *(
+            pytest.param(
+                GRAM, {**DATA, "records": [[{"type": "discrete", "degrees": {"0": d}}]]}, KERNEL,
+                f"records[0][0]: degree {shown} at index 0 is not a number", id=f"degree-{name}",
+            )
+            for name, d, shown in (
+                ("null", None, "None"), ("list", [], "[]"), ("object", {}, "{{}}"), ("huge-int", 10**400, 10**400),
+            )
         ),
         # arrays of the same, once read by np.asarray(..., dtype=float), each to exit 0 with a matrix
         pytest.param(

@@ -1,8 +1,12 @@
+import copy
+import functools
 import json
+import operator
 
 import numpy as np
 import pytest
 
+from fuzzykernels import dataset, sets
 from fuzzykernels import (
     Dataset,
     DiscreteFuzzySet,
@@ -15,6 +19,8 @@ from fuzzykernels import (
     parse_dataset,
     write_dataset,
 )
+from test_benchmark_outputs import workloads
+from test_cli import HOSTILE, MUTATED_DATA, _sites
 
 MINIMAL = {
     "ground_space": {"points": [[0.0], [5.0], [10.0]]},
@@ -134,3 +140,113 @@ class TestRoundTrip:
         write_dataset(ds, p1)
         write_dataset(ds, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def _parsed(obj):
+    """``dataset_from_obj(obj)`` with the repr of every degree and array the sets
+    hold (so 1 and 1.0, a dtype or a writeable flag differ), or the type and
+    text of what it raised."""
+    try:
+        ds = dataset_from_obj(obj)
+    except Exception as exc:  # the two paths must agree on every exception, not only the expected ones
+        return type(exc), str(exc)
+    held = [
+        [
+            list(a.degrees.items()) if isinstance(a, DiscreteFuzzySet)
+            else [(v.tolist(), v.dtype, v.shape, v.flags.writeable) for v in (a.means, a.widths)]
+            for a in rec
+        ]
+        for rec in ds.records
+    ]
+    return ds, repr(held)
+
+
+def _assert_slots_match_record_loop(monkeypatch, obj):
+    """The slot pass gives what the record loop gives: an equal Dataset, or the
+    same exception type and text; so it never accepts what the loop rejects."""
+    with monkeypatch.context() as patched:
+        patched.setattr(dataset, "_slots", lambda raw_records, ground: None)
+        loop = _parsed(obj)
+    assert _parsed(obj) == loop, json.dumps(obj, default=repr)[:300]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("name", workloads.NAMES)
+def test_slot_pass_matches_record_loop_on_workloads(monkeypatch, name, seed):
+    doc = workloads.generate(name, seed).document
+    ground = dataset._parse_ground(doc["ground_space"]) if "ground_space" in doc else None
+    assert dataset._slots(doc["records"], ground) is not None  # the slot pass itself builds these
+    _assert_slots_match_record_loop(monkeypatch, doc)
+
+
+DROP = object()
+
+
+def test_slot_pass_matches_record_loop_on_every_mutation(monkeypatch):
+    """Every document one change away from a MUTATED_DATA one: a key or list
+    entry set to each hostile value, or dropped."""
+    for doc in MUTATED_DATA.values():
+        for *path, key in _sites(doc):
+            for new in (*HOSTILE, DROP):
+                mutated = copy.deepcopy(doc)
+                parent = functools.reduce(operator.getitem, path, mutated)
+                if new is DROP:
+                    del parent[key]
+                else:
+                    parent[key] = copy.deepcopy(new)
+                _assert_slots_match_record_loop(monkeypatch, mutated)
+
+
+def _gaussian(m, sigma):
+    return {"type": "gaussian", "m": m, "sigma": sigma}
+
+
+def _discrete(degrees):
+    return {"type": "discrete", "degrees": degrees}
+
+
+GROUND = {"points": [[0.0], [1.0], [2.0]]}
+
+
+@pytest.mark.parametrize(
+    "records",
+    [
+        pytest.param([[_gaussian([0.0], [1.0])], [_gaussian([0.0, 1.0], [1.0, 1.0])]], id="gaussian-ragged"),
+        pytest.param([[_gaussian([0.0], [1.0])], [_gaussian(0.5, 2.0)]], id="gaussian-scalar-m"),
+        pytest.param([[_gaussian(0.5, 2.0)], [_gaussian(1.5, 1.0)]], id="gaussian-scalars"),
+        pytest.param([[_gaussian([0.0], [1.0])], [_gaussian([[0.5]], [[2.0]])]], id="gaussian-nested"),
+        pytest.param([[_gaussian([0, 1], [1, 2])], [_gaussian([2, 3], [3, 4])]], id="gaussian-ints"),
+        pytest.param([[_gaussian([1e308], [1.0])], [_gaussian([1e308], [1.0])]], id="gaussian-sum-overflows"),
+        pytest.param([[_gaussian([], [])], [_gaussian([], [])]], id="gaussian-empty"),
+        pytest.param([[_discrete({"0": 1})], [_discrete({"1": 0.5})]], id="int-degree"),
+        pytest.param([[_discrete({"0": 0.5})], [_discrete({"1": 0.5, "01": 0.25})]], id="index-twice"),
+        pytest.param([[_discrete({"0": 0.5})], [_discrete({"3": 0.5})]], id="index-outside"),
+        pytest.param([[_discrete({"0": 0.5})], [_discrete({"": 0.5, "1": 0.5})]], id="key-empty"),
+        pytest.param([[_discrete({"0": 0.5})], [_discrete({" 1": 0.5})]], id="key-space"),
+        pytest.param([[_discrete({"0": 0.5})], [_discrete({0: 0.5})]], id="key-int"),
+        pytest.param([[_discrete({"0": 0.5})], [_discrete({"9" * 5000: 0.5})]], id="key-too-long"),
+        pytest.param([[_discrete({})], [_discrete({"2": 1.0})]], id="degrees-empty"),
+        pytest.param([[_discrete({"0": 0.5})], [_gaussian([0.0], [1.0])]], id="slot-mixes-kinds"),
+        pytest.param(
+            [[_discrete({"0": 0.5}), _gaussian([0.0], [1.0])], [_discrete({"1": 1.0}), _gaussian([1.0], [2.0])]],
+            id="two-slots",
+        ),
+        pytest.param([[_discrete({"0": 0.5}), _gaussian([0.0], [1.0])], [_discrete({"1": 1.0})]], id="arity"),
+    ],
+)
+def test_slot_pass_matches_record_loop_on_edge_cases(monkeypatch, records):
+    _assert_slots_match_record_loop(monkeypatch, {"ground_space": GROUND, "records": records})
+
+
+def test_gaussian_parse_checks_numbers_per_slot_not_per_record(monkeypatch):
+    """The number rule runs a fixed number of times for a Gaussian slot, however
+    many records it has."""
+    calls = []
+    check = sets._numbers
+    monkeypatch.setattr(sets, "_numbers", lambda *args, **kwargs: calls.append(args[1]) or check(*args, **kwargs))
+    counts = []
+    for n in (4, 64):
+        calls.clear()
+        dataset_from_obj({"records": [[_gaussian([0.1 * k, 1.0], [0.5, 2.0])] for k in range(n)]})
+        counts.append(len(calls))
+    assert counts[0] == counts[1]

@@ -58,6 +58,21 @@ class TestPartition:
         with pytest.raises(ValueError, match="cover"):
             Partition([[0, 1], [3]])
 
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            ([[0], 1], r"cells\[1\] must be a list of ground indices, got 1"),
+            ([[0], None], r"cells\[1\] must be a list of ground indices, got None"),
+            # overlap is named before gaps, also for indices outside 0..n-1 or too large for an index array
+            ([[0], [2**63]], "cover"),
+            ([[0], [2**63, 2**63]], "disjoint"),
+            ([[5], [5]], "disjoint"),
+        ],
+    )
+    def test_names_the_bad_cell_or_check(self, cells, message):
+        with pytest.raises(ValueError, match=message):
+            Partition(cells)
+
     def test_rejects_empty_cell(self):
         with pytest.raises(ValueError, match="empty"):
             Partition([[0, 1], []])

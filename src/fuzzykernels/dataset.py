@@ -167,13 +167,14 @@ def dataset_from_obj(obj) -> Dataset:
 
 
 def _read_json(path):
-    """The JSON document in a file; a file that cannot be read or decoded, or
-    an object that gives one key twice, raises ValidationError."""
+    """The JSON document in a file; a file that cannot be read or decoded, an
+    integer literal too long for int(), or an object that gives one key twice,
+    raises ValidationError naming the file."""
 
     def unique(pairs):
         if len(obj := dict(pairs)) < len(pairs):
             key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
-            raise ValidationError(f"{path}: key {key!r} is given more than once")
+            raise ValueError(f"key {key!r} is given more than once")
         return obj
 
     try:
@@ -181,7 +182,7 @@ def _read_json(path):
             return json.load(fh, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}") from exc
-    except (OSError, UnicodeDecodeError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: UnicodeDecodeError, int()'s digit limit
         raise ValidationError(f"{path}: {exc}") from exc
 
 

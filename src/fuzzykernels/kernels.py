@@ -513,9 +513,7 @@ def _kernel_matrix(
     return values
 
 
-def _discrete(
-    spec: FuzzyKernelSpec, attrs: list, pairs: _Pairs, ref: DiscreteFuzzySet | None = None
-) -> tuple[GroundSpace, tuple]:
+def _discrete(attrs: list, pairs: _Pairs, ref: DiscreteFuzzySet | None = None) -> tuple[GroundSpace, tuple]:
     """Check that the attributes (and ``ref``, packed as the last item)
     share one ground space, and pack their degrees into arrays: the one place
     that reads them.  Returns that ground space and the supports packed in
@@ -560,7 +558,7 @@ def _segment_sum(a: np.ndarray, sizes: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _cross_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _Pairs) -> np.ndarray:
-    ground, packed = _discrete(spec, attrs, pairs)
+    ground, packed = _discrete(attrs, pairs)
     (size, item, _, deg), (cols, at, m) = packed, _dense(packed)
     pts = ground.points[cols]
     k1 = spec.k1.pairwise(pts, pts)
@@ -619,7 +617,7 @@ def _join(t: TNorm, item, idx, deg, pairs: _Pairs, weight: np.ndarray | None = N
 
 
 def _intersection_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _Pairs) -> np.ndarray:
-    ground, (_, item, idx, deg) = _discrete(spec, attrs, pairs)
+    ground, (_, item, idx, deg) = _discrete(attrs, pairs)
     part = ground.partition
     pairs.check(part is None, "intersection kernel needs a partition on the ground space")
     # only entries of cells wholly inside their item's support count (T(a, 0) = 0);
@@ -631,7 +629,7 @@ def _intersection_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _P
 
 
 def _nonsingleton_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _Pairs) -> np.ndarray:
-    _, (_, item, idx, deg) = _discrete(spec, attrs, pairs)
+    _, (_, item, idx, deg) = _discrete(attrs, pairs)
     return _join(spec.tnorm, item, idx, deg, pairs)
 
 
@@ -655,7 +653,7 @@ def _distance_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _Pairs
     refs = spec.reference
     ref = None if refs is None else refs[0] if len(refs) == 1 else refs[slot]
     if isinstance(spec.metric, str):
-        d, d0 = _ratio_distances(spec, attrs, ref, pairs)
+        d, d0 = _ratio_distances(attrs, ref, pairs)
     else:
         d, d0 = _metric_distances(spec.metric, attrs, ref, pairs)
     if ref is None:  # distance_gaussian
@@ -665,10 +663,10 @@ def _distance_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _Pairs
     return (spec.coef0 + spec.gamma * inner) ** spec.degree
 
 
-def _ratio_distances(spec: FuzzyKernelSpec, attrs: list, ref: DiscreteFuzzySet | None, pairs: _Pairs):
+def _ratio_distances(attrs: list, ref: DiscreteFuzzySet | None, pairs: _Pairs):
     """Ratio metric ``|X - Y|_1 / (|X|_1 + |Y|_1)`` between rows and columns,
     and from each item to ``ref``."""
-    cols, _, m = _dense(_discrete(spec, attrs, pairs, ref)[1])
+    cols, _, m = _dense(_discrete(attrs, pairs, ref)[1])
     s = m.sum(axis=1)
     # against an empty reference, one empty item of a pair is enough to fail
     both = ref is None or s[-1] != 0

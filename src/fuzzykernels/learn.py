@@ -32,7 +32,6 @@ class DualModel:
 
     coefficients: np.ndarray
     item_ids: list[str]
-    bias: float
     spec: FuzzyKernelSpec | None
     regularization: float
 
@@ -58,8 +57,8 @@ def _labels_pm1(labels) -> np.ndarray:
 def fit(gram: GramMatrix, labels, regularization: float) -> DualModel:
     """Solve ``(G + lambda I) c = y`` for the dual coefficients.
 
-    Labels are +/-1 and treated as centered, so the bias is fixed at 0.  A
-    non-finite Gram entry or a singular system raises NumericError.
+    Labels are +/-1 and treated as centered, so the model has no bias term.
+    A non-finite Gram entry or a singular system raises NumericError.
     """
     regularization = _number(regularization, "regularization")
     g = _as_matrix(gram)
@@ -75,13 +74,7 @@ def fit(gram: GramMatrix, labels, regularization: float) -> DualModel:
     if not np.isfinite(coef).all():
         raise NumericError("dual solve produced non-finite coefficients")
     ids, spec = _provenance(gram, g.shape[0])
-    return DualModel(
-        coefficients=coef,
-        item_ids=ids,
-        bias=0.0,
-        spec=spec,
-        regularization=regularization,
-    )
+    return DualModel(coefficients=coef, item_ids=ids, spec=spec, regularization=regularization)
 
 
 def predict(model: DualModel, cross) -> np.ndarray:
@@ -95,7 +88,7 @@ def predict(model: DualModel, cross) -> np.ndarray:
         raise ValueError(
             f"cross matrix has {c.shape[1]} columns, model has {model.coefficients.shape[0]} coefficients"
         )
-    scores = c @ model.coefficients + model.bias
+    scores = c @ model.coefficients
     return np.where(scores >= 0.0, 1, -1)
 
 

@@ -7,7 +7,8 @@ degrees in [0, 1], and both representations are callable as one:
   points of a :class:`GroundSpace`; anything not stored has degree exactly 0,
   so the support is simply the stored key set.
 * :class:`GaussianFuzzySet` is parametric: a product of per-dimension Gaussian
-  bumps ``exp(-(x_d - m_d)^2 / (2 sigma_d^2))``.
+  bumps ``exp(-(x_d - m_d)^2 / (2 sigma_d^2))``.  Centred on a crisp vector it
+  is that vector's epistemic fuzzification.
 
 Every number that defines a set, a point or a cell measure passes the rule of
 ``errors._numbers``.  All types are immutable and every function here is pure.
@@ -29,7 +30,6 @@ __all__ = [
     "Partition",
     "DiscreteFuzzySet",
     "GaussianFuzzySet",
-    "fuzzify_gaussian",
     "fuzzify_from_histogram",
     "support_cells",
 ]
@@ -167,10 +167,10 @@ class DiscreteFuzzySet:
         n = len(ground)
         clean: dict[int, float] = {}
         for idx, deg in degrees.items():
-            i = idx if type(idx) is int else _index(idx)  # the parsed-dataset case stays cheap
+            i = _index(idx)
             if not 0 <= i < n:
                 raise ValueError(f"index {i} outside ground space of {n} points")
-            if type(deg) is not float:  # the parsed-dataset case stays cheap
+            if type(deg) is not float:
                 try:
                     if isinstance(deg, (bool, str, bytes)):  # which float() takes as 1.0 or parses
                         raise TypeError
@@ -272,11 +272,6 @@ class GaussianFuzzySet:
 
     def __repr__(self) -> str:
         return f"GaussianFuzzySet(dim={self.dim})"
-
-
-def fuzzify_gaussian(value, widths) -> GaussianFuzzySet:
-    """Epistemic fuzzification of a crisp vector: peak at ``value``, given widths."""
-    return GaussianFuzzySet(means=value, widths=widths)
 
 
 def fuzzify_from_histogram(samples: Sequence[float], ground: GroundSpace) -> DiscreteFuzzySet:

@@ -33,13 +33,11 @@ class TNorm(enum.Enum):
     def from_name(cls, name: str) -> "TNorm":
         """Resolve a config name, case-insensitively ('min' or 'minimum' both work)."""
         key = str(name).strip().lower()
-        aliases = {"min": cls.MINIMUM, "minimum": cls.MINIMUM}
-        if key in aliases:
-            return aliases[key]
-        for member in cls:
-            if member.value == key:
-                return member
-        raise ValidationError(f"unknown T-norm {name!r}; expected one of min, product, lukasiewicz, drastic")
+        try:
+            return cls("min" if key == "minimum" else key)
+        except ValueError:
+            names = ", ".join(t.value for t in cls)
+            raise ValidationError(f"unknown T-norm {name!r}; expected one of {names}") from None
 
 
 def apply(t: TNorm, a: float, b: float) -> float:

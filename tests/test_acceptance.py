@@ -28,7 +28,6 @@ from fuzzykernels import (
     cross_product_kernel,
     cross_validate,
     distance_gaussian_kernel,
-    fuzzify_gaussian,
     intersection_kernel,
     mmd_permutation_test,
     nonsingleton_gaussian_kernel,
@@ -124,7 +123,7 @@ def test_criterion_3b_psd_nonsingleton_gaussian():
     rng = np.random.default_rng(304)
     widths = rng.uniform(0.2, 3.0, size=2)
     data = [
-        tuple(fuzzify_gaussian([rng.uniform(-5, 5)], [widths[d]]) for d in range(2))
+        tuple(GaussianFuzzySet([rng.uniform(-5, 5)], [widths[d]]) for d in range(2))
         for _ in range(50)
     ]
     spec = FuzzyKernelSpec(family="nonsingleton_gaussian")
@@ -240,7 +239,7 @@ def test_criterion_5_distance_checks():
 # ---------------------------------------------------------------------------
 
 def _gaussian_sample(rng, n, shift, width):
-    return [fuzzify_gaussian([rng.normal() + shift], [width]) for _ in range(n)]
+    return [GaussianFuzzySet([rng.normal() + shift], [width]) for _ in range(n)]
 
 
 def test_criterion_6_mmd_calibration_and_power():

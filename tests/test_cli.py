@@ -488,6 +488,71 @@ def test_mutated_dataset_keeps_exit_contract(mutation_files, data):
         assert code == 2 and repr(key) in err, err
 
 
+# valid argvs of the four computing commands on MUTATED_DATA["discrete"], every option given, and the
+# options whose values are numbers
+VALID_ARGVS = [
+    "gram --data {data} --kernel {kernel} --out {out} --jobs 1",
+    "check-psd --data {data} --kernel {kernel} --tol 1e-10 --jobs 1",
+    "classify --data {data} --kernel {kernel} --folds 2 --seed 0 --ridge 1.0 --jobs 1",
+    "mmd-test --data {data} --kernel {kernel} --permutations 20 --seed 0 --jobs 1",
+]
+NUMERIC_OPTIONS = {"--jobs", "--tol", "--folds", "--seed", "--ridge", "--permutations"}
+HOSTILE_NUMBERS = ["0", "-1", "inf", "nan", "abc", "2.5"]
+HOSTILE_PATHS = ["{tmp}/missing.json", "{tmp}", "/dev/null", "{tmp}/missing/file", "{binary}"]
+
+
+def _argv_mutations():
+    """(argv, the option it changes, the path it names or None) for each change of one part of a
+    valid argv: a numeric option set to a hostile number, an option dropped or given twice, or a
+    path option naming a hostile path."""
+    for argv in VALID_ARGVS:
+        command, *parts = argv.split()
+        options = [parts[k : k + 2] for k in range(0, len(parts), 2)]
+        for k, (option, value) in enumerate(options):
+            others = [p for opt in options[:k] + options[k + 1 :] for p in opt]
+            yield [command, *others], option, None
+            yield [command, *others, option, value, option, value], option, None
+            hostile = HOSTILE_NUMBERS if option in NUMERIC_OPTIONS else HOSTILE_PATHS if "{" in value else []
+            for new in hostile:
+                yield [command, *others, option, new], option, None if option in NUMERIC_OPTIONS else new
+
+
+def test_mutated_argv_keeps_exit_contract(mutation_files, tmp_path):
+    """Every single change of one argv part (see ``_argv_mutations``) ends in exit 0 with stdout
+    that is strict JSON and a finite matrix, or in exit 2 or 3 with no output file and a message
+    naming the option or the path, never in a traceback."""
+    names = {
+        "data": mutation_files / "discrete.json", "kernel": tmp_path / "kernel.json",
+        "out": tmp_path / "gram.txt", "binary": tmp_path / "binary",
+    }
+    names["kernel"].write_text(json.dumps(DATA_KERNELS["discrete"]))
+    names["binary"].write_bytes(TABLES["binary"])
+    out = names["out"]
+
+    def strict(constant):
+        raise ValueError(f"{constant} in a report")
+
+    for argv, option, path in _argv_mutations():
+        argv = [part.format(tmp=tmp_path, **names) for part in argv]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses the argv
+                code = exc.code
+        err = stderr.getvalue()
+        assert code in (0, 2, 3) and "Traceback" not in err, (argv, code, err)
+        if code == 0:
+            json.loads(stdout.getvalue(), parse_constant=strict)
+            if out.exists():
+                assert np.isfinite(read_matrix(out)).all(), argv
+                out.unlink()
+        else:
+            named = option.lstrip("-") if path is None else path.format(tmp=tmp_path, **names)
+            assert named in err, (argv, err)
+        assert not out.exists(), argv
+
+
 TABLE = "1,2,3\n4,5,6\n"
 # raw files the cases can name: CSV tables, JSON that json.load cannot decode,
 # and JSON that gives one key twice, which json.dumps cannot write
@@ -500,6 +565,9 @@ TABLES = {
     "degree_twice": '{"ground_space": {"points": [[0.0], [1.0]]}, '
     '"records": [[{"type": "discrete", "degrees": {"1": 0.5, "1": 0.9}}]]}',
     "family_twice": '{"family": "cross_product", "family": "intersection"}',
+    "long_degree": '{"ground_space": {"points": [[0.0], [1.0]]}, '
+    '"records": [[{"type": "discrete", "degrees": {"0": ' + "1" * 5001 + "}}]]}",
+    "long_degree_kernel": '{"family": "distance_poly", "degree": ' + "1" * 5001 + "}",
 }
 RECORD = [{"type": "discrete", "degrees": {"0": 1.0}}]
 DATA = {"ground_space": {"points": [[0.0], [1.0]]}, "records": [RECORD, RECORD], "labels": [1, -1]}
@@ -696,6 +764,15 @@ def _data(**ground):
         pytest.param(
             GRAM.replace("{kernel}", "{family_twice}"), DATA, KERNEL,
             "{tmp}/family_twice: key 'family' is given more than once", id="family-twice",
+        ),
+        # an integer literal beyond int()'s digit limit was once a bare ValueError message, naming no file
+        pytest.param(
+            "check-psd --data {long_degree} --kernel {kernel}", DATA, KERNEL, "{tmp}/long_degree: ",
+            id="data-long-integer",
+        ),
+        pytest.param(
+            "check-psd --data {data} --kernel {long_degree_kernel}", DATA, KERNEL, "{tmp}/long_degree_kernel: ",
+            id="kernel-long-integer",
         ),
         pytest.param(GRAM, [DATA], KERNEL, "dataset document", id="document-not-object"),
         pytest.param(GRAM, {**DATA, "records": 5}, KERNEL, "'records' list", id="records-not-list"),

@@ -2,6 +2,7 @@ import copy
 import functools
 import json
 import operator
+import random
 
 import numpy as np
 import pytest
@@ -19,8 +20,9 @@ from fuzzykernels import (
     parse_dataset,
     write_dataset,
 )
+from fuzzykernels.cli import main
 from test_benchmark_outputs import workloads
-from test_cli import HOSTILE, MUTATED_DATA, _sites
+from test_cli import HOSTILE, MUTATED_DATA, TABLE, _sites
 
 MINIMAL = {
     "ground_space": {"points": [[0.0], [5.0], [10.0]]},
@@ -179,30 +181,48 @@ def test_slot_pass_matches_record_loop_on_workloads(monkeypatch, name, seed):
     _assert_slots_match_record_loop(monkeypatch, doc)
 
 
-DROP = object()
-
-
-def test_slot_pass_matches_record_loop_on_every_mutation(monkeypatch):
-    """Every document one change away from a MUTATED_DATA one: a key or list
-    entry set to each hostile value, or dropped."""
-    for doc in MUTATED_DATA.values():
-        for *path, key in _sites(doc):
-            for new in (*HOSTILE, DROP):
-                mutated = copy.deepcopy(doc)
-                parent = functools.reduce(operator.getitem, path, mutated)
-                if new is DROP:
-                    del parent[key]
-                else:
-                    parent[key] = copy.deepcopy(new)
-                _assert_slots_match_record_loop(monkeypatch, mutated)
-
-
 def _gaussian(m, sigma):
     return {"type": "gaussian", "m": m, "sigma": sigma}
 
 
 def _discrete(degrees):
     return {"type": "discrete", "degrees": degrees}
+
+
+# one discrete and one Gaussian slot, so that faults in different slots meet in the record loop,
+# which names the first in row-major order
+TWO_SLOTS = {
+    "ground_space": {"points": [[0.0], [1.0], [2.0], [3.0]]},
+    "records": [
+        [_discrete({"0": 1.0, "1": 0.5}), _gaussian([0.0, 1.0], [0.5, 1.0])],
+        [_discrete({"2": 0.25}), _gaussian([0.5, -1.0], [1.0, 0.25])],
+        [_discrete({"1": 0.75, "3": 1.0}), _gaussian([1.5, 2.0], [2.0, 0.5])],
+    ],
+}
+
+
+DROP = object()
+
+
+def _mutated(doc, site, new):
+    """A copy of ``doc`` with the key or list entry at ``site`` set to ``new``, or dropped."""
+    *path, key = site
+    mutated = copy.deepcopy(doc)
+    parent = functools.reduce(operator.getitem, path, mutated)
+    if new is DROP:
+        del parent[key]
+    else:
+        parent[key] = copy.deepcopy(new)
+    return mutated
+
+
+def test_slot_pass_matches_record_loop_on_every_mutation(monkeypatch):
+    """Every document one change away from a MUTATED_DATA one or TWO_SLOTS: a
+    key or list entry set to each hostile value, or dropped."""
+    for doc in (*MUTATED_DATA.values(), TWO_SLOTS):
+        for site in _sites(doc):
+            for new in (*HOSTILE, DROP):
+                _assert_slots_match_record_loop(monkeypatch, _mutated(doc, site, new))
 
 
 GROUND = {"points": [[0.0], [1.0], [2.0]]}
@@ -225,6 +245,8 @@ GROUND = {"points": [[0.0], [1.0], [2.0]]}
         pytest.param([[_discrete({"0": 0.5})], [_discrete({" 1": 0.5})]], id="key-space"),
         pytest.param([[_discrete({"0": 0.5})], [_discrete({0: 0.5})]], id="key-int"),
         pytest.param([[_discrete({"0": 0.5})], [_discrete({"9" * 5000: 0.5})]], id="key-too-long"),
+        pytest.param([[_discrete({"0": 0.5})], [_discrete({"01": 0.5})]], id="key-zero-padded"),
+        pytest.param([[_discrete({"0": 0.5})], [_discrete({"007": 0.5})]], id="key-two-zeros"),
         pytest.param([[_discrete({})], [_discrete({"2": 1.0})]], id="degrees-empty"),
         pytest.param([[_discrete({"0": 0.5})], [_gaussian([0.0], [1.0])]], id="slot-mixes-kinds"),
         pytest.param(
@@ -236,6 +258,37 @@ GROUND = {"points": [[0.0], [1.0], [2.0]]}
 )
 def test_slot_pass_matches_record_loop_on_edge_cases(monkeypatch, records):
     _assert_slots_match_record_loop(monkeypatch, {"ground_space": GROUND, "records": records})
+
+
+def test_slot_pass_matches_record_loop_on_double_mutations(monkeypatch):
+    """A seeded sample of two changes of TWO_SLOTS in a row, the second made to
+    the document the first left."""
+    rng = random.Random(0)
+    for _ in range(400):
+        doc = TWO_SLOTS
+        for _ in range(2):
+            doc = _mutated(doc, rng.choice([*_sites(doc)]), rng.choice([*HOSTILE, DROP]))
+        _assert_slots_match_record_loop(monkeypatch, doc)
+
+
+def _takes_slot_pass(path) -> bool:
+    obj = json.loads(path.read_text())
+    ground = dataset._parse_ground(obj["ground_space"]) if "ground_space" in obj else None
+    return dataset._slots(obj["records"], ground) is not None
+
+
+def test_written_datasets_take_the_slot_pass(tmp_path, capsys):
+    """The files ``write_dataset`` writes, from each workload and from both ``fuzzify``
+    methods, are parsed one slot at a time, never by the record loop."""
+    for name in workloads.NAMES:
+        write_dataset(dataset_from_obj(workloads.generate(name, 1).document), tmp_path / f"{name}.json")
+        assert _takes_slot_pass(tmp_path / f"{name}.json"), name
+    (tmp_path / "table.csv").write_text(TABLE)
+    for method in (["gaussian", "--widths", "0.5"], ["histogram", "--bins", "4"]):
+        out = tmp_path / f"{method[0]}.json"
+        assert main(["fuzzify", "--data", str(tmp_path / "table.csv"), "--out", str(out), "--method", *method]) == 0
+        assert _takes_slot_pass(out), method[0]
+    capsys.readouterr()
 
 
 def test_gaussian_parse_checks_numbers_per_slot_not_per_record(monkeypatch):

@@ -10,7 +10,6 @@ from fuzzykernels import (
     GroundSpace,
     Partition,
     fuzzify_from_histogram,
-    fuzzify_gaussian,
     support_cells,
 )
 
@@ -166,18 +165,20 @@ class TestGaussianMembership:
 
 
 class TestFuzzifyGaussian:
+    """Epistemic fuzzification of a crisp vector is the constructor centred on it."""
+
     def test_field_passthrough(self):
-        fs = fuzzify_gaussian([1.5], [0.2])
+        fs = GaussianFuzzySet([1.5], [0.2])
         assert fs.means.tolist() == [1.5]
         assert fs.widths.tolist() == [0.2]
 
     def test_peak_property(self):
-        fs = fuzzify_gaussian([0.0, 0.0], [1.0, 1.0])
+        fs = GaussianFuzzySet([0.0, 0.0], [1.0, 1.0])
         assert fs([0.0, 0.0]) == 1.0
 
     def test_zero_width_rejected(self):
         with pytest.raises(ValueError):
-            fuzzify_gaussian([2.0], [0.0])
+            GaussianFuzzySet([2.0], [0.0])
 
 
 class TestFuzzifyFromHistogram:

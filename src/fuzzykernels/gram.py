@@ -21,6 +21,7 @@ __all__ = [
 ]
 
 DEFAULT_PSD_TOL = 1e-8
+_BAND = 128  # rows per band of write_matrix's string reuse
 
 
 @dataclass
@@ -135,16 +136,41 @@ def normalize(g: GramMatrix) -> GramMatrix:
 
 
 def write_matrix(path, g) -> None:
-    """Dense matrix file: first line n, then n whitespace-separated rows
-    of decimal floats with 17 significant digits.  Each row is one ``%``
-    format of a row template, so memory stays O(n)."""
+    """Dense matrix file: first line n, then n rows of the entries'
+    ``%.17g`` strings, separated by single spaces.
+
+    Rows go out in bands of ``_BAND``.  When a band's diagonal block is
+    bitwise symmetric (its ``uint64`` view equals its transpose, so a
+    ``-0.0`` opposite a ``0.0``, or two NaNs with different payloads, never
+    count as equal), row i formats its entries from the diagonal on and
+    takes its in-band entries left of the diagonal from the strings that
+    earlier rows of the band made for the mirrored entries.  Every other
+    entry, and every row of a band whose block is not symmetric, is one
+    ``%`` format of a row template.  Each cached string is dropped once
+    read, so memory is O(n) plus the block comparison's ``_BAND**2``
+    entries and at most ``_BAND**2 / 4`` strings."""
     m = _as_matrix(g)
     n = m.shape[0]
-    line = " ".join(["%.17g"] * n) + "\n"
+    template = "%.17g " * n  # its first 6k - 1 characters format k entries
     with open(path, "w") as fh:
         fh.write(f"{n}\n")
-        for row in m:
-            fh.write(line % tuple(row.tolist()))
+        for a in range(0, n, _BAND):
+            b = min(a + _BAND, n)
+            block = m[a:b, a:b].view(np.uint64)
+            if not np.array_equal(block, block.T):
+                for row in m[a:b]:
+                    fh.write(template[:-1] % tuple(row.tolist()) + "\n")
+                continue
+            band = []  # each earlier row's strings for the band's later columns, popped in column order
+            for i in range(a, b):
+                row = m[i].tolist()
+                right = template[: 6 * (n - i) - 1] % tuple(row[i:])
+                parts = list(map(list.pop, band))
+                band.append(right.split(" ", b - i)[b - i - 1 : 0 : -1])
+                if a:
+                    parts.insert(0, template[: 6 * a - 1] % tuple(row[:a]))
+                parts.append(right)
+                fh.write(" ".join(parts) + "\n")
 
 
 def read_matrix(path) -> np.ndarray:

@@ -180,7 +180,7 @@ def mmd_permutation_test(
         shuffles = np.tile(np.arange(total), (min(step, n_permutations - first), 1))
         rng.permuted(shuffles, axis=1, out=shuffles)  # row i: the stream's next permutation(N)
         member = np.zeros(shuffles.shape)
-        np.put_along_axis(member, shuffles[:, marked], 1.0, axis=1)
+        member.ravel()[(shuffles[:, marked] + total * np.arange(len(shuffles))[:, None]).ravel()] = 1.0
         sss = np.einsum("ij,ij->i", member @ g, member)
         ss = member @ row_sums
         stats = sss / k**2 + (g_sum - 2 * ss + sss) / rest**2 - 2 * (ss - sss) / (k * rest)

@@ -278,21 +278,52 @@ def fuzzify_from_histogram(samples: Sequence[float], ground: GroundSpace) -> Dis
     """Data-driven fuzzification of scalar samples over a grid of bin centers.
 
     Each sample is assigned to its nearest bin center (ties go to the lower
-    index); counts are divided by the maximum count, so the tallest bin has
-    degree exactly 1 and empty bins stay out of the support.
+    index), in memory O(samples + bins); counts are divided by the maximum
+    count, so the tallest bin has degree exactly 1 and empty bins stay out
+    of the support.
     """
     vals = _numbers(samples, "samples")
     if vals.size == 0:
         raise ValueError("cannot fuzzify an empty sample list")
     if ground.dim != 1:
         raise ValueError("histogram fuzzification needs a 1-dimensional ground space")
-    centers = ground.points[:, 0]
-    # argmin returns the first (lowest-index) bin on exact distance ties
-    nearest = np.abs(vals[:, None] - centers[None, :]).argmin(axis=1)
-    counts = np.bincount(nearest, minlength=len(ground))
+    # ascending samples keep _nearest's reduceat linear; the counts do not depend on their order
+    counts = np.bincount(_nearest(np.sort(vals), ground.points[:, 0]), minlength=len(ground))
     peak = counts.max()
     degrees = {int(i): counts[i] / peak for i in np.nonzero(counts)[0]}
     return DiscreteFuzzySet(ground, degrees)
+
+
+def _nearest(vals: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Per value v, the lowest index among the centers c at the least
+    ``abs(v - c)``, as ``abs(vals[:, None] - centers).argmin(axis=1)`` gives,
+    in O(len(vals) + len(centers)) memory.  In the centers' stable sort the
+    rounded distance falls up to v's insertion point and rises after it, so
+    the centers at the least distance are one run around that point; a
+    bisection finds the run's two ends and a ``reduceat`` the lowest index
+    in it."""
+    order = np.argsort(centers, kind="stable")
+    s = centers[order]
+    p = np.searchsorted(s, vals)  # s[:p] < v <= s[p:]
+
+    def dist(j):
+        return np.abs(vals - s[np.minimum(j, len(s) - 1)])
+
+    least = np.minimum(dist(np.maximum(p - 1, 0)), dist(p))
+    lo = _bisect(lambda j: dist(j) <= least, np.zeros_like(p), p)
+    hi = _bisect(lambda j: dist(j) > least, p, np.full_like(p, len(s)))
+    # the runs [lo, hi) are reduceat's even slices; the appended entry makes hi = len(s) a valid start
+    return np.minimum.reduceat(np.append(order, 0), np.column_stack([lo, hi]).ravel())[::2]
+
+
+def _bisect(holds, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per query, the first j in [lo, hi) at which ``holds(j)``, false then
+    true along j, is true; hi where it never is."""
+    while (live := lo < hi).any():
+        mid = (lo + hi) // 2
+        ok = holds(mid)
+        lo, hi = np.where(live & ~ok, mid + 1, lo), np.where(live & ok, mid, hi)
+    return lo
 
 
 def support_cells(fs: DiscreteFuzzySet, partition: Partition) -> set[int]:

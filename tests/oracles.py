@@ -192,3 +192,13 @@ def bf_matrix_text(m):
     values = m.values if isinstance(m, GramMatrix) else np.asarray(m, dtype=float)
     lines = [str(values.shape[0])] + [" ".join(format(v, ".17g") for v in row) for row in values]
     return "\n".join(lines) + "\n"
+
+
+def bf_histogram_degrees(samples, centers):
+    """Degrees of a histogram fuzzification from the full samples x centers
+    distance table: each sample counts at the first center of least
+    ``abs(v - c)``, and the counts are divided by the largest."""
+    vals = np.asarray(samples, dtype=float)
+    nearest = np.abs(vals[:, None] - np.asarray(centers, dtype=float)[None, :]).argmin(axis=1)
+    counts = np.bincount(nearest, minlength=len(centers))
+    return {int(i): counts[i] / counts.max() for i in np.nonzero(counts)[0]}

@@ -18,6 +18,7 @@ from fuzzykernels import (
     read_matrix,
     write_matrix,
 )
+from fuzzykernels.gram import _BAND
 
 import oracles
 
@@ -226,6 +227,22 @@ class TestMatrixFile:
         m.flat[rng.choice(n * n, size=len(special), replace=False)] = special
         return m
 
+    @staticmethod
+    def _mirrored(m, *unmirrored):
+        """``m``'s upper triangle copied bit for bit below the diagonal, then each
+        ((i, j), value) of ``unmirrored`` set on one side of the diagonal only."""
+        m = np.where(np.triu(np.ones(m.shape, dtype=bool)), m, m.T)
+        for (i, j), v in unmirrored:
+            m[i, j] = v
+        return m
+
+    @staticmethod
+    def _specials(*unmirrored):
+        """A symmetric matrix holding -0.0, NaN, +-inf and subnormals, each opposite its own bits."""
+        m = np.random.default_rng(19).normal(size=(12, 12))
+        m[0, 1:8] = [-0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-310]
+        return TestMatrixFile._mirrored(m, *unmirrored)
+
     @pytest.mark.parametrize(
         "make",
         [
@@ -240,6 +257,37 @@ class TestMatrixFile:
                 ),
                 id="gram-matrix",
             ),
+            pytest.param(lambda: TestMatrixFile._specials(), id="symmetric-specials"),
+            pytest.param(  # a -0.0 opposite a 0.0 compares equal but prints differently; no NaN hides it
+                lambda: TestMatrixFile._mirrored(
+                    np.random.default_rng(20).normal(size=(12, 12)), ((2, 5), 0.0), ((5, 2), -0.0)
+                ),
+                id="signed-zero-mirror",
+            ),
+            pytest.param(
+                lambda: TestMatrixFile._specials(((2, 0), np.uint64(0x7FF8000000000001).view(float))),
+                id="nan-payload-mirror",
+            ),
+            pytest.param(lambda: TestMatrixFile._specials(((9, 4), 0.25)), id="one-asymmetric-entry"),
+            pytest.param(
+                lambda: TestMatrixFile._mirrored(TestMatrixFile._hostile(2 * _BAND + 3)), id="rows-cross-bands"
+            ),
+            pytest.param(  # the middle band's diagonal block is not symmetric, the other two are
+                lambda: TestMatrixFile._mirrored(
+                    TestMatrixFile._hostile(2 * _BAND + 3), ((_BAND + 7, _BAND + 2), 1.5)
+                ),
+                id="rows-cross-bands-one-asymmetric-entry",
+            ),
+            pytest.param(
+                lambda: TestMatrixFile._mirrored(TestMatrixFile._hostile(40)).T, id="transposed-symmetric"
+            ),
+            pytest.param(
+                lambda: compute_gram(
+                    [GaussianFuzzySet([x, -x], [0.5, 2.0]) for x in np.linspace(0, 3, _BAND + 5)],
+                    FuzzyKernelSpec("nonsingleton_gaussian"),
+                ),
+                id="gram-matrix-beyond-a-band",
+            ),
         ],
     )
     def test_writes_the_oracle_bytes(self, tmp_path, make):
@@ -251,6 +299,18 @@ class TestMatrixFile:
     def test_write_memory_is_one_row(self, tmp_path):
         # the whole text at n = 500 is ~5 MB; row by row the writer holds a few rows' worth
         m = self._hostile(500)
+        tracemalloc.start()
+        try:
+            write_matrix(tmp_path / "gram.txt", m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_write_memory_of_a_symmetric_matrix(self, tmp_path):
+        # the strings kept for mirrored entries must fit in the bound that one row's worth does
+        m = self._hostile(500)
+        m = np.triu(m) + np.triu(m, 1).T
         tracemalloc.start()
         try:
             write_matrix(tmp_path / "gram.txt", m)

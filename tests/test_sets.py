@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fuzzykernels import (
     DiscreteFuzzySet,
@@ -11,6 +12,17 @@ from fuzzykernels import (
     Partition,
     fuzzify_from_histogram,
     support_cells,
+)
+
+import oracles
+
+# small integers make exact ties and duplicate centers; values near 1e17 and beyond
+# make distances that round to the same float; the full range overflows to inf
+_LINE = st.one_of(
+    st.integers(-4, 4).map(float),
+    st.floats(-1e3, 1e3),
+    st.sampled_from([1e17, -1e17, 1e17 + 16, 2.0**60, 1.7e308, -1.7e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
 )
 
 
@@ -213,6 +225,27 @@ class TestFuzzifyFromHistogram:
         fs = fuzzify_from_histogram(samples, g)
         assert max(fs.degrees.values()) == 1.0
         assert all(0 < d <= 1 for d in fs.degrees.values())
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(centers=st.lists(_LINE, min_size=1, max_size=24), samples=st.lists(_LINE, min_size=1, max_size=24))
+    def test_matches_the_full_distance_table(self, centers, samples):
+        with np.errstate(over="ignore"):  # both sides see inf for a distance beyond the float range
+            want = oracles.bf_histogram_degrees(samples, centers)
+            fs = fuzzify_from_histogram(samples, GroundSpace(centers))
+        assert dict(fs.degrees) == want
+
+    def test_memory_is_not_samples_times_bins(self):
+        # a samples x bins table would be 160 MB; the sorted search holds a few copies of the 0.8 MB ground
+        g = GroundSpace(np.linspace(-5.0, 5.0, 100_000))
+        samples = np.random.default_rng(21).normal(size=200)
+        tracemalloc.start()
+        try:
+            fs = fuzzify_from_histogram(samples, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert max(fs.degrees.values()) == 1.0
 
 
 class TestSupportCells:

@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
         "mmd-test", parents=[common], help="MMD permutation two-sample test (labels split the samples)"
     )
     p.add_argument("--permutations", type=int, default=200)
-    p.add_argument("--seed", type=int, required=True, help="seeds the one PCG64 stream of all permutations")
+    p.add_argument("--seed", type=int, required=True, help="seeds the one PCG64 stream of all replicas")
     p.set_defaults(func=cmd_mmd_test)
 
     return parser

@@ -23,7 +23,7 @@ __all__ = [
 ]
 
 RNG_NAME = "numpy-pcg64"
-_NULL_BLOCK_ELEMENTS = 1 << 16  # in a block's 3 N-wide MMD temporaries; 1 << 18 cost 3% peak RSS, no speed
+_NULL_BLOCK_ELEMENTS = 1 << 16  # in a block's 4 N-wide MMD temporaries; 1 << 18 cost 3% peak RSS, no speed
 
 
 @dataclass
@@ -133,6 +133,14 @@ def mmd_statistic(gxx, gyy, gxy) -> float:
     return max(v, 0.0)
 
 
+def _smaller_sample_rows(keys: np.ndarray, n: int, m: int) -> np.ndarray:
+    """0/1 rows marking each row's smaller sample: A is the n smallest keys, ties in record order."""
+    in_a = keys <= np.partition(keys, n - 1, axis=1)[:, [n - 1]]
+    for r in np.flatnonzero(np.count_nonzero(in_a, axis=1) != n):  # a tie at the n-th smallest key
+        in_a[r] = np.argsort(np.argsort(keys[r], kind="stable")) < n
+    return (in_a if n <= m else ~in_a).astype(float)
+
+
 def mmd_permutation_test(
     sample_a: Sequence[Record],
     sample_b: Sequence[Record],
@@ -144,16 +152,19 @@ def mmd_permutation_test(
     """Two-sample permutation test on the MMD statistic.
 
     The pooled Gram matrix ``G`` (N x N, sample A first) is computed once.
-    Replica r takes as sample A the first n indices of the r-th
-    ``permutation(N)`` of one ``default_rng(seed)`` stream, independent of
-    block size, so the result is a function of (G, n, n_permutations, seed).
+    Replica r's keys are the r-th N doubles of one ``default_rng(seed).random``
+    stream, and its sample A is the first n of ``argsort(keys, kind="stable")``:
+    the n smallest keys, equal keys in record order.  Blocks draw their rows'
+    keys at once, the same doubles, so the result is a function of (G, n,
+    n_permutations, seed) whatever the block size.
     Replicas run in blocks of 0/1 rows ``M`` that mark the smaller sample S
     (size k): ``sss = rowsum((M @ G) * M)``, ``ss = M @ rowsum(G)``, the
     cross sum is ``ss - sss`` and the larger sample's sum ``sum(G) - 2 ss +
     sss``, whose cancellation error stays O(eps max|G|) after division by
-    ``(N - k)^2``.  A block's three N-wide temporaries (the integer
-    shuffles, ``M`` and ``M @ G``) stay within ``_NULL_BLOCK_ELEMENTS``, so
-    memory is O(N^2) plus that budget for any ``n_permutations``.
+    ``(N - k)^2``.  A block's four N-wide temporaries (the keys, their
+    partitioned copy, the mask or ``M``, and ``M @ G``) stay within
+    ``_NULL_BLOCK_ELEMENTS``, so memory is O(N^2) plus that budget for any
+    ``n_permutations``.
     ``n_jobs`` is accepted for compatibility and does not change the result.
 
     The reported statistic is :func:`mmd_statistic` of the given split.  A
@@ -171,16 +182,13 @@ def mmd_permutation_test(
     g = compute_gram(list(sample_a) + list(sample_b), spec, n_jobs=n_jobs).values
     observed = mmd_statistic(g[:n, :n], g[n:, n:], g[:n, n:])
     tol = 8 * total * np.finfo(float).eps * np.abs(g).max()
-    k, rest, marked = (n, m, slice(0, n)) if n <= m else (m, n, slice(n, total))
+    k, rest = (n, m) if n <= m else (m, n)
     row_sums, g_sum = g.sum(axis=1), g.sum()
     rng = np.random.default_rng(seed)
-    step = max(1, _NULL_BLOCK_ELEMENTS // (3 * total))
+    step = max(1, _NULL_BLOCK_ELEMENTS // (4 * total))
     exceed = 0
     for first in range(0, n_permutations, step):
-        shuffles = np.tile(np.arange(total), (min(step, n_permutations - first), 1))
-        rng.permuted(shuffles, axis=1, out=shuffles)  # row i: the stream's next permutation(N)
-        member = np.zeros(shuffles.shape)
-        member.ravel()[(shuffles[:, marked] + total * np.arange(len(shuffles))[:, None]).ravel()] = 1.0
+        member = _smaller_sample_rows(rng.random((min(step, n_permutations - first), total)), n, m)
         sss = np.einsum("ij,ij->i", member @ g, member)
         ss = member @ row_sums
         stats = sss / k**2 + (g_sum - 2 * ss + sss) / rest**2 - 2 * (ss - sss) / (k * rest)

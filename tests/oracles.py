@@ -159,7 +159,8 @@ def bf_mmd_p_value(gram, n, n_permutations, seed):
     """Permutation p-value of the biased MMD^2 on a pooled Gram matrix whose
     first ``n`` rows are sample A.
 
-    Replica r splits by the r-th ``permutation(N)`` of one
+    Replica r's sample A is the first ``n`` of ``argsort(keys,
+    kind="stable")``, where its keys are the r-th ``random(N)`` of one
     ``default_rng(seed)`` stream, as the library does.  Each block sum is an
     exactly rounded ``math.fsum`` over sorted index sets, so equal splits
     give bit-equal statistics.  A replica counts when ``s >= observed - 8 N
@@ -181,7 +182,7 @@ def bf_mmd_p_value(gram, n, n_permutations, seed):
     rng = np.random.default_rng(seed)
     exceed = 0
     for _ in range(n_permutations):
-        perm = rng.permutation(total)
+        perm = np.argsort(rng.random(total), kind="stable")
         exceed += statistic(perm[:n].tolist(), perm[n:].tolist()) >= observed - tol
     return (1 + exceed) / (1 + n_permutations)
 

@@ -12,8 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzzykernels import parse_dataset, read_matrix
+from fuzzykernels import mmd_statistic, parse_dataset, read_matrix
 from fuzzykernels.cli import main
+from fuzzykernels.kernels import nonsingleton_gaussian_kernel
+
+import oracles
 
 
 def run_cli(capsys, *argv):
@@ -252,6 +255,29 @@ class TestMmdTest:
         report = json.loads(outs[0])
         assert report["n_a"] == 2 and report["n_b"] == 2
         assert 0.0 < report["p_value"] <= 1.0
+
+    def test_null_count_matches_the_oracle(self, tmp_path, capsys):
+        # 60 + 60 three-dimensional Gaussian records from one distribution,
+        # one width per dimension: replicas reach the observed statistic, so
+        # the p-value tests the null's count, not only its add-one floor
+        rng = np.random.default_rng(2)
+        widths = rng.uniform(0.5, 1.0, size=3).tolist()
+        records = [
+            [{"type": "gaussian", "m": rng.normal(0.0, 0.3, size=3).tolist(), "sigma": widths}] for _ in range(120)
+        ]
+        data, kernel = tmp_path / "null.json", tmp_path / "kernel.json"
+        data.write_text(json.dumps({"records": records, "labels": [1] * 60 + [-1] * 60}))
+        kernel.write_text(json.dumps({"family": "nonsingleton_gaussian"}))
+        code, stdout, _ = run_cli(
+            capsys, "mmd-test", "--data", str(data), "--kernel", str(kernel), "--seed", "7", "--permutations", "200",
+        )
+        assert code == 0
+        report = json.loads(stdout)
+        pooled = [r[0] for r in parse_dataset(data).records]
+        g = np.array([[nonsingleton_gaussian_kernel(x, y) for y in pooled] for x in pooled])
+        assert report["statistic"] == mmd_statistic(g[:60, :60], g[60:, 60:], g[:60, 60:])
+        assert report["p_value"] == oracles.bf_mmd_p_value(g, 60, 200, 7)
+        assert round(report["p_value"] * 201) > 1
 
     def test_needs_both_labels(self, tmp_path, capsys, linear_kernel_cfg):
         obj = {

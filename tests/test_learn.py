@@ -248,24 +248,24 @@ class TestMmdPermutationTest:
             mmd_permutation_test([], self._sample(rng, 3), spec, seed=0)
 
     def test_counts_every_repeat_of_the_observed_split(self, spec):
-        # n = 1, N = 24: 7 of the 200 replicas draw record 0 as sample A
+        # n = 1, N = 24: 13 of the 200 replicas give record 0 the smallest of
+        # their 24 keys from the one random(N) stream, so draw it as sample A
         # again; re-summing the reordered B block once put every repeat below
         # the observed statistic, and the p-value came out repeats/201 too small
         rng = np.random.default_rng(1)
         pooled = [GaussianFuzzySet([rng.normal()], [0.4]) for _ in range(24)]
         res = mmd_permutation_test(pooled[:1], pooled[1:], spec, n_permutations=200, seed=0)
         stream = np.random.default_rng(0)
-        repeats = sum(stream.permutation(24)[0] == 0 for _ in range(200))
-        assert repeats == 7
+        repeats = sum(np.argsort(stream.random(24), kind="stable")[0] == 0 for _ in range(200))
+        assert repeats == 13
         g = compute_gram(pooled, spec).values
         assert res.p_value == oracles.bf_mmd_p_value(g, 1, 200, 0)
         assert round(res.p_value * 201) >= 1 + repeats
 
     @pytest.mark.parametrize("n, m", [(6, 7), (7, 6)])
     def test_result_independent_of_block_size(self, spec, monkeypatch, n, m):
-        # replica r is the r-th permutation of one stream however the
-        # replicas are blocked: one per block, 7 per block (250 = 35 * 7 + 5
-        # leaves a ragged last block), and the default budget
+        # replica r takes the r-th N keys of one stream however the replicas
+        # are blocked: one per block, 5 per block, and the default budget
         rng = np.random.default_rng(33)
         a = self._sample(rng, n)
         b = self._sample(rng, m, shift=0.3)
@@ -275,19 +275,48 @@ class TestMmdPermutationTest:
             results.append(mmd_permutation_test(a, b, spec, n_permutations=250, seed=4))
         assert results[0] == results[1] == results[2]
 
+    def test_ragged_last_block_matches_the_oracle(self, spec, monkeypatch):
+        # 7 replicas per block: 250 = 35 * 7 + 5 leaves a ragged last block
+        rng = np.random.default_rng(34)
+        pooled = self._sample(rng, 6) + self._sample(rng, 7, shift=0.3)
+        monkeypatch.setattr(learn, "_NULL_BLOCK_ELEMENTS", 4 * 13 * 7)
+        res = mmd_permutation_test(pooled[:6], pooled[6:], spec, n_permutations=250, seed=4)
+        assert res.p_value == oracles.bf_mmd_p_value(compute_gram(pooled, spec).values, 6, 250, 4)
+
     def test_null_pass_memory_is_blocked(self, spec):
-        # 5000 shuffles of 120 indices stacked up front take 4.8 MB; blocks
-        # stay within the Gram and the block budget
-        rng = np.random.default_rng(32)
-        a = self._sample(rng, 60)
-        b = self._sample(rng, 60, shift=0.4)
-        tracemalloc.start()
-        try:
-            mmd_permutation_test(a, b, spec, n_permutations=5000, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * 8 * (120 * 120 + learn._NULL_BLOCK_ELEMENTS)
+        # 5000 replicas' 120 keys drawn up front take 4.8 MB; blocks stay
+        # within the Gram and the block budget, whether A (60 + 60) or B
+        # (61 + 59) is marked
+        for n, m in [(60, 60), (61, 59)]:
+            rng = np.random.default_rng(32)
+            a = self._sample(rng, n)
+            b = self._sample(rng, m, shift=0.4)
+            tracemalloc.start()
+            try:
+                mmd_permutation_test(a, b, spec, n_permutations=5000, seed=0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * 8 * (120 * 120 + learn._NULL_BLOCK_ELEMENTS), (n, m)
+
+
+@pytest.mark.parametrize("n, m", [(1, 5), (3, 3), (4, 2), (5, 1), (1, 1)])
+def test_split_of_tied_keys_is_the_stable_argsort_split(n, m):
+    """Keys whose n-th and (n+1)-th smallest are equal split as the first n
+    of a stable argsort, the lower record index first, with A or B marked."""
+    base = (np.random.default_rng(n + m).permutation(n + m) + 1.0) / (n + m + 1)
+    keys = np.tile(base, (6, 1))  # row 5 keeps its distinct keys
+    keys[2:4] = keys[2:4, ::-1]  # the tied pair in the other record order
+    for row in (0, 2):
+        order = np.argsort(keys[row])
+        keys[row, order[n]] = keys[row, order[n - 1]]  # tie at the lower key
+        keys[row + 1, order[n - 1]] = keys[row + 1, order[n]]  # tie at the higher key
+    keys[4] = 0.5  # every key equal
+    want = np.zeros(keys.shape)
+    for row, ranked in enumerate(np.argsort(keys, axis=1, kind="stable")):
+        want[row, ranked[:n] if n <= m else ranked[n:]] = 1.0
+    assert (want.sum(axis=1) == min(n, m)).all()
+    np.testing.assert_array_equal(learn._smaller_sample_rows(keys, n, m), want)
 
 
 def _mmd_values(kind, n, m, rng):

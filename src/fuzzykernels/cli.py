@@ -21,7 +21,7 @@ from .dataset import Dataset, _read_json, parse_dataset, write_dataset
 from .errors import NumericError, ValidationError, _number
 from .gram import DEFAULT_PSD_TOL, check_psd, compute_gram, write_matrix
 from .kernels import FuzzyKernelSpec, spec_from_config
-from .learn import cross_validate, mmd_permutation_test
+from .learn import _MAX_PERMUTATIONS, cross_validate, mmd_permutation_test
 from .sets import GaussianFuzzySet, GroundSpace, fuzzify_from_histogram
 
 
@@ -159,7 +159,9 @@ def cmd_mmd_test(args) -> int:
         sample_a,
         sample_b,
         spec,
-        n_permutations=_number(args.permutations, "--permutations"),
+        n_permutations=_number(
+            args.permutations, "--permutations", 1, closed=True, integral=True, most=_MAX_PERMUTATIONS
+        ),
         seed=args.seed,
         n_jobs=args.jobs,
     )
@@ -215,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "mmd-test", parents=[common], help="MMD permutation two-sample test (labels split the samples)"
     )
-    p.add_argument("--permutations", type=int, default=200)
+    p.add_argument("--permutations", type=int, default=200, help=f"replicas of the null, 1 to {_MAX_PERMUTATIONS}")
     p.add_argument("--seed", type=int, required=True, help="seeds the one PCG64 stream of all replicas")
     p.set_defaults(func=cmd_mmd_test)
 

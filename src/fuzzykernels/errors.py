@@ -15,18 +15,20 @@ class NumericError(RuntimeError):
     """Numerical failure: singular linear system, non-finite matrix entries."""
 
 
-def _number(value, name: str, least: float = 0, closed: bool = False, integral: bool = False):
-    """``value`` as a float (an int with ``integral``) that is finite and above
-    ``least``, or equal to it when ``closed``.  Anything else raises ValidationError
-    naming ``name``, a bool or a string too, though float() takes them."""
+def _number(value, name: str, least: float = 0, closed: bool = False, integral: bool = False, most: float = math.inf):
+    """``value`` as a float (an int with ``integral``) that is finite, at most
+    ``most`` and above ``least``, or equal to it when ``closed``.  Anything else
+    raises ValidationError naming ``name``, a bool or a string too, though float()
+    takes them."""
     try:
         if isinstance(value, (bool, np.bool_, str, bytes)):
             raise TypeError
         x = float(value)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{name} must be a number, got {value!r}") from None
-    if not (least <= x if closed else least < x) or not math.isfinite(x):
+    if not (least <= x if closed else least < x) or not x <= most or not math.isfinite(x):
         bound = f" and {'>=' if closed else '>'} {least}" if least > -math.inf else ""
+        bound += f" and <= {most}" if most < math.inf else ""
         raise ValidationError(f"{name} must be finite{bound}, got {value}")
     if integral and not x.is_integer():
         raise ValidationError(f"{name} must be an integer, got {value!r}")

@@ -101,6 +101,8 @@ def check_psd(g, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
     """
     tol = _number(tol, "tol")
     m = _as_matrix(g)
+    if not m.size:
+        raise ValueError("check_psd needs a non-empty matrix, got 0 x 0")
     if not np.isfinite(m).all():
         raise NumericError("Gram matrix contains non-finite entries")
     eigs = np.linalg.eigvalsh(m)

@@ -18,8 +18,9 @@ nonsingleton / nonsingleton_gaussian
     supremum has the closed form
     ``prod_d exp(-(m_d - m'_d)^2 / (2 (sigma_d^2 + sigma'_d^2)))``.
 distance_inner / distance_poly / distance_gaussian
-    Distance substitution kernels built from a metric between fuzzy sets,
-    by default the ratio metric ``sum|X-Y| / sum(X+Y)``.
+    Distance substitution kernels built from a distance between fuzzy sets,
+    by default the ratio distance ``sum|X-Y| / sum(X+Y)``, which is no metric:
+    it breaks the triangle inequality.
 
 The per-family functions below evaluate one pair and are the reference.
 :func:`evaluate` and :func:`gram.compute_gram` run a batched engine instead:
@@ -255,10 +256,12 @@ Metric = Callable[[DiscreteFuzzySet, DiscreteFuzzySet], float]
 
 
 def ratio_distance(x: DiscreteFuzzySet, y: DiscreteFuzzySet) -> float:
-    """Ratio metric ``sum |X - Y| / sum (X + Y)`` over the union of supports.
+    """Ratio distance ``sum |X - Y| / sum (X + Y)`` over the union of supports.
 
     Ranges over [0, 1]: 0 iff the membership functions agree, 1 iff the
-    supports are disjoint.  Undefined (raises) when both sets are empty.
+    supports are disjoint.  Undefined (raises) when both sets are empty.  It is
+    symmetric but not a metric: for crisp sets A = {0}, B = {1}, C = {0, 1},
+    d(A, B) = 1 > d(A, C) + d(C, B) = 2/3.
     """
     _check_same_ground(x, y)
     union = sorted(x.support | y.support)
@@ -277,7 +280,7 @@ def ratio_distance(x: DiscreteFuzzySet, y: DiscreteFuzzySet) -> float:
 def distance_inner(
     x: DiscreteFuzzySet, y: DiscreteFuzzySet, x0: DiscreteFuzzySet, d: Metric = ratio_distance
 ) -> float:
-    """Inner product induced by a metric and a reference point:
+    """Inner product induced by a distance and a reference point:
     ``(d(x,x0)^2 + d(y,x0)^2 - d(x,y)^2) / 2``."""
     return 0.5 * (d(x, x0) ** 2 + d(y, x0) ** 2 - d(x, y) ** 2)
 
@@ -291,7 +294,7 @@ def distance_polynomial_kernel(
     gamma: float = 1.0,
     degree: int = 1,
 ) -> float:
-    """Polynomial kernel over the metric-induced inner product."""
+    """Polynomial kernel over the distance-induced inner product."""
     k = PolynomialKernel(coef0, gamma, degree)  # which checks the parameters
     return float((k.coef0 + k.gamma * distance_inner(x, y, x0, d)) ** k.degree)
 
@@ -299,7 +302,7 @@ def distance_polynomial_kernel(
 def distance_gaussian_kernel(
     x: DiscreteFuzzySet, y: DiscreteFuzzySet, d: Metric = ratio_distance, gamma: float = 1.0
 ) -> float:
-    """Gaussian kernel over a metric: ``exp(-gamma d(x, y)^2)``."""
+    """Gaussian kernel over a distance: ``exp(-gamma d(x, y)^2)``."""
     return math.exp(-RBFKernel(gamma).gamma * d(x, y) ** 2)
 
 
@@ -506,10 +509,13 @@ def _kernel_matrix(
                 raise NumericError(
                     f"kernel value {values[i, j[0]]} is not finite for pair ({row_ids[i]}, {col_ids[j[0]]})"
                 )
-    # a Gram's upper triangle mirrored in bands of rows, three band-sized temporaries
-    # each; adding the other triangle's zeros makes each -0.0 a 0, which prints as 0
-    for a, b, _ in pairs.row_blocks(3 * len(values)) if symmetric else ():
-        values[a:b] = np.tril(values[:, a:b].T, a - 1) + np.triu(values[a:b], a)
+    # a Gram's upper triangle mirrored in bands of rows: left of each band's diagonal
+    # block one copy of the rows above, the block from its own upper triangle; adding
+    # 0.0 right of it makes each -0.0 a 0, which prints as 0
+    for a, b, _ in pairs.row_blocks(len(values)) if symmetric else ():
+        values[a:b, :a] = values[:a, a:b].T
+        values[a:b, a:b] = np.triu(values[a:b, a:b]) + np.tril(values[a:b, a:b].T, -1)
+        values[a:b, b:] += 0.0
     return values
 
 
@@ -637,6 +643,9 @@ def _gaussian_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _Pairs
     dim = np.array([x.dim for x in attrs])
     pairs.check(dim != dim[0], lambda p, q: f"dimension mismatch: {dim[p]} vs {dim[q]}")
     means, widths = _halved(attrs)
+    # one fuzzification gives a slot one width vector: then each dimension
+    # takes one hypot, equal bit for bit to every pair's own
+    shared = np.hypot(widths[0], widths[0]) if (widths == widths[0]).all() else None
     mx, wx, my, wy = means[pairs.rows, None], widths[pairs.rows, None], means[pairs.cols], widths[pairs.cols]
     out = np.zeros(pairs.shape)
     for a, b, c0 in pairs.row_blocks(len(my)):
@@ -644,7 +653,8 @@ def _gaussian_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _Pairs
         # dimensions accumulate in a fixed order, so a pair's value does not
         # depend on where it sits in the block
         for k in range(means.shape[1]):
-            s += np.square((mx[a:b, :, k] - my[c0:, k]) / np.hypot(wx[a:b, :, k], wy[c0:, k]))
+            h = np.hypot(wx[a:b, :, k], wy[c0:, k]) if shared is None else shared[k]
+            s += np.square((mx[a:b, :, k] - my[c0:, k]) / h)
         out[a:b, c0:] = np.exp(-0.5 * s)
     return out
 
@@ -664,7 +674,7 @@ def _distance_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _Pairs
 
 
 def _ratio_distances(attrs: list, ref: DiscreteFuzzySet | None, pairs: _Pairs):
-    """Ratio metric ``|X - Y|_1 / (|X|_1 + |Y|_1)`` between rows and columns,
+    """Ratio distance ``|X - Y|_1 / (|X|_1 + |Y|_1)`` between rows and columns,
     and from each item to ``ref``."""
     cols, _, m = _dense(_discrete(attrs, pairs, ref)[1])
     s = m.sum(axis=1)

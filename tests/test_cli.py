@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,30 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+WALL_S = 10  # each invalid input exits within this many seconds; none takes near 1 s
+
+
+class WallTimeExceeded(Exception):
+    """No subclass of what the CLI catches, so it ends the command it interrupts."""
+
+
+@contextlib.contextmanager
+def wall_time(seconds):
+    """Interrupt the body after ``seconds`` of wall time, so that a run without
+    end fails instead of hanging the suite."""
+
+    def interrupt(signum, frame):
+        raise WallTimeExceeded(f"ran longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture
@@ -667,7 +692,8 @@ def _data(**ground):
                 "mmd-test --data {data} --kernel {kernel} --seed 0 --permutations " + p, DATA, KERNEL,
                 "--permutations", id=f"mmd-permutations-{p}",
             )
-            for p in ("0", "-3")
+            # valid as an int, and once ran without end
+            for p in ("0", "-3", "99999999999999999999")
         ),
         *(
             pytest.param(
@@ -819,7 +845,8 @@ def test_invalid_input_exits_2_naming_where(tmp_path, capsys, argv, data, kernel
     paths = {name: tmp_path / name for name in (*files, "out")}
     for name, text in files.items():
         paths[name].write_bytes(text if isinstance(text, bytes) else text.encode())
-    code, _, err = run_cli(capsys, *argv.format(tmp=tmp_path, **paths).split())
+    with wall_time(WALL_S):
+        code, _, err = run_cli(capsys, *argv.format(tmp=tmp_path, **paths).split())
     assert code == 2
     assert where.format(tmp=tmp_path) in err
     assert "RuntimeWarning" not in err

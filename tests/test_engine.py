@@ -210,17 +210,19 @@ def test_nonsingleton(tname, seed, n_points, n_records, n_attrs, budget):
 @engine_settings
 @given(
     seed=seeds, dim=st.integers(1, 4), n_records=st.integers(1, 7), n_attrs=st.integers(1, 3),
-    log_mean=st.floats(-300.0, 300.0), log_width=st.floats(-300.0, 300.0), budget=budgets,
+    log_mean=st.floats(-300.0, 300.0), log_width=st.floats(-300.0, 300.0), budget=budgets, shared=st.booleans(),
 )
-def test_nonsingleton_gaussian(seed, dim, n_records, n_attrs, log_mean, log_width, budget):
+def test_nonsingleton_gaussian(seed, dim, n_records, n_attrs, log_mean, log_width, budget, shared):
     # means spread by about a width around a common level; the level and the
-    # widths range apart from 1e-300 to 1e300, where squares over- or underflow
+    # widths range apart from 1e-300 to 1e300, where squares over- or underflow;
+    # ``shared`` gives every record of a slot one width vector, as one fuzzification does
     rng = np.random.default_rng(seed)
     level, scale = 10.0**log_mean * rng.normal(size=dim), 10.0**log_width
+    slot_widths = scale * rng.uniform(0.5, 2.0, (n_attrs, dim))
     data = [
         tuple(
-            GaussianFuzzySet(level + scale * rng.normal(size=dim), scale * rng.uniform(0.5, 2.0, dim))
-            for _ in range(n_attrs)
+            GaussianFuzzySet(level + scale * rng.normal(size=dim), w if shared else scale * rng.uniform(0.5, 2.0, dim))
+            for w in slot_widths
         )
         for _ in range(n_records)
     ]
@@ -291,6 +293,22 @@ def test_nonsingleton_gaussian_is_exact_at_extreme_scales(x, y, want):
     assert compute_gram([x, y], FuzzyKernelSpec(family="nonsingleton_gaussian")).values[0, 1] == want
 
 
+def test_shared_widths_leave_grams_bit_identical():
+    # one extra record whose widths differ by one ulp makes the block decline
+    # the one-hypot-per-dimension path; the shared records' pairs keep every bit
+    rng = np.random.default_rng(16)
+    widths = rng.uniform(0.5, 2.0, 3)
+    data = [GaussianFuzzySet(rng.normal(size=3), widths) for _ in range(30)]
+    spec = FuzzyKernelSpec(family="nonsingleton_gaussian")
+    odd = GaussianFuzzySet(rng.normal(size=3), np.nextafter(widths, np.inf))
+    for budget in (1, 7, kernels._BLOCK_ELEMENTS):
+        with mock.patch.object(kernels, "_BLOCK_ELEMENTS", budget):
+            want = compute_gram(data, spec).values
+            got = compute_gram([*data, odd], spec).values
+        assert got[:30, :30].tobytes() == want.tobytes(), budget
+        assert got[30].tolist() == [nonsingleton_gaussian_kernel(odd, y) for y in [*data, odd]], budget
+
+
 def test_degree_order_leaves_grams_bit_identical():
     # a set's degrees may be given in any order; every family sums over a
     # support in ground order, so Grams and rectangular blocks keep every bit,
@@ -331,22 +349,81 @@ def test_degree_order_leaves_grams_bit_identical():
 JOIN_FAMILIES = ["intersection", "nonsingleton"]
 
 
+def assert_budget_free(data, spec, label):
+    """The Gram and a rectangular block keep every bit under one row per band,
+    a few rows, and the default budget."""
+    ids = [str(i) for i in range(len(data))]
+    got = []
+    for budget in (1, 7, kernels._BLOCK_ELEMENTS):
+        with mock.patch.object(kernels, "_BLOCK_ELEMENTS", budget):
+            got.append(compute_gram(data, spec).values)
+            got.append(kernels._kernel_matrix(spec, data[:15], data, ids[:15], ids))
+    for k in range(2, len(got)):
+        assert got[k].tobytes() == got[k % 2].tobytes(), (label, k)
+
+
 @pytest.mark.parametrize("family", JOIN_FAMILIES)
 def test_join_grams_do_not_depend_on_the_budget(family):
-    # every pair takes its common points in ascending ground order, whatever
-    # the row bands: one row per band, a few rows, and the default budget
+    # every pair takes its common points in ascending ground order, whatever the row bands
     rng = np.random.default_rng(12)
     _, data = discrete_data(rng, 30, 40, 2, n_cells=8)
-    ids = [str(i) for i in range(len(data))]
     for tname in TNORMS:
-        spec = FuzzyKernelSpec(family=family, tnorm=TNorm.from_name(tname))
-        got = []
-        for budget in (1, 7, kernels._BLOCK_ELEMENTS):
+        assert_budget_free(data, FuzzyKernelSpec(family=family, tnorm=TNorm.from_name(tname)), tname)
+
+
+def test_cross_product_grams_do_not_depend_on_the_budget():
+    # both the bilinear form and the support sum, with and without weights
+    rng = np.random.default_rng(17)
+    _, data = discrete_data(rng, 30, 40, 2)
+    for k1 in BASE:
+        for k2 in BASE:
+            assert_budget_free(data, FuzzyKernelSpec(family="cross_product", k1=BASE[k1][0], k2=BASE[k2][0]), (k1, k2))
+    weights = rng.uniform(0, 2, 30)
+    assert_budget_free(data, FuzzyKernelSpec(family="weighted_cross_product", weights=weights), "weighted")
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared-widths", "per-record-widths"])
+def test_gaussian_grams_do_not_depend_on_the_budget(shared):
+    rng = np.random.default_rng(18)
+    widths = rng.uniform(0.5, 2.0, (2, 3))
+    data = [
+        tuple(GaussianFuzzySet(rng.normal(size=3), w if shared else rng.uniform(0.5, 2.0, 3)) for w in widths)
+        for _ in range(40)
+    ]
+    assert_budget_free(data, FuzzyKernelSpec(family="nonsingleton_gaussian"), shared)
+
+
+def test_gram_mirrors_the_upper_triangle_bitwise():
+    # a stub family's block returns an upper triangle of -0.0, subnormals and
+    # both signs over a lower triangle of junk; the Gram is that upper triangle
+    # mirrored, bit for bit, with every -0.0 made +0.0
+    n = 23
+    rng = np.random.default_rng(19)
+    upper = rng.normal(size=(n, n)) * rng.choice([1.0, 1e-300, 1e300], (n, n))
+    upper[rng.random((n, n)) < 0.2] = -0.0
+    upper[rng.random((n, n)) < 0.1] = 0.0
+    upper[rng.random((n, n)) < 0.1] = -5e-324
+    upper[rng.random((n, n)) < 0.1] = 3e-310
+    upper[np.diag_indices(n)] = -0.0
+    upper[0, 0], upper[1, 1] = 5e-324, -2.5e-310
+    junk = np.where(np.tri(n, k=-1, dtype=bool), rng.choice([np.nan, -1e308, -0.0, 7.0], (n, n)), upper)
+    blocks = []
+
+    def stub(spec, attrs, slot, pairs):
+        blocks.append(pairs.shape)
+        return junk.copy()
+
+    below = np.tri(n, k=-1, dtype=bool)
+    want = np.where(below, upper.T, upper) + 0.0
+    assert (np.signbit(want) == (want < 0)).all()  # no -0.0 left
+    data = [GaussianFuzzySet([0.0], [1.0])] * n
+    with mock.patch.dict(kernels._FAMILIES, stub=(stub, (), GaussianFuzzySet)):
+        spec = FuzzyKernelSpec(family="stub")
+        for budget in (1, 7, 4 * n, kernels._BLOCK_ELEMENTS):
             with mock.patch.object(kernels, "_BLOCK_ELEMENTS", budget):
-                got.append(compute_gram(data, spec).values)
-                got.append(kernels._kernel_matrix(spec, data[:15], data, ids[:15], ids))
-        for k in range(2, len(got)):
-            assert np.array_equal(got[k], got[k % 2]), (tname, k)
+                got = compute_gram(data, spec).values
+            assert got.tobytes() == want.tobytes(), budget
+    assert blocks == [(n, n)] * 4
 
 
 @pytest.mark.parametrize("family", JOIN_FAMILIES)

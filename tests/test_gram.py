@@ -130,6 +130,14 @@ class TestCheckPsd:
         rep = check_psd(np.diag([1.0, 2.0, 3.0]))
         assert rep.eigenvalues.tolist() == [1.0, 2.0, 3.0]
 
+    def test_empty_matrix_rejected(self, tmp_path):
+        # once a raw IndexError from an empty spectrum, also from a matrix file holding only "0"
+        path = tmp_path / "empty.txt"
+        path.write_text("0\n")
+        for m in (np.zeros((0, 0)), read_matrix(path)):
+            with pytest.raises(ValueError, match="non-empty matrix"):
+                check_psd(m)
+
     def test_bad_tolerance(self):
         # an infinite tolerance once passed every matrix as PSD
         for tol in (0.0, np.inf, np.nan):

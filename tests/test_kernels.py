@@ -391,6 +391,13 @@ class TestRatioDistance:
         with pytest.raises(ValueError):
             ratio_distance(x, x)
 
+    def test_breaks_the_triangle_inequality(self, line_ground):
+        # on crisp sets it is one minus the Dice coefficient, a distance but no metric
+        a, b, c = (DiscreteFuzzySet(line_ground, dict.fromkeys(s, 1.0)) for s in ([0], [1], [0, 1]))
+        assert ratio_distance(a, b) == 1.0
+        assert ratio_distance(a, c) == ratio_distance(c, b) == pytest.approx(1 / 3)
+        assert ratio_distance(a, b) > ratio_distance(a, c) + ratio_distance(c, b)
+
     @given(
         dx=st.dictionaries(st.integers(0, 5), st.floats(1e-3, 1.0), max_size=6),
         dy=st.dictionaries(st.integers(0, 5), st.floats(1e-3, 1.0), max_size=6),

@@ -24,6 +24,8 @@ from .kernels import FuzzyKernelSpec, spec_from_config
 from .learn import _MAX_PERMUTATIONS, cross_validate, mmd_permutation_test
 from .sets import GaussianFuzzySet, GroundSpace, fuzzify_from_histogram
 
+_MAX_BINS = 10**5  # the ground is every bin center: 10**5 on a 3 x 2 table take 0.3-0.5 s, 44 MB and a 4.3 MB file
+
 
 def _load(args) -> tuple[Dataset, dict, FuzzyKernelSpec]:
     """The dataset named by --data, the kernel config named by --kernel, and
@@ -78,9 +80,8 @@ def cmd_fuzzify(args) -> int:
         ]
         ds = Dataset(ground=None, records=records)
     else:  # histogram
-        if args.bins is None or args.bins < 1:
-            raise ValidationError("histogram fuzzification needs --bins >= 1")
-        centers = np.linspace(table.min(), table.max(), args.bins)
+        bins = _number(args.bins, "--bins", 1, closed=True, integral=True, most=_MAX_BINS)
+        centers = np.linspace(table.min(), table.max(), bins)
         ground = GroundSpace(centers[:, None])
         records = [(fuzzify_from_histogram(table[:, j], ground),) for j in range(n_cols)]
         ds = Dataset(ground=ground, records=records)
@@ -127,8 +128,7 @@ def cmd_classify(args) -> int:
     ds, _, spec = _load(args)
     if ds.labels is None:
         raise ValidationError("classification needs a dataset with labels")
-    if not 2 <= args.folds <= len(ds.records):
-        raise ValidationError(f"--folds must be between 2 and {len(ds.records)}, got {args.folds}")
+    _number(args.folds, "--folds", 2, closed=True, integral=True, most=len(ds.records))
     gram = compute_gram(ds.records, spec, n_jobs=args.jobs)
     fold_acc, mean_acc = cross_validate(
         gram, ds.labels, regularization=_number(args.ridge, "--ridge"), folds=args.folds, seed=args.seed
@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="crisp numeric CSV table")
     p.add_argument("--method", required=True, choices=["gaussian", "histogram"])
     p.add_argument("--widths", help="comma-separated Gaussian widths, one per column (or one for all)")
-    p.add_argument("--bins", type=int, help="number of histogram bin centers")
+    p.add_argument("--bins", type=int, help=f"number of histogram bin centers, 1 to {_MAX_BINS}")
     p.add_argument("--out", required=True, help="output dataset file")
     p.set_defaults(func=cmd_fuzzify)
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _labels
 from .sets import DiscreteFuzzySet, GaussianFuzzySet, GroundSpace, Partition
 
 __all__ = ["Dataset", "parse_dataset", "dataset_from_obj", "dataset_to_obj", "write_dataset"]
@@ -154,15 +154,7 @@ def dataset_from_obj(obj) -> Dataset:
             records.append(attrs)
     labels = None
     if obj.get("labels") is not None:
-        raw_labels = obj["labels"]
-        if not isinstance(raw_labels, list) or len(raw_labels) != len(records):
-            raise ValidationError(
-                f"labels: expected a list of {len(records)} entries, got {raw_labels!r}"
-            )
-        for i, lab in enumerate(raw_labels):
-            if isinstance(lab, bool) or lab not in (1, -1):  # True == 1
-                raise ValidationError(f"labels[{i}]: must be 1 or -1, got {lab!r}")
-        labels = np.array(raw_labels, dtype=int)
+        labels = _labels(obj["labels"], len(records)).astype(int)
     return Dataset(ground=ground, records=records, labels=labels)
 
 

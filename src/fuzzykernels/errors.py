@@ -36,21 +36,24 @@ def _number(value, name: str, least: float = 0, closed: bool = False, integral: 
 
 
 _REAL = (int, float, np.integer, np.floating)  # bool is an int, and is excluded where this is read
+_REAL_KINDS = "iuf"  # the dtype kinds of int and float arrays, whose every element is _REAL
 
 
-def _numbers(values, name: str, least: float = -math.inf, closed: bool = False) -> np.ndarray:
+def _numbers(values, name: str, least: float = -math.inf, closed: bool = False, finite: bool = True) -> np.ndarray:
     """``values`` (nested lists or an array) as a new float array whose every
     element passes :func:`_number`'s rule; the first element that does not
-    raises ValidationError naming it by its index, as in ``name[1][0]``."""
+    raises ValidationError naming it by its index, as in ``name[1][0]``.  With
+    ``finite`` false, any element of a number type passes, NaN and inf too."""
     a = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
-    flat = a.ravel().tolist()
-    try:  # the common case, real numbers in range, takes a few passes in C
-        if not any(issubclass(t, bool) or not issubclass(t, _REAL) for t in {*map(type, flat)}):
-            low = min(flat, default=math.inf)  # fsum is exact: a finite one means no NaN or inf
-            if math.isfinite(math.fsum(flat)) and (least <= low if closed else least < low):
-                return a.astype(float)
-    except (OverflowError, ValueError):  # an int too large for a float, or fsum of inf and -inf
+    types = set() if a.dtype.kind in _REAL_KINDS else {*map(type, a.flat)}  # of each element of any other array
+    try:  # the common case, real numbers in range, takes a few numpy calls
+        if not any(issubclass(t, bool) or not issubclass(t, _REAL) for t in types):
+            x = a.astype(float)
+            if not finite or np.isfinite(x).all() and (x >= least if closed else x > least).all():
+                return x
+    except OverflowError:  # an int too large for a float
         pass
+    flat = a.ravel().tolist()
     row = flat[0] if flat and isinstance(flat[0], (list, tuple)) else None  # ragged rows: the first sets their length
     for k, v in enumerate(flat):
         label = name + "".join(f"[{i}]" for i in np.unravel_index(k, a.shape))
@@ -59,3 +62,15 @@ def _numbers(values, name: str, least: float = -math.inf, closed: bool = False) 
         elif np.shape(v) != np.shape(row):
             raise ValidationError(f"{label} must be a list of length {len(row)}, as the first is, got {v!r}")
     return a.astype(float)
+
+
+def _labels(values, size: int) -> np.ndarray:
+    """``values`` as a flat float vector of ``size`` labels, each +1 or -1, under :func:`_numbers`'
+    rule; anything else raises ValidationError naming ``labels`` or the element, as ``labels[0]``."""
+    y = _numbers(values, "labels")
+    if y.shape != (size,):
+        raise ValidationError(f"labels must match the data: a flat vector of {size} entries, got shape {y.shape}")
+    bad = np.flatnonzero(np.abs(y) != 1)
+    if bad.size:
+        raise ValidationError(f"labels[{bad[0]}] must be +1 or -1, got {y[bad[0]]:g}")
+    return y

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericError, _number
+from .errors import _REAL_KINDS, NumericError, ValidationError, _number, _numbers
 from .kernels import FuzzyKernelSpec, Record, _kernel_matrix
 
 __all__ = [
@@ -33,7 +33,7 @@ class GramMatrix:
     item_ids: list[str]
 
     def __post_init__(self):
-        v = _as_matrix(self.values)
+        v = _as_matrix(self.values, "values", finite=False)
         if len(self.item_ids) != v.shape[0]:
             raise ValueError("item_ids length must match matrix size")
         self.values = v
@@ -75,11 +75,17 @@ def compute_gram(
     return GramMatrix(values=values, spec=spec, item_ids=ids)
 
 
-def _as_matrix(g, square: bool = True) -> np.ndarray:
-    """A GramMatrix's values or an array as floats; ``square`` raises ValueError unless it is square."""
-    m = g.values if isinstance(g, GramMatrix) else np.asarray(g, dtype=float)
+def _as_matrix(g, name: str, square: bool = True, finite: bool = True) -> np.ndarray:
+    """A GramMatrix's values or a real array as floats, and anything else under :func:`errors._numbers`'
+    rule; one that is not square (with ``square``) raises ValidationError, and a non-finite entry (with
+    ``finite``) NumericError, each naming ``name``."""
+    m = g.values if isinstance(g, GramMatrix) else g
+    real = isinstance(m, np.ndarray) and m.dtype.kind in _REAL_KINDS
+    m = np.asarray(m, dtype=float) if real else _numbers(m, name, finite=False)
     if square and (m.ndim != 2 or m.shape[0] != m.shape[1]):
-        raise ValueError(f"Gram matrix must be square, got shape {m.shape}")
+        raise ValidationError(f"{name} must be square, got shape {m.shape}")
+    if finite and not np.isfinite(m).all():
+        raise NumericError(f"{name} contains non-finite entries")
     return m
 
 
@@ -100,11 +106,9 @@ def check_psd(g, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
     within ``tol * max(1, |max_eig|)``.
     """
     tol = _number(tol, "tol")
-    m = _as_matrix(g)
+    m = _as_matrix(g, "g")
     if not m.size:
         raise ValueError("check_psd needs a non-empty matrix, got 0 x 0")
-    if not np.isfinite(m).all():
-        raise NumericError("Gram matrix contains non-finite entries")
     eigs = np.linalg.eigvalsh(m)
     lo = float(eigs[0])
     hi = float(eigs[-1])
@@ -124,7 +128,7 @@ def normalize(g: GramMatrix) -> GramMatrix:
     Produces a unit diagonal and preserves the PSD verdict (congruence by a
     positive diagonal matrix).  Idempotent: normalizing twice changes nothing.
     """
-    m = _as_matrix(g)
+    m = _as_matrix(g, "g")
     diag = np.diag(m).copy()
     if (diag <= 0).any():
         raise ValueError("normalization needs strictly positive diagonal entries")
@@ -151,7 +155,7 @@ def write_matrix(path, g) -> None:
     ``%`` format of a row template.  Each cached string is dropped once
     read, so memory is O(n) plus the block comparison's ``_BAND**2``
     entries and at most ``_BAND**2 / 4`` strings."""
-    m = _as_matrix(g)
+    m = _as_matrix(g, "g", finite=False)
     n = m.shape[0]
     template = "%.17g " * n  # its first 6k - 1 characters format k entries
     with open(path, "w") as fh:

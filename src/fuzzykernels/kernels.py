@@ -22,6 +22,17 @@ distance_inner / distance_poly / distance_gaussian
     by default the ratio distance ``sum|X-Y| / sum(X+Y)``, which is no metric:
     it breaks the triangle inequality.
 
+Which Grams are PSD (positive semidefinite), for base kernels in ``_RANGES``.  A record's kernel, the
+product of its attributes', is PSD where each is (Schur's product theorem).
+
+    (weighted_)cross_product       PSD: <sum_a w(a) phi1(a) (x) phi2(X(a)), the same for Y>; w = 1 unweighted
+    intersection, min or product   PSD: a sum of rho(A) >= 0 times products of PSD kernels (min(s, t), st)
+    intersection, other T-norms    not PSD in general: T(1/2, 1/2) = 0 < T(1/2, 1) = 1/2 (lukasiewicz, drastic)
+    nonsingleton, every T-norm     not PSD in general: a max, not a sum; {0, 1}, {0}, {1} give 1 - sqrt(2)
+    nonsingleton_gaussian          not PSD in general; PSD if a slot shares one width vector (RBF of the means)
+    distance_inner, distance_poly  not PSD in general: PSD if d is Hilbertian, and the ratio distance is not
+    distance_gaussian              not PSD in general: PSD for every gamma iff d is Hilbertian (Schoenberg)
+
 The per-family functions below evaluate one pair and are the reference.
 :func:`evaluate` and :func:`gram.compute_gram` run a batched engine instead:
 one array path per family computes a whole (rows x columns) block of kernel
@@ -80,11 +91,20 @@ def _check_params(obj) -> None:
             object.__setattr__(obj, f.name, _number(getattr(obj, f.name), f.name, *_RANGES[f.name]))
 
 
+def _rows(U, V) -> tuple[np.ndarray, np.ndarray]:
+    """Two 2-D arrays of points (one per row) with equal column counts, under :func:`errors._numbers`' rule."""
+    U, V = _numbers(U, "U"), _numbers(V, "V")
+    if U.ndim != 2 or V.ndim != 2 or U.shape[1] != V.shape[1]:
+        raise ValidationError(f"need 2-D inputs U and V with equal column counts, got {U.shape} and {V.shape}")
+    return U, V
+
+
 @dataclass(frozen=True)
 class LinearKernel:
     """k(u, v) = <u, v>"""
 
     def pairwise(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+        U, V = _rows(U, V)
         return U @ V.T
 
 
@@ -97,9 +117,7 @@ class RBFKernel:
     __post_init__ = _check_params
 
     def pairwise(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-        U, V = np.asarray(U, dtype=float), np.asarray(V, dtype=float)
-        if U.ndim != 2 or V.ndim != 2 or U.shape[1] != V.shape[1]:
-            raise ValueError(f"need 2-D inputs with equal column counts, got {U.shape} and {V.shape}")
+        U, V = _rows(U, V)
         sq = np.zeros((len(U), len(V)))
         # dimensions accumulate in a fixed order, with m x m temporaries only
         for k in range(U.shape[1]):
@@ -118,6 +136,7 @@ class PolynomialKernel:
     __post_init__ = _check_params
 
     def pairwise(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+        U, V = _rows(U, V)
         return (self.coef0 + self.gamma * (U @ V.T)) ** self.degree
 
 

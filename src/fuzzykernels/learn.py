@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericError, _number
+from .errors import NumericError, ValidationError, _labels, _number
 from .gram import GramMatrix, _as_matrix, _provenance, compute_gram
 from .kernels import FuzzyKernelSpec, Record
 
@@ -23,7 +23,8 @@ __all__ = [
 ]
 
 RNG_NAME = "numpy-pcg64"
-_NULL_BLOCK_ELEMENTS = 1 << 16  # in a block's 4 N-wide MMD temporaries; 1 << 18 cost 3% peak RSS, no speed
+# 1 << 18 instead: N = 120, same null time, 1.4 MB more peak RSS; N = 2040, null 0.24-0.27 s not 0.43-0.45 s, same RSS
+_NULL_BLOCK_ELEMENTS = 1 << 16  # in a block's 4 N-wide MMD temporaries
 # a p-value of 1e-6 is fine enough for any test; 10**6 replicas take ~3 s at N = 120, and time grows as N^2
 _MAX_PERMUTATIONS = 10**6
 
@@ -47,15 +48,6 @@ class MmdResult:
     generator: str = RNG_NAME
 
 
-def _labels_pm1(labels) -> np.ndarray:
-    y = np.asarray(labels, dtype=float)
-    if y.ndim != 1:
-        raise ValueError("labels must be a flat vector")
-    if not np.isin(y, (-1.0, 1.0)).all():
-        raise ValueError("labels must be +1 or -1")
-    return y
-
-
 def fit(gram: GramMatrix, labels, regularization: float) -> DualModel:
     """Solve ``(G + lambda I) c = y`` for the dual coefficients.
 
@@ -63,12 +55,8 @@ def fit(gram: GramMatrix, labels, regularization: float) -> DualModel:
     A non-finite Gram entry or a singular system raises NumericError.
     """
     regularization = _number(regularization, "regularization")
-    g = _as_matrix(gram)
-    y = _labels_pm1(labels)
-    if y.shape[0] != g.shape[0]:
-        raise ValueError(f"{y.shape[0]} labels for a {g.shape[0]}x{g.shape[1]} Gram matrix")
-    if not np.isfinite(g).all():
-        raise NumericError("Gram matrix contains non-finite entries")
+    g = _as_matrix(gram, "gram")
+    y = _labels(labels, g.shape[0])
     try:
         coef = np.linalg.solve(g + regularization * np.eye(g.shape[0]), y)
     except np.linalg.LinAlgError as exc:
@@ -85,11 +73,9 @@ def predict(model: DualModel, cross) -> np.ndarray:
     ``cross[i, j] = k(test_i, train_j)``; sign(0) is +1 so predictions are
     deterministic.
     """
-    c = np.atleast_2d(np.asarray(cross, dtype=float))
-    if c.shape[1] != model.coefficients.shape[0]:
-        raise ValueError(
-            f"cross matrix has {c.shape[1]} columns, model has {model.coefficients.shape[0]} coefficients"
-        )
+    c, k = np.atleast_2d(_as_matrix(cross, "cross", square=False)), model.coefficients.shape[0]
+    if c.ndim != 2 or c.shape[1] != k:
+        raise ValidationError(f"cross must be 2-D with {k} columns, one per coefficient, got shape {c.shape}")
     scores = c @ model.coefficients
     return np.where(scores >= 0.0, 1, -1)
 
@@ -102,13 +88,10 @@ def cross_validate(
     Returns (per-fold accuracies, mean accuracy).  Fold assignment is a seeded
     shuffle split into ``folds`` chunks, so results are reproducible.
     """
-    g = _as_matrix(gram)
-    y = _labels_pm1(labels)
+    g = _as_matrix(gram, "gram")
     n = g.shape[0]
-    if y.shape[0] != n:
-        raise ValueError("labels must match the Gram matrix size")
-    if not 2 <= folds <= n:
-        raise ValueError(f"folds must be between 2 and {n}")
+    y = _labels(labels, n)
+    folds = _number(folds, "folds", 2, closed=True, integral=True, most=n)
     rng = np.random.default_rng(_number(seed, "seed", closed=True, integral=True))
     order = rng.permutation(n)
     chunks = np.array_split(order, folds)
@@ -123,12 +106,12 @@ def cross_validate(
 
 def mmd_statistic(gxx, gyy, gxy) -> float:
     """Biased MMD^2 estimate: mean(gxx) + mean(gyy) - 2 mean(gxy), floored at 0."""
-    xx, yy, xy = _as_matrix(gxx), _as_matrix(gyy), _as_matrix(gxy, square=False)
+    xx, yy, xy = _as_matrix(gxx, "gxx"), _as_matrix(gyy, "gyy"), _as_matrix(gxy, "gxy", square=False)
     if xx.size == 0 or yy.size == 0:
         raise ValueError("MMD needs two non-empty samples")
     if xy.shape != (xx.shape[0], yy.shape[0]):
-        raise ValueError(
-            f"cross matrix shape {xy.shape} inconsistent with samples of size "
+        raise ValidationError(
+            f"gxy shape {xy.shape} inconsistent with samples of size "
             f"{xx.shape[0]} and {yy.shape[0]}"
         )
     v = float(xx.mean() + yy.mean() - 2.0 * xy.mean())

@@ -17,7 +17,7 @@ import enum
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _number
 from .sets import DiscreteFuzzySet, _check_same_ground
 
 __all__ = ["TNorm", "apply", "apply_array", "intersect"]
@@ -41,11 +41,8 @@ class TNorm(enum.Enum):
 
 
 def apply(t: TNorm, a: float, b: float) -> float:
-    """Evaluate the T-norm on two degrees in [0, 1]."""
-    a = float(a)
-    b = float(b)
-    if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
-        raise ValueError(f"T-norm arguments must lie in [0, 1], got ({a}, {b})")
+    """Evaluate the T-norm on two degrees in [0, 1], each under :func:`errors._number`'s rule."""
+    a, b = _number(a, "a", 0, closed=True, most=1), _number(b, "b", 0, closed=True, most=1)
     return float(apply_array(t, a, b))
 
 

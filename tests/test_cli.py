@@ -548,7 +548,7 @@ VALID_ARGVS = [
     "mmd-test --data {data} --kernel {kernel} --permutations 20 --seed 0 --jobs 1",
 ]
 NUMERIC_OPTIONS = {"--jobs", "--tol", "--folds", "--seed", "--ridge", "--permutations"}
-HOSTILE_NUMBERS = ["0", "-1", "inf", "nan", "abc", "2.5"]
+HOSTILE_NUMBERS = ["0", "-1", "inf", "nan", "abc", "2.5", "99999999999999999999"]
 HOSTILE_PATHS = ["{tmp}/missing.json", "{tmp}", "/dev/null", "{tmp}/missing/file", "{binary}"]
 
 
@@ -651,6 +651,11 @@ def _data(**ground):
             id="fuzzify-width-count",
         ),
         pytest.param(FUZZIFY + " histogram --bins 0", DATA, KERNEL, "--bins", id="fuzzify-no-bins"),
+        # the ground is every bin, so a huge count once took seconds and a file of tens of MB per 10**6 bins
+        *(
+            pytest.param(FUZZIFY + " histogram --bins " + b, DATA, KERNEL, "--bins", id=f"fuzzify-bins-{b}")
+            for b in ("100001", "99999999")
+        ),
         # a non-number width once surfaced as a bare float() message
         pytest.param(FUZZIFY + " gaussian --widths a", DATA, KERNEL, "--widths", id="fuzzify-width-not-number"),
         # a zero, negative or non-finite width once exited 2 with a message naming no option

@@ -16,6 +16,8 @@ from fuzzykernels import (
     TNorm,
     ValidationError,
     base_kernel_from_config,
+    check_psd,
+    compute_gram,
     cross_product_kernel,
     distance_gaussian_kernel,
     distance_inner,
@@ -681,3 +683,52 @@ class TestEvaluateDispatch:
         ]
         for spec in specs:
             assert evaluate(spec, x, y) == pytest.approx(evaluate(spec, y, x), rel=1e-14)
+
+
+def _crisp(ground, *supports):
+    return [DiscreteFuzzySet(ground, dict.fromkeys(support, 1.0)) for support in supports]
+
+
+G4 = GroundSpace([[float(i)] for i in range(4)], Partition([[i] for i in range(4)], [1.0] * 4))
+
+
+# one fixed counterexample per "not PSD in general" row of the module docstring's table
+@pytest.mark.parametrize(
+    "spec, data, smallest",
+    [
+        *(
+            pytest.param(
+                FuzzyKernelSpec(family="intersection", tnorm=t), [DiscreteFuzzySet(G4, {0: d}) for d in (0.5, 1.0)],
+                (1 - math.sqrt(2)) / 2, id=f"intersection-{t.value}",
+            )
+            for t in (TNorm.LUKASIEWICZ, TNorm.DRASTIC)
+        ),
+        *(
+            pytest.param(
+                FuzzyKernelSpec(family="nonsingleton", tnorm=t), _crisp(G4, [0, 1], [0], [1]), 1 - math.sqrt(2),
+                id=f"nonsingleton-{t.value}",
+            )
+            for t in TNorm
+        ),
+        pytest.param(
+            FuzzyKernelSpec(family="nonsingleton_gaussian"),
+            [GaussianFuzzySet([m], [s]) for m, s in ((0.0, 0.5), (1.0, 2.0), (2.0, 0.5))], -0.24812520025325566,
+            id="nonsingleton_gaussian-per-record-widths",
+        ),
+        *(
+            pytest.param(
+                FuzzyKernelSpec(family=family, reference=DiscreteFuzzySet(G4, {0: 1.0})),
+                _crisp(G4, [0, 1], [0, 2], [1, 2]), -0.2093520158626566, id=family,
+            )
+            for family in ("distance_inner", "distance_poly")
+        ),
+        pytest.param(
+            FuzzyKernelSpec(family="distance_gaussian", gamma=1.0), _crisp(G4, [0], [1], [0, 1]),
+            -0.09485214154148564, id="distance_gaussian",
+        ),
+    ],
+)
+def test_not_psd_in_general(spec, data, smallest):
+    report = check_psd(compute_gram(data, spec))
+    assert report.verdict == "indefinite"
+    assert report.min_eigenvalue == pytest.approx(smallest, abs=1e-12)

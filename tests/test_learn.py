@@ -369,6 +369,11 @@ def test_mmd_permutation_test_matches_tie_oracle(kind, n, m, seed, permutations)
             lambda: cross_validate(as_gram(np.eye(4)), [1, -1, 1], 1.0, folds=2), "labels must match",
             id="cv-label-count",
         ),
+        # a fractional, string or missing fold count once ended in a raw TypeError
+        pytest.param(
+            lambda: cross_validate(as_gram(np.eye(4)), [1, -1, 1, -1], 1.0, folds=2.5), "folds must be an integer",
+            id="cv-fractional-folds",
+        ),
         pytest.param(
             lambda: mmd_statistic(np.ones((0, 0)), np.eye(2), np.ones((0, 2))), "two non-empty samples",
             id="mmd-empty-sample",

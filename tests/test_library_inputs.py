@@ -1,0 +1,109 @@
+"""Hostile values at the library's entry points.
+
+Every number, label and matrix argument of learn.py, gram.py, tnorms.apply and
+the base kernels is set, one at a time, to a string, a bool, None, NaN, inf, a
+nested list or a ragged list.  In a label vector or a matrix the first entry
+takes the string, bool, None, NaN or inf; the whole value is nested one level
+deeper, and the last row (or, for a vector, the first entry) is made ragged.
+Each call must raise ValidationError, or NumericError for a non-finite matrix
+entry, naming the argument or its element, with no warning and no value.
+"""
+
+import math
+import os
+import re
+import warnings
+
+import numpy as np
+import pytest
+
+from fuzzykernels import (
+    FuzzyKernelSpec,
+    GaussianFuzzySet,
+    GramMatrix,
+    LinearKernel,
+    NumericError,
+    PolynomialKernel,
+    RBFKernel,
+    TNorm,
+    ValidationError,
+    check_psd,
+    cross_validate,
+    fit,
+    mmd_permutation_test,
+    mmd_statistic,
+    normalize,
+    predict,
+    tnorms,
+    write_matrix,
+)
+
+EYE2 = [[1.0, 0.0], [0.0, 1.0]]
+EYE4 = np.eye(4).tolist()
+MODEL = fit(np.eye(2), [1, -1], 1.0)
+SAMPLES = [GaussianFuzzySet([0.0], [1.0])], [GaussianFuzzySet([1.0], [1.0])]
+POINTS = [[0.0, 1.0], [1.0, 0.5]]
+
+# (entry point, call on keyword arguments, valid arguments, {argument: kind}); a "matrix" argument
+# raises NumericError on a non-finite entry, and a "held" one keeps it, so it is not given one here
+ENTRY_POINTS = [
+    ("fit", fit, dict(gram=EYE2, labels=[1, -1], regularization=1.0),
+     {"gram": "matrix", "labels": "labels", "regularization": "number"}),
+    ("predict", lambda cross: predict(MODEL, cross), dict(cross=[[0.5, 0.5], [0.2, 0.8]]), {"cross": "matrix"}),
+    ("cross_validate", cross_validate, dict(gram=EYE4, labels=[1, -1, 1, -1], regularization=1.0, folds=2, seed=0),
+     {"gram": "matrix", "labels": "labels", "regularization": "number", "folds": "number", "seed": "number"}),
+    ("mmd_statistic", mmd_statistic, dict(gxx=EYE2, gyy=EYE2, gxy=[[0.5, 0.5], [0.5, 0.5]]),
+     {"gxx": "matrix", "gyy": "matrix", "gxy": "matrix"}),
+    ("mmd_permutation_test",
+     lambda **kw: mmd_permutation_test(*SAMPLES, FuzzyKernelSpec(family="nonsingleton_gaussian"), **kw),
+     dict(n_permutations=10, seed=0), {"n_permutations": "number", "seed": "number"}),
+    ("GramMatrix", lambda values: GramMatrix(values, None, ["a", "b"]), dict(values=EYE2), {"values": "held"}),
+    ("check_psd", check_psd, dict(g=EYE2, tol=1e-8), {"g": "matrix", "tol": "number"}),
+    ("normalize", normalize, dict(g=EYE2), {"g": "matrix"}),
+    ("write_matrix", lambda g: write_matrix(os.devnull, g), dict(g=EYE2), {"g": "held"}),
+    ("tnorms.apply", lambda a, b: tnorms.apply(TNorm.MINIMUM, a, b), dict(a=0.5, b=0.5), {"a": "number", "b": "number"}),
+    *(
+        (f"{kernel.__name__}.pairwise", lambda U, V, k=kernel: k().pairwise(U, V), dict(U=POINTS, V=POINTS),
+         {"U": "points", "V": "points"})
+        for kernel in (LinearKernel, RBFKernel, PolynomialKernel)
+    ),
+    ("RBFKernel", RBFKernel, dict(gamma=1.0), {"gamma": "number"}),
+    ("PolynomialKernel", PolynomialKernel, dict(coef0=1.0, gamma=1.0, degree=2),
+     {"coef0": "number", "gamma": "number", "degree": "number"}),
+]
+
+
+def _first(value, x):
+    """``value``, a list or a list of lists, with its first entry replaced by ``x``."""
+    return [_first(value[0], x) if isinstance(value[0], list) else x, *value[1:]]
+
+
+def _hostile(value, kind):
+    """(change, hostile value) for each change of a valid argument of the given kind."""
+    if kind == "number":
+        yield from [("string", str(value)), ("bool", True), ("none", None), ("nan", math.nan), ("inf", math.inf)]
+        yield from [("nested", [value]), ("ragged", [value, [value]])]
+        return
+    for change, x in [("string", str(np.ravel(value)[0])), ("bool", True), ("none", None), ("nan", math.nan), ("inf", math.inf)]:
+        if kind != "held" or change not in ("nan", "inf"):
+            yield change, _first(value, x)
+    yield "nested", [value]
+    yield "ragged", [*value[:-1], value[-1][:-1]] if kind != "labels" else [[value[0]], *value[1:]]
+
+
+CASES = [
+    pytest.param(call, {**valid, name: bad}, name, NumericError if kind == "matrix" and change in ("nan", "inf")
+                 else ValidationError, id=f"{entry}-{name}-{change}")
+    for entry, call, valid, kinds in ENTRY_POINTS
+    for name, kind in kinds.items()
+    for change, bad in _hostile(valid[name], kind)
+]
+
+
+@pytest.mark.parametrize("call, kwargs, name, error", CASES)
+def test_hostile_argument_raises_naming_it(call, kwargs, name, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as info:
+            call(**kwargs)
+    assert re.search(rf"\b{name}\b", str(info.value)), str(info.value)

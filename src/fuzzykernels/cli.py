@@ -5,7 +5,9 @@ Gram matrix, verify positive semidefiniteness, run k-fold kernel ridge
 classification, and run an MMD permutation two-sample test.  Reports go to
 stdout as JSON; randomized commands need an explicit --seed, so repeated runs
 are byte-identical.  Exit codes: 0 success, 2 validation error (an --out
-that cannot be written included), 3 numeric error.
+that cannot be written included), 3 numeric error.  A call that names its
+command first builds that command's parser alone; any other argv is parsed
+by the whole parser of :func:`build_parser`, so its help and errors word it.
 """
 
 from __future__ import annotations
@@ -180,54 +182,59 @@ def cmd_mmd_test(args) -> int:
     return 0
 
 
+_COMMANDS = {  # each command's handler and its line in the top-level help
+    "fuzzify": (cmd_fuzzify, "turn a crisp numeric CSV table into a fuzzy dataset"),
+    "gram": (cmd_gram, "compute the Gram matrix of a dataset under a kernel"),
+    "check-psd": (cmd_check_psd, "eigenvalue check of the Gram matrix"),
+    "classify": (cmd_classify, "seeded k-fold kernel ridge classification"),
+    "mmd-test": (cmd_mmd_test, "MMD permutation two-sample test (labels split the samples)"),
+}
+
+
+def _command_parser(command: str, p: argparse.ArgumentParser | None = None) -> argparse.ArgumentParser:
+    """``p``, or a new parser for ``command`` alone, with the command's options in help order."""
+    p = p or argparse.ArgumentParser(prog=f"fuzzykernels {command}")
+    if command == "fuzzify":
+        p.add_argument("--data", required=True, help="crisp numeric CSV table")
+        p.add_argument("--method", required=True, choices=["gaussian", "histogram"])
+        p.add_argument("--widths", help="comma-separated Gaussian widths, one per column (or one for all)")
+        p.add_argument("--bins", type=int, help=f"number of histogram bin centers, 1 to {_MAX_BINS}")
+    else:  # the commands that compute a Gram
+        p.add_argument("--data", required=True, help="fuzzy dataset JSON file")
+        p.add_argument("--kernel", required=True, help="kernel config JSON file")
+        p.add_argument("--jobs", type=int, default=1, help="kept for compatibility; has no effect")
+    if command in ("fuzzify", "gram"):
+        p.add_argument("--out", required=True, help=f"output {'dataset' if command == 'fuzzify' else 'matrix'} file")
+    elif command == "check-psd":
+        p.add_argument("--tol", type=float, default=DEFAULT_PSD_TOL, help="relative PSD tolerance; across BLAS "
+                       "thread counts the verdict is the same, eigenvalues agree within tol * max(1, |largest|)")
+    elif command == "classify":
+        p.add_argument("--folds", type=int, default=5)
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--ridge", type=float, default=1.0, help="ridge regularization strength")
+    elif command == "mmd-test":
+        p.add_argument("--permutations", type=int, default=200, help=f"replicas of the null, 1 to {_MAX_PERMUTATIONS}")
+        p.add_argument("--seed", type=int, required=True, help="seeds the one PCG64 stream of all replicas")
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fuzzykernels",
-        description="Kernels on fuzzy sets: Gram matrices, PSD checks, classification and MMD testing.",
-    )
+    parser = argparse.ArgumentParser(prog="fuzzykernels", description="Kernels on fuzzy sets: Gram matrices, "
+                                     "PSD checks, classification and MMD testing.")
     sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)  # options of the commands that compute a Gram
-    common.add_argument("--data", required=True, help="fuzzy dataset JSON file")
-    common.add_argument("--kernel", required=True, help="kernel config JSON file")
-    common.add_argument("--jobs", type=int, default=1, help="kept for compatibility; has no effect")
-
-    p = sub.add_parser("fuzzify", help="turn a crisp numeric CSV table into a fuzzy dataset")
-    p.add_argument("--data", required=True, help="crisp numeric CSV table")
-    p.add_argument("--method", required=True, choices=["gaussian", "histogram"])
-    p.add_argument("--widths", help="comma-separated Gaussian widths, one per column (or one for all)")
-    p.add_argument("--bins", type=int, help=f"number of histogram bin centers, 1 to {_MAX_BINS}")
-    p.add_argument("--out", required=True, help="output dataset file")
-    p.set_defaults(func=cmd_fuzzify)
-
-    p = sub.add_parser("gram", parents=[common], help="compute the Gram matrix of a dataset under a kernel")
-    p.add_argument("--out", required=True, help="output matrix file")
-    p.set_defaults(func=cmd_gram)
-
-    p = sub.add_parser("check-psd", parents=[common], help="eigenvalue check of the Gram matrix")
-    p.add_argument("--tol", type=float, default=DEFAULT_PSD_TOL, help="relative PSD tolerance; across BLAS "
-                   "thread counts the verdict is the same, eigenvalues agree within tol * max(1, |largest|)")
-    p.set_defaults(func=cmd_check_psd)
-
-    p = sub.add_parser("classify", parents=[common], help="seeded k-fold kernel ridge classification")
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--ridge", type=float, default=1.0, help="ridge regularization strength")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser(
-        "mmd-test", parents=[common], help="MMD permutation two-sample test (labels split the samples)"
-    )
-    p.add_argument("--permutations", type=int, default=200, help=f"replicas of the null, 1 to {_MAX_PERMUTATIONS}")
-    p.add_argument("--seed", type=int, required=True, help="seeds the one PCG64 stream of all replicas")
-    p.set_defaults(func=cmd_mmd_test)
-
+    for command, (_, line) in _COMMANDS.items():
+        _command_parser(command, sub.add_parser(command, help=line))
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in _COMMANDS:  # a leading command parses with its own parser alone
+        args, extra = _command_parser(argv[0]).parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if not argv or argv[0] not in _COMMANDS or extra:  # the whole parser words every other argv's help and errors
+        args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _COMMANDS[args.command][0](args)
     # LinAlgError subclasses ValueError, so it is caught first
     except (NumericError, np.linalg.LinAlgError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

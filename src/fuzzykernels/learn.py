@@ -167,7 +167,7 @@ def mmd_permutation_test(
     total = n + m
     g = compute_gram(list(sample_a) + list(sample_b), spec, n_jobs=n_jobs).values
     observed = mmd_statistic(g[:n, :n], g[n:, n:], g[:n, n:])
-    tol = 8 * total * np.finfo(float).eps * np.abs(g).max()
+    tol = 8 * total * np.finfo(float).eps * max(g.max(), -g.min())  # max|G| with no N x N temporary
     k, rest = (n, m) if n <= m else (m, n)
     row_sums, g_sum = g.sum(axis=1), g.sum()
     rng = np.random.default_rng(seed)

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import _numbers
+from .errors import _number, _numbers
 
 __all__ = [
     "GroundSpace",
@@ -170,16 +170,7 @@ class DiscreteFuzzySet:
             i = _index(idx)
             if not 0 <= i < n:
                 raise ValueError(f"index {i} outside ground space of {n} points")
-            if type(deg) is not float:
-                try:
-                    if isinstance(deg, (bool, str, bytes)):  # which float() takes as 1.0 or parses
-                        raise TypeError
-                    deg = float(deg)
-                except (TypeError, OverflowError):  # OverflowError: an int too large for a float
-                    raise ValueError(f"degree {deg!r} at index {i} is not a number") from None
-            if not 0.0 < deg <= 1.0:  # also false for NaN and +-inf
-                raise ValueError(f"degree {deg!r} at index {i} outside (0, 1]")
-            clean[i] = deg
+            clean[i] = _number(deg, f"degree at index {i}", 0, most=1)
         self._degrees = clean
         self.degrees: Mapping[int, float] = MappingProxyType(clean)
 

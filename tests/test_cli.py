@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import io
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzykernels import mmd_statistic, parse_dataset, read_matrix
-from fuzzykernels.cli import main
+from fuzzykernels.cli import build_parser, main
 from fuzzykernels.kernels import nonsingleton_gaussian_kernel
 
 import oracles
@@ -746,18 +747,18 @@ def _data(**ground):
         # non-numbers that float() once took: true as 1.0, "0.5" parsed
         pytest.param(
             GRAM, {**DATA, "records": [[{"type": "discrete", "degrees": {"0": True}}]]}, KERNEL,
-            "records[0][0]: degree True at index 0 is not a number", id="degree-true",
+            "records[0][0]: degree at index 0 must be a number, got True", id="degree-true",
         ),
         pytest.param(
             GRAM, {**DATA, "records": [[{"type": "discrete", "degrees": {"0": "0.5"}}]]}, KERNEL,
-            "records[0][0]: degree '0.5' at index 0 is not a number", id="degree-string",
+            "records[0][0]: degree at index 0 must be a number, got '0.5'", id="degree-string",
         ),
         # values float() refuses were once its own message, naming neither the degree nor its index,
         # and an int too large for a float was an OverflowError traceback (exit 1)
         *(
             pytest.param(
                 GRAM, {**DATA, "records": [[{"type": "discrete", "degrees": {"0": d}}]]}, KERNEL,
-                f"records[0][0]: degree {shown} at index 0 is not a number", id=f"degree-{name}",
+                f"records[0][0]: degree at index 0 must be a number, got {shown}", id=f"degree-{name}",
             )
             for name, d, shown in (
                 ("null", None, "None"), ("list", [], "[]"), ("object", {}, "{{}}"), ("huge-int", 10**400, 10**400),
@@ -858,22 +859,81 @@ def test_invalid_input_exits_2_naming_where(tmp_path, capsys, argv, data, kernel
     assert not paths["out"].exists()
 
 
+COMMANDS = ["fuzzify", "gram", "check-psd", "classify", "mmd-test"]
+EVERY_REQUIRED = ["--data", "d", "--kernel", "k", "--out", "o", "--method", "gaussian", "--seed", "1"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize(
+    "options, code, prog",
+    [(["--help"], 0, "fuzzykernels {}"), ([], 2, "fuzzykernels {}"), ([*EVERY_REQUIRED, "extra"], 2, "fuzzykernels")],
+    ids=["help", "no-options", "unrecognized"],
+)
+def test_command_parser_matches_the_subparser(capsys, command, options, code, prog):
+    # main parses a leading command with that command's parser alone, and an argv that parser leaves
+    # tokens of with the whole parser: each help and error text is the whole parser's, byte for byte
+    texts = []
+    for parse in (main, build_parser().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse([command, *options])
+        texts.append((exc.value.code, *capsys.readouterr()))
+    assert texts[0] == texts[1]
+    assert texts[0][0] == code
+    assert f"usage: {prog.format(command)} [-h]" in "".join(texts[0][1:])
+
+
+def test_a_command_call_builds_one_parser(capsys, monkeypatch, discrete_dataset, linear_kernel_cfg):
+    # the whole parser is 7: the top level, a parent of the Gram options and one per command
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    code, _, _ = run_cli(capsys, "check-psd", "--data", str(discrete_dataset), "--kernel", str(linear_kernel_cfg))
+    assert code == 0
+    assert len(built) == 1
+
+
+class TestConsoleScript:
+    # the installed fuzzykernels script calls main() with no argument, so main reads sys.argv
+    def test_reads_sys_argv(self, capsys, monkeypatch, discrete_dataset, linear_kernel_cfg):
+        argv = ["check-psd", "--data", str(discrete_dataset), "--kernel", str(linear_kernel_cfg)]
+        expected = run_cli(capsys, *argv)
+        monkeypatch.setattr(sys, "argv", ["fuzzykernels", *argv])
+        assert main() == 0
+        assert (0, *capsys.readouterr()) == expected
+
+    def test_help(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["fuzzykernels", "--help"])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: fuzzykernels [-h] {fuzzify,gram,check-psd,classify,mmd-test}")
+
+
 def test_import_loads_no_scipy():
     # numpy is the only runtime dependency; a fresh interpreter shows what importing pulls in
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # and it builds no parser: each call builds its own, so no import-time parser hides that cost
     code = (
-        "import sys; before = set(sys.modules); import fuzzykernels.cli; "
-        "print(sorted({m.partition('.')[0] for m in set(sys.modules) - before} - set(sys.stdlib_module_names)))"
+        "import argparse, sys; built = []; init = argparse.ArgumentParser.__init__; "
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k); "
+        "before = set(sys.modules); import fuzzykernels.cli; "
+        "print(sorted({m.partition('.')[0] for m in set(sys.modules) - before} - set(sys.stdlib_module_names))); "
+        "print(len(built))"
     )
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "['fuzzykernels', 'numpy']"
+    assert result.stdout.split("\n")[:2] == ["['fuzzykernels', 'numpy']", "0"]
 
 
 # runs the four computing commands in one process and prints their stdout and exit codes as JSON
 THREAD_RUN = """
 import contextlib, io, json, sys
-from fuzzykernels.cli import main
+from fuzzykernels.cli import build_parser, main
 out = {}
 for argv in json.loads(sys.argv[1]):
     buf = io.StringIO()

@@ -299,6 +299,20 @@ class TestMmdPermutationTest:
                 tracemalloc.stop()
             assert peak <= 4 * 8 * (120 * 120 + learn._NULL_BLOCK_ELEMENTS), (n, m)
 
+    def test_null_allocates_no_gram_sized_float_array(self, spec, monkeypatch):
+        # beyond the Gram itself, the null takes the block budget and the N x N bool finite checks of
+        # mmd_statistic; the tolerance's max|G| was once an N x N float temporary, 2.9 MB at N = 600
+        x = np.random.default_rng(35).normal(size=(600, 3))
+        g = np.exp(-0.5 * ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2))
+        monkeypatch.setattr(learn, "compute_gram", lambda records, spec, n_jobs: as_gram(g))
+        tracemalloc.start()
+        try:
+            mmd_permutation_test([None] * 300, [None] * 300, spec, n_permutations=2000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * learn._NULL_BLOCK_ELEMENTS + 600 * 600, peak
+
 
 @pytest.mark.parametrize("n, m", [(1, 5), (3, 3), (4, 2), (5, 1), (1, 1)])
 def test_split_of_tied_keys_is_the_stable_argsort_split(n, m):

@@ -209,8 +209,8 @@ def _command_parser(command: str, p: argparse.ArgumentParser | None = None) -> a
         p.add_argument("--tol", type=float, default=DEFAULT_PSD_TOL, help="relative PSD tolerance; across BLAS "
                        "thread counts the verdict is the same, eigenvalues agree within tol * max(1, |largest|)")
     elif command == "classify":
-        p.add_argument("--folds", type=int, default=5)
-        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--folds", type=int, default=5, help="number of folds, 2 to the record count")
+        p.add_argument("--seed", type=int, required=True, help="seeds the fold shuffle")
         p.add_argument("--ridge", type=float, default=1.0, help="ridge regularization strength")
     elif command == "mmd-test":
         p.add_argument("--permutations", type=int, default=200, help=f"replicas of the null, 1 to {_MAX_PERMUTATIONS}")

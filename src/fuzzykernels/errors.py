@@ -32,7 +32,7 @@ def _number(value, name: str, least: float = 0, closed: bool = False, integral: 
         raise ValidationError(f"{name} must be finite{bound}, got {value}")
     if integral and not x.is_integer():
         raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return int(value if isinstance(value, int) else x) if integral else x
+    return int(value if isinstance(value, (int, np.integer)) else x) if integral else x
 
 
 _REAL = (int, float, np.integer, np.floating)  # bool is an int, and is excluded where this is read

@@ -103,23 +103,22 @@ def check_psd(g, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
     spectrum is returned so indefinite kernels can be inspected, not just
     flagged.  The eigenvalues are bit-identical for a fixed BLAS thread
     count; across thread counts the verdict is the same and they agree
-    within ``tol * max(1, |max_eig|)``.
+    within ``tol * max(1, |max_eig|)``.  An entry farther than ``tol *
+    max(1, max|g|)`` from its mirror raises ValidationError naming the pair.
     """
     tol = _number(tol, "tol")
     m = _as_matrix(g, "g")
     if not m.size:
         raise ValueError("check_psd needs a non-empty matrix, got 0 x 0")
+    if not (m == m.T).all():  # an exactly symmetric matrix pays this one comparison; the loop raises at the first pair
+        for i, j in np.argwhere(np.abs(m - m.T) > tol * max(1.0, np.abs(m).max()))[:1]:
+            raise ValidationError(f"g must be symmetric within tol * max(1, max|g|), got g[{i}, {j}] = "
+                                  f"{m[i, j]:.17g} and g[{j}, {i}] = {m[j, i]:.17g}")
     eigs = np.linalg.eigvalsh(m)
     lo = float(eigs[0])
     hi = float(eigs[-1])
     verdict = "PSD" if lo >= -tol * max(1.0, abs(hi)) else "indefinite"
-    return PsdReport(
-        min_eigenvalue=lo,
-        max_eigenvalue=hi,
-        verdict=verdict,
-        tolerance=tol,
-        eigenvalues=eigs,
-    )
+    return PsdReport(min_eigenvalue=lo, max_eigenvalue=hi, verdict=verdict, tolerance=tol, eigenvalues=eigs)
 
 
 def normalize(g: GramMatrix) -> GramMatrix:

@@ -48,6 +48,22 @@ class MmdResult:
     generator: str = RNG_NAME
 
 
+def _dual_solve(g: np.ndarray, y: np.ndarray, regularization: float) -> np.ndarray:
+    """``c`` solving ``(g + regularization I) c = y``; a singular system or a non-finite ``c`` raises NumericError."""
+    try:
+        coef = np.linalg.solve(g + regularization * np.eye(g.shape[0]), y)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"dual system is singular: {exc}") from exc
+    if not np.isfinite(coef).all():
+        raise NumericError("dual solve produced non-finite coefficients")
+    return coef
+
+
+def _signs(cross: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Predicted labels: the sign of ``cross @ coef``, with sign(0) = +1."""
+    return np.where(cross @ coef >= 0.0, 1, -1)
+
+
 def fit(gram: GramMatrix, labels, regularization: float) -> DualModel:
     """Solve ``(G + lambda I) c = y`` for the dual coefficients.
 
@@ -56,28 +72,18 @@ def fit(gram: GramMatrix, labels, regularization: float) -> DualModel:
     """
     regularization = _number(regularization, "regularization")
     g = _as_matrix(gram, "gram")
-    y = _labels(labels, g.shape[0])
-    try:
-        coef = np.linalg.solve(g + regularization * np.eye(g.shape[0]), y)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"dual system is singular: {exc}") from exc
-    if not np.isfinite(coef).all():
-        raise NumericError("dual solve produced non-finite coefficients")
+    coef = _dual_solve(g, _labels(labels, g.shape[0]), regularization)
     ids, spec = _provenance(gram, g.shape[0])
     return DualModel(coefficients=coef, item_ids=ids, spec=spec, regularization=regularization)
 
 
 def predict(model: DualModel, cross) -> np.ndarray:
-    """Sign of the decision values for a test-by-train kernel matrix.
-
-    ``cross[i, j] = k(test_i, train_j)``; sign(0) is +1 so predictions are
-    deterministic.
-    """
+    """Sign of the decision values for a test-by-train kernel matrix ``cross[i, j] = k(test_i, train_j)``;
+    sign(0) is +1 so predictions are deterministic."""
     c, k = np.atleast_2d(_as_matrix(cross, "cross", square=False)), model.coefficients.shape[0]
     if c.ndim != 2 or c.shape[1] != k:
         raise ValidationError(f"cross must be 2-D with {k} columns, one per coefficient, got shape {c.shape}")
-    scores = c @ model.coefficients
-    return np.where(scores >= 0.0, 1, -1)
+    return _signs(c, model.coefficients)
 
 
 def cross_validate(
@@ -85,22 +91,22 @@ def cross_validate(
 ) -> tuple[list[float], float]:
     """Seeded k-fold cross validation on a precomputed Gram matrix.
 
-    Returns (per-fold accuracies, mean accuracy).  Fold assignment is a seeded
-    shuffle split into ``folds`` chunks, so results are reproducible.
+    Returns (per-fold accuracies, mean accuracy).  Fold k tests the k-th
+    ``np.array_split(default_rng(seed).permutation(n), folds)`` chunk and trains
+    on the other chunks in order, with :func:`fit` and :func:`predict`'s rules.
     """
-    g = _as_matrix(gram, "gram")
-    n = g.shape[0]
-    y = _labels(labels, n)
-    folds = _number(folds, "folds", 2, closed=True, integral=True, most=n)
+    g = np.ascontiguousarray(_as_matrix(gram, "gram"))  # a flat take copies any other layout whole, per call
+    y = _labels(labels, len(g))
+    folds = _number(folds, "folds", 2, closed=True, integral=True, most=len(g))
     rng = np.random.default_rng(_number(seed, "seed", closed=True, integral=True))
-    order = rng.permutation(n)
-    chunks = np.array_split(order, folds)
+    regularization = _number(regularization, "regularization")
+    chunks = np.array_split(rng.permutation(len(g)), folds)
     accuracies = []
-    for k, test_idx in enumerate(chunks):
-        train_idx = np.concatenate([chunks[j] for j in range(folds) if j != k])
-        model = fit(g[np.ix_(train_idx, train_idx)], y[train_idx], regularization)
-        pred = predict(model, g[np.ix_(test_idx, train_idx)])
-        accuracies.append(float(np.mean(pred == y[test_idx])))
+    for k, test in enumerate(chunks):
+        train = np.concatenate(chunks[:k] + chunks[k + 1:])
+        # each block is one take of flat indices: no rows x n temporary, so a fold's peak stays at fit's
+        coef = _dual_solve(g.take(train[:, None] * len(g) + train), y[train], regularization)
+        accuracies.append(float(np.mean(_signs(g.take(test[:, None] * len(g) + train), coef) == y[test])))
     return accuracies, float(np.mean(accuracies))
 
 

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from fuzzykernels import DiscreteFuzzySet, GramMatrix, GroundSpace, Partition
+from fuzzykernels import DiscreteFuzzySet, GramMatrix, GroundSpace, Partition, fit, predict
 
 # local T-norm definitions, independent of fuzzykernels.tnorms
 TNORM_FN = {
@@ -185,6 +185,21 @@ def bf_mmd_p_value(gram, n, n_permutations, seed):
         perm = np.argsort(rng.random(total), kind="stable")
         exceed += statistic(perm[:n].tolist(), perm[n:].tolist()) >= observed - tol
     return (1 + exceed) / (1 + n_permutations)
+
+
+def bf_cross_validate(gram, labels, regularization, folds, seed):
+    """k-fold cross validation as a loop over the public API: fold k tests the
+    k-th ``np.array_split`` chunk of ``default_rng(seed).permutation(n)``, and
+    :func:`fit` and :func:`predict` run on its ``np.ix_`` training and cross
+    blocks.  Returns (per-fold accuracies, mean accuracy)."""
+    g, y = np.asarray(gram, dtype=float), np.asarray(labels, dtype=float)
+    chunks = np.array_split(np.random.default_rng(seed).permutation(len(y)), folds)
+    accuracies = []
+    for k, test in enumerate(chunks):
+        train = np.concatenate([chunks[j] for j in range(folds) if j != k])
+        model = fit(g[np.ix_(train, train)], y[train], regularization)
+        accuracies.append(float(np.mean(predict(model, g[np.ix_(test, train)]) == y[test])))
+    return accuracies, float(np.mean(accuracies))
 
 
 def bf_matrix_text(m):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from fuzzykernels import (
     GroundSpace,
     LinearKernel,
     NumericError,
+    ValidationError,
     check_psd,
     compute_gram,
     cross_product_kernel,
@@ -136,6 +138,31 @@ class TestCheckPsd:
         path.write_text("0\n")
         for m in (np.zeros((0, 0)), read_matrix(path)):
             with pytest.raises(ValueError, match="non-empty matrix"):
+                check_psd(m)
+
+    @pytest.mark.parametrize(
+        "m, pair",
+        [
+            # x^T m x = -3 at x = (1, -1), but the lower triangle alone reads as PSD
+            ([[1.0, 5.0], [0.0, 1.0]], "g[0, 1] = 5 and g[1, 0] = 0"),
+            # x^T m x = 0 for every x, but the lower triangle alone reads as indefinite
+            ([[0.0, -3.0], [3.0, 0.0]], "g[0, 1] = -3 and g[1, 0] = 3"),
+            # the first pair in row-major order, not the largest
+            ([[1.0, 0.0, 0.1], [0.0, 1.0, 9.0], [0.0, 0.0, 1.0]], "g[0, 2] = 0.10000000000000001 and g[2, 0] = 0"),
+        ],
+    )
+    def test_non_symmetric_rejected_naming_the_pair(self, m, pair):
+        with pytest.raises(ValidationError, match=re.escape(pair)):
+            check_psd(np.array(m))
+
+    def test_asymmetry_within_tolerance_passes(self):
+        # the bound is tol * max(1, max|g|): 1e-8 on a unit-scale matrix, 1e-3 at scale 1e5
+        for scale, skew in ((1.0, 5e-9), (1e5, 5e-4)):
+            m = scale * np.eye(3)
+            m[0, 1] = skew
+            assert check_psd(m).verdict == "PSD"
+            m[0, 1] = 4 * skew
+            with pytest.raises(ValidationError, match=r"g\[0, 1\]"):
                 check_psd(m)
 
     def test_bad_tolerance(self):

@@ -148,6 +148,92 @@ class TestCrossValidate:
             cross_validate(np.ones((4, 2)), [1, -1, 1, -1], regularization=1.0, folds=2)
 
 
+def _cv_case(n, psd, seed):
+    """A random n x n Gram, PSD (a Gaussian Gram matrix of random points) or
+    indefinite (a random symmetric matrix), and random +/-1 labels."""
+    rng = np.random.default_rng(seed)
+    if psd:
+        x = rng.normal(size=(n, 3))
+        g = np.exp(-0.5 * ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2))
+    else:
+        a = rng.normal(size=(n, n))
+        g = a + a.T
+    return g, np.where(rng.random(n) < 0.5, 1.0, -1.0)
+
+
+# (n, PSD?, folds, seed, ridge): even and uneven folds, leave-one-out, several seeds and ridges
+CV_CASES = [
+    (20, True, 5, 0, 0.1), (23, True, 5, 7, 1.0), (17, True, 4, 3, 1e-6), (12, True, 12, 1, 0.5),
+    (2, True, 2, 4, 1.0), (20, False, 5, 2, 0.3), (31, False, 7, 11, 2.0), (9, False, 9, 5, 1e-3),
+    (40, True, 3, 2**60 + 1, 1e-8),
+]
+
+
+class TestCrossValidateOracle:
+    @pytest.mark.parametrize("n, psd, folds, seed, ridge", CV_CASES)
+    def test_equals_fit_and_predict_per_fold(self, n, psd, folds, seed, ridge):
+        g, y = _cv_case(n, psd, seed % 1000)
+        expected = oracles.bf_cross_validate(g, y, ridge, folds, seed)
+        assert cross_validate(as_gram(g), y, ridge, folds=folds, seed=seed) == expected
+        assert cross_validate(g, y.tolist(), ridge, folds=folds, seed=seed) == expected
+        assert cross_validate(np.asfortranarray(g), y, ridge, folds=folds, seed=seed) == expected
+
+    @pytest.mark.parametrize("n, psd, folds, seed, ridge", CV_CASES)
+    def test_fold_coefficients_are_fits_bit_for_bit(self, n, psd, folds, seed, ridge, monkeypatch):
+        g, y = _cv_case(n, psd, seed % 1000)
+        solves = []
+
+        def recording_solve(block, labels, regularization, solve=learn._dual_solve):
+            solves.append((block, labels, solve(block, labels, regularization)))
+            return solves[-1][2]
+
+        monkeypatch.setattr(learn, "_dual_solve", recording_solve)
+        cross_validate(g, y, ridge, folds=folds, seed=seed)
+        monkeypatch.undo()
+        chunks = np.array_split(np.random.default_rng(seed).permutation(n), folds)
+        assert len(solves) == folds
+        for k, (block, labels, coef) in enumerate(solves):
+            train = np.concatenate(chunks[:k] + chunks[k + 1:])
+            assert block.tobytes() == g[np.ix_(train, train)].tobytes()
+            assert labels.tobytes() == y[train].tobytes()
+            assert coef.tobytes() == fit(g[np.ix_(train, train)], y[train], ridge).coefficients.tobytes()
+
+    def test_zero_decision_value_predicts_plus_one(self):
+        # a diagonal Gram makes every cross block zero, so each test score is
+        # exactly 0 and each fold's accuracy is its share of +1 labels
+        y = np.array([1.0, -1.0, -1.0, 1.0, -1.0, 1.0, 1.0])
+        accuracies, _ = cross_validate(np.diag(np.arange(1.0, 8.0)), y, 0.5, folds=3, seed=5)
+        chunks = np.array_split(np.random.default_rng(5).permutation(7), 3)
+        assert accuracies == [float(np.mean(y[c] == 1)) for c in chunks]
+        assert (accuracies, float(np.mean(accuracies))) == oracles.bf_cross_validate(
+            np.diag(np.arange(1.0, 8.0)), y, 0.5, 3, 5
+        )
+
+    def test_fold_gathers_no_rows_by_n_temporary(self):
+        # a fold holds its m x m training block and the system G + lambda I built
+        # from it; a gather that takes the m training rows first, then their
+        # columns, adds an m x n temporary beside the block (1.51 MB here)
+        g, y = _cv_case(500, True, 36)
+        tracemalloc.start()
+        try:
+            cross_validate(g, y, 0.5, folds=2, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * 250**2 + 16 * 8 * 500, peak
+
+    def test_arguments_are_checked_in_order(self):
+        # gram, labels, folds, seed, then regularization: each call has two bad
+        # arguments and names the earlier one
+        bad = {"gram": np.ones((4, 2)), "labels": [1, 2, 1, -1], "folds": 1, "seed": -1, "regularization": 0.0}
+        good = {"gram": np.eye(4), "labels": [1, -1, 1, -1], "folds": 2, "seed": 0, "regularization": 1.0}
+        names = list(bad)
+        for i, first in enumerate(names[:-1]):
+            for later in names[i + 1 :]:
+                with pytest.raises(ValueError, match=rf"\b{first}\b"):
+                    cross_validate(**{**good, first: bad[first], later: bad[later]})
+
+
 class TestMmdStatistic:
     def test_identical_samples_cancel(self):
         g = np.array([[1.0, 0.4], [0.4, 1.0]])

@@ -7,6 +7,8 @@ takes the string, bool, None, NaN or inf; the whole value is nested one level
 deeper, and the last row (or, for a vector, the first entry) is made ragged.
 Each call must raise ValidationError, or NumericError for a non-finite matrix
 entry, naming the argument or its element, with no warning and no value.
+An integer argument also takes a numpy integer above 2**53, which must act as
+the equal Python int: the same result, or the same error.
 """
 
 import math
@@ -37,6 +39,7 @@ from fuzzykernels import (
     tnorms,
     write_matrix,
 )
+from fuzzykernels.errors import _number
 
 EYE2 = [[1.0, 0.0], [0.0, 1.0]]
 EYE4 = np.eye(4).tolist()
@@ -45,18 +48,19 @@ SAMPLES = [GaussianFuzzySet([0.0], [1.0])], [GaussianFuzzySet([1.0], [1.0])]
 POINTS = [[0.0, 1.0], [1.0, 0.5]]
 
 # (entry point, call on keyword arguments, valid arguments, {argument: kind}); a "matrix" argument
-# raises NumericError on a non-finite entry, and a "held" one keeps it, so it is not given one here
+# raises NumericError on a non-finite entry, and a "held" one keeps it, so it is not given one here;
+# an "integer" argument is a "number" that must be integral
 ENTRY_POINTS = [
     ("fit", fit, dict(gram=EYE2, labels=[1, -1], regularization=1.0),
      {"gram": "matrix", "labels": "labels", "regularization": "number"}),
     ("predict", lambda cross: predict(MODEL, cross), dict(cross=[[0.5, 0.5], [0.2, 0.8]]), {"cross": "matrix"}),
     ("cross_validate", cross_validate, dict(gram=EYE4, labels=[1, -1, 1, -1], regularization=1.0, folds=2, seed=0),
-     {"gram": "matrix", "labels": "labels", "regularization": "number", "folds": "number", "seed": "number"}),
+     {"gram": "matrix", "labels": "labels", "regularization": "number", "folds": "integer", "seed": "integer"}),
     ("mmd_statistic", mmd_statistic, dict(gxx=EYE2, gyy=EYE2, gxy=[[0.5, 0.5], [0.5, 0.5]]),
      {"gxx": "matrix", "gyy": "matrix", "gxy": "matrix"}),
     ("mmd_permutation_test",
      lambda **kw: mmd_permutation_test(*SAMPLES, FuzzyKernelSpec(family="nonsingleton_gaussian"), **kw),
-     dict(n_permutations=10, seed=0), {"n_permutations": "number", "seed": "number"}),
+     dict(n_permutations=10, seed=0), {"n_permutations": "integer", "seed": "integer"}),
     ("GramMatrix", lambda values: GramMatrix(values, None, ["a", "b"]), dict(values=EYE2), {"values": "held"}),
     ("check_psd", check_psd, dict(g=EYE2, tol=1e-8), {"g": "matrix", "tol": "number"}),
     ("normalize", normalize, dict(g=EYE2), {"g": "matrix"}),
@@ -69,7 +73,7 @@ ENTRY_POINTS = [
     ),
     ("RBFKernel", RBFKernel, dict(gamma=1.0), {"gamma": "number"}),
     ("PolynomialKernel", PolynomialKernel, dict(coef0=1.0, gamma=1.0, degree=2),
-     {"coef0": "number", "gamma": "number", "degree": "number"}),
+     {"coef0": "number", "gamma": "number", "degree": "integer"}),
 ]
 
 
@@ -80,7 +84,7 @@ def _first(value, x):
 
 def _hostile(value, kind):
     """(change, hostile value) for each change of a valid argument of the given kind."""
-    if kind == "number":
+    if kind in ("number", "integer"):
         yield from [("string", str(value)), ("bool", True), ("none", None), ("nan", math.nan), ("inf", math.inf)]
         yield from [("nested", [value]), ("ragged", [value, [value]])]
         return
@@ -107,3 +111,35 @@ def test_hostile_argument_raises_naming_it(call, kwargs, name, error):
         with pytest.raises(error) as info:
             call(**kwargs)
     assert re.search(rf"\b{name}\b", str(info.value)), str(info.value)
+
+
+BIG = 2**60 + 1  # float(BIG) is 2**60
+
+
+def _outcome(call, kwargs):
+    try:
+        return call(**kwargs)
+    except ValidationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "call, valid, name",
+    [
+        pytest.param(call, valid, name, id=f"{entry}-{name}")
+        for entry, call, valid, kinds in ENTRY_POINTS
+        for name, kind in kinds.items()
+        if kind == "integer"
+    ],
+)
+def test_numpy_integer_acts_as_the_equal_int(call, valid, name):
+    # a numpy integer once went through float() and came back as 2**60
+    expected = _outcome(call, {**valid, name: BIG})
+    for np_int in (np.int64, np.uint64):
+        assert _outcome(call, {**valid, name: np_int(BIG)}) == expected
+
+
+@pytest.mark.parametrize("np_int", [np.int64, np.uint64])
+def test_integral_number_keeps_every_digit(np_int):
+    value = _number(np_int(BIG), "seed", closed=True, integral=True)
+    assert type(value) is int and value == BIG

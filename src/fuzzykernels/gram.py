@@ -60,18 +60,19 @@ def compute_gram(
 ) -> GramMatrix:
     """Pairwise kernel matrix over a dataset.
 
-    The batched engine computes the upper triangle and mirrors it, so the
-    result is exactly symmetric.  Invalid data raises ValidationError and a
-    non-finite kernel value NumericError, each naming the first offending
-    pair ``(id_i, id_j)`` in row-major upper-triangle order.  ``n_jobs`` is
-    accepted for compatibility and does not change the result: the engine
-    runs in the calling thread.
+    The data are one item list of the batched engine, at first column 0:
+    its upper triangle is computed and mirrored, so the result is exactly
+    symmetric.  Invalid data raises ValidationError and a non-finite kernel
+    value NumericError, each naming the first offending pair ``(id_i,
+    id_j)`` in row-major upper-triangle order.  ``n_jobs`` is accepted for
+    compatibility and does not change the result: the engine runs in the
+    calling thread.
     """
     n = len(data)
     ids = [str(i) for i in range(n)] if item_ids is None else [str(s) for s in item_ids]
     if len(ids) != n:
         raise ValueError("need exactly one item id per datum")
-    values = _kernel_matrix(spec, data, data, ids, ids, symmetric=True)
+    values = _kernel_matrix(spec, data, ids)
     return GramMatrix(values=values, spec=spec, item_ids=ids)
 
 
@@ -184,7 +185,7 @@ def read_matrix(path) -> np.ndarray:
     ValueError."""
     with open(path) as fh:
         header, body = fh.readline(), fh.read()
-    if not header.strip().isdecimal():
+    if not (header.strip().isascii() and header.strip().isdigit()):  # int() takes any Unicode digit
         raise ValueError(f"bad matrix file header {header!r}")
     n = int(header)
     # loadtxt warns on a body without data, which only n = 0 may have

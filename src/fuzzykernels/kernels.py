@@ -34,11 +34,17 @@ product of its attributes', is PSD where each is (Schur's product theorem).
     distance_gaussian              not PSD in general: PSD for every gamma iff d is Hilbertian (Schoenberg)
 
 The per-family functions below evaluate one pair and are the reference.
-:func:`evaluate` and :func:`gram.compute_gram` run a batched engine instead:
-one array path per family computes a whole (rows x columns) block of kernel
-values at once: intersection and non-singleton join the support entries that
-share a ground point, so their work follows sum |supp x & supp y|.  The
-arithmetic has a fixed order, so repeated evaluations are bit-identical.
+:func:`evaluate` and :func:`gram.compute_gram` run a batched engine instead.
+Its one layout is a list of items split at a first column into rows and
+columns, where a pair is computed when its column item is not before its row
+item: a Gram is first column 0, its upper triangle mirrored, and ``evaluate``
+the one pair of a two-item block.  Each family computes a block in arrays:
+intersection and non-singleton join the support entries that share a ground
+point, so their work follows sum |supp x & supp y|; the cross product takes
+the gemm ``M K1 M^T`` for a linear ``k2`` and a finite ``K1``, and a sum over
+support pairs otherwise; the distance families loop over pairs only for a
+user metric.  The arithmetic has a fixed order, so repeated evaluations are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -402,14 +408,15 @@ def evaluate(spec: FuzzyKernelSpec, x: Record, y: Record) -> float:
 
     A datum is either a single fuzzy set (attribute 0, which meets the first of
     per-attribute references) or a tuple of them (a multi-attribute record);
-    records combine per-attribute kernel values by product.  This is a 1 x 1
-    block of the batched engine that computes Gram matrices.
+    records combine per-attribute kernel values by product.  This is the
+    (x, y) pair of a two-item block of the batched engine that computes Gram
+    matrices: x its one row, y its one column.
     """
-    return float(_kernel_matrix(spec, [x], [y], ("x",), ("y",))[0, 0])
+    return float(_kernel_matrix(spec, [x, y], ("x", "y"), 1)[0, 0])
 
 
 # ---------------------------------------------------------------------------
-# Batched engine: one array path per family
+# Batched engine: one item list per block, array paths per family
 # ---------------------------------------------------------------------------
 
 # elements of one broadcast temporary (2 MiB of float64); a row block takes
@@ -418,34 +425,36 @@ _BLOCK_ELEMENTS = 1 << 18
 
 
 class _Pairs:
-    """Index space of one kernel block over a list of items (the records, or
-    one attribute of each).  Row ``i`` is item ``i``; column ``j`` is item
-    ``cols.start + j``.  A Gram matrix on (data, data) lists the data once
-    (``cols.start = 0``), and only its upper triangle (row <= column) is
-    needed; a rectangular block lists the rows and then the columns
-    (``cols.start`` = row count).  ``rows`` and ``cols`` are the two ranges
-    as slices, so an array over the items gives the rows' and the columns'
-    values as views.
+    """Index space of one kernel block: a list of items (the records, or one
+    attribute of each) with one id each.  Rows are the items before
+    ``first_col`` (every item when it is 0) and columns the items from
+    ``first_col`` on; ``rows`` and ``cols`` are those two ranges as slices,
+    so an array over the items gives the rows' and the columns' values as
+    views.  Row ``i`` meets column ``j``, item ``cols.start + j``, when that
+    item is not before ``i``: from column :meth:`start` on.  So ``first_col
+    = 0`` gives a Gram's upper triangle, and ``first_col`` = the row count
+    every pair of rows x columns.
 
     A check flags items, not pairs, and names the first pair in row-major
     (upper-triangle) order that meets a flagged item.  Row 0 meets every
     column first, so that is (0, first flagged column), or (0, 0) if item 0
-    is flagged; if only rows are flagged, as only a rectangular block allows,
+    is flagged; if only rows are flagged, as only ``first_col > 0`` allows,
     it is (first flagged row, 0).  Where both items must be flagged, it is
     (first flagged row, first flagged column): in a Gram, the first flagged
     item's diagonal pair."""
 
-    def __init__(self, row_ids: Sequence[str], col_ids: Sequence[str], symmetric: bool):
-        self.row_ids = row_ids
-        self.col_ids = col_ids
-        self.symmetric = symmetric
-        self.shape = (len(row_ids), len(col_ids))
-        col0 = 0 if symmetric else len(row_ids)
-        self.rows = slice(0, len(row_ids))
-        self.cols = slice(col0, col0 + len(col_ids))
+    def __init__(self, ids: Sequence[str], first_col: int):
+        self.ids = ids
+        self.rows = slice(0, first_col or len(ids))
+        self.cols = slice(first_col, len(ids))
+        self.shape = (self.rows.stop, len(ids) - first_col)
 
-    def label(self, i: int, j: int) -> str:
-        return f"kernel evaluation failed for pair ({self.row_ids[i]}, {self.col_ids[j]})"
+    def start(self, i: int) -> int:
+        """Row ``i``'s first computed column."""
+        return max(i - self.cols.start, 0)
+
+    def name(self, i: int, j: int) -> str:
+        return f"pair ({self.ids[i]}, {self.ids[self.cols.start + j]})"
 
     def check(self, flag, message: Union[str, Callable[[int, int], str]], both: bool = False) -> None:
         """Raise ValidationError naming the first pair (see above) that meets
@@ -461,56 +470,46 @@ class _Pairs:
             hit = (0, col.argmax()) if col.any() else (row.argmax(), 0) if row.any() else None
         if hit is not None:
             text = message(hit[0], self.cols.start + hit[1]) if callable(message) else message
-            raise ValidationError(f"{self.label(*hit)}: {text}")
-
-    def indices(self):
-        for i in range(self.shape[0]):
-            for j in range(i if self.symmetric else 0, self.shape[1]):
-                yield i, j
+            raise ValidationError(f"kernel evaluation failed for {self.name(*hit)}: {text}")
 
     def row_blocks(self, cost):
-        """(first, stop, first column) of the bands whose temporaries stay
-        within the element budget: ``cost`` elements for each row, or one
-        count per row or per entry of any list (the join bands over support
-        entries); each band takes as many as fit, and at least one."""
+        """(first, stop, :meth:`start` of first) of the bands whose
+        temporaries stay within the element budget: ``cost`` elements for each
+        row, or one count per row or per entry of any list (the join bands
+        over support entries); each band takes as many as fit, and at least
+        one."""
         cost = np.full(self.shape[0], max(cost, 1)) if np.isscalar(cost) else cost
         done = np.concatenate(([0], np.cumsum(cost)))
         a = 0
         while a < len(cost):
             b = max(a + 1, int(np.searchsorted(done, done[a] + _BLOCK_ELEMENTS, "right")) - 1)
-            yield a, b, a if self.symmetric else 0
+            yield a, b, self.start(a)
             a = b
 
 
 def _kernel_matrix(
-    spec: FuzzyKernelSpec,
-    rows: Sequence[Record],
-    cols: Sequence[Record],
-    row_ids: Sequence[str],
-    col_ids: Sequence[str],
-    symmetric: bool = False,
+    spec: FuzzyKernelSpec, items: Sequence[Record], ids: Sequence[str], first_col: int = 0
 ) -> np.ndarray:
-    """Kernel values between two lists of records, attribute by attribute.
+    """Kernel values over one list of records with one id each, attribute by
+    attribute: rows x columns as _Pairs splits them at ``first_col``.
 
-    The records form one item list, ``rows`` for a Gram matrix (``symmetric``:
-    ``cols`` is ``rows``) and ``[*rows, *cols]`` otherwise (see _Pairs).  The
-    items of each attribute slot are checked against the family's kind, then
-    its block prepares them once.  A Gram matrix has only its upper triangle
-    computed and then mirrored, so it is exactly symmetric.  Malformed input
-    raises ValidationError and a non-finite value NumericError, each naming
-    the first offending pair in row-major (upper-triangle) order.  A block
-    with no rows or no columns has no pair to name, so it raises
-    ValidationError up front.
+    The items of each attribute slot are checked against the family's kind,
+    then its block prepares them once.  With ``first_col = 0`` the block is a
+    Gram matrix: only its upper triangle is computed and then mirrored, so it
+    is exactly symmetric.  Malformed input raises ValidationError and a
+    non-finite value NumericError, each naming the first offending pair in
+    row-major (upper-triangle) order.  A block with no rows or no columns has
+    no pair to name, so it raises ValidationError up front.
     """
-    if not len(rows) or not len(cols):
-        raise ValidationError(f"kernel block has no {'columns' if len(rows) else 'rows'}")
-    pairs = _Pairs(row_ids, col_ids, symmetric)
-    records = [_as_record(r) for r in (rows if symmetric else [*rows, *cols])]
+    pairs = _Pairs(ids, first_col)
+    if not all(pairs.shape):
+        raise ValidationError(f"kernel block has no {'columns' if pairs.shape[0] else 'rows'}")
+    records = [_as_record(r) for r in items]
     arity = np.array([len(r) for r in records])
     pairs.check(arity != arity[0], lambda p, q: f"records have different arity: {arity[p]} vs {arity[q]}")
     pairs.check(arity[0] == 0, "empty record")
     refs = spec.reference  # a bare fuzzy set is a lone attribute 0, not a record
-    if refs is not None and len(refs) not in (1, arity[0]) and not isinstance(rows[0], FuzzyDatum):
+    if refs is not None and len(refs) not in (1, arity[0]) and not isinstance(items[0], FuzzyDatum):
         pairs.check(True, f"reference has {len(refs)} attributes but records have {arity[0]}")
     block, _, kind = _FAMILIES[spec.family]
     with np.errstate(all="ignore"):  # non-finite values are reported below, by pair
@@ -523,15 +522,13 @@ def _kernel_matrix(
             values = v if slot == 0 else np.multiply(values, v, out=values)
         # a row with a non-finite value has a non-finite sum; only those rows are scanned
         for i in np.flatnonzero(~np.isfinite(values.sum(axis=1))):
-            j = i * symmetric + np.flatnonzero(~np.isfinite(values[i, i * symmetric :]))
-            if len(j):
-                raise NumericError(
-                    f"kernel value {values[i, j[0]]} is not finite for pair ({row_ids[i]}, {col_ids[j[0]]})"
-                )
+            j = [c for c in np.flatnonzero(~np.isfinite(values[i])) if c >= pairs.start(i)]
+            if j:
+                raise NumericError(f"kernel value {values[i, j[0]]} is not finite for {pairs.name(i, j[0])}")
     # a Gram's upper triangle mirrored in bands of rows: left of each band's diagonal
     # block one copy of the rows above, the block from its own upper triangle; adding
     # 0.0 right of it makes each -0.0 a 0, which prints as 0
-    for a, b, _ in pairs.row_blocks(len(values)) if symmetric else ():
+    for a, b, _ in pairs.row_blocks(len(values)) if not first_col else ():
         values[a:b, :a] = values[:a, a:b].T
         values[a:b, a:b] = np.triu(values[a:b, a:b]) + np.tril(values[a:b, a:b].T, -1)
         values[a:b, b:] += 0.0
@@ -620,9 +617,8 @@ def _join(t: TNorm, item, idx, deg, pairs: _Pairs, weight: np.ndarray | None = N
     in (point, item) order, walked in bands of entries.  T(a, 0) = 0, so only
     entries that share a point meet: the work follows sum |supp x & supp y|."""
     key = idx * pairs.cols.stop + item  # ascending, as packed
-    # a row entry meets the column entries of its point from itself on (a
-    # Gram's upper triangle), or from the first column item on; a column
-    # entry of a rectangular block meets none
+    # a row entry meets the column entries of its point whose item is not
+    # before its own (see _Pairs); an entry of an item past the rows meets none
     first = np.maximum(np.arange(len(key)), np.searchsorted(key, key - item + pairs.cols.start))
     count = (np.searchsorted(idx, idx, "right") - first) * (item < pairs.rows.stop)
     done = np.concatenate(([0], np.cumsum(count)))
@@ -715,16 +711,17 @@ def _metric_distances(metric: Metric, attrs: list, ref, pairs: _Pairs):
     d = np.zeros(pairs.shape)
     d0 = np.zeros(len(attrs))
     seen = np.full(len(attrs), ref is None)  # with no reference, no item is measured against one
-    for i, j in pairs.indices():
-        q = pairs.cols.start + j
-        try:
-            for k in (i, q):
-                if not seen[k]:
-                    d0[k] = metric(attrs[k], ref)
-                    seen[k] = True
-            d[i, j] = metric(attrs[i], attrs[q])
-        except Exception as exc:
-            raise ValidationError(f"{pairs.label(i, j)}: {exc}") from exc
+    for i in range(pairs.shape[0]):
+        for j in range(pairs.start(i), pairs.shape[1]):
+            q = pairs.cols.start + j
+            try:
+                for k in (i, q):
+                    if not seen[k]:
+                        d0[k] = metric(attrs[k], ref)
+                        seen[k] = True
+                d[i, j] = metric(attrs[i], attrs[q])
+            except Exception as exc:
+                raise ValidationError(f"kernel evaluation failed for {pairs.name(i, j)}: {exc}") from exc
     return d, d0
 
 

@@ -27,6 +27,7 @@ from fuzzykernels import (
     ValidationError,
     compute_gram,
     cross_product_kernel,
+    dataset_from_obj,
     distance_gaussian_kernel,
     distance_inner,
     distance_polynomial_kernel,
@@ -40,6 +41,7 @@ from fuzzykernels import (
 )
 
 import oracles
+from test_benchmark_outputs import workloads
 
 REL = 1e-12
 # an exact zero may come back as rounding noise of the largest entry
@@ -93,6 +95,11 @@ def pairwise(data, fn):
     return out
 
 
+def rect(spec, rows, cols, row_ids, col_ids):
+    """The engine's rows x columns block: one item list, the columns from ``len(rows)`` on."""
+    return kernels._kernel_matrix(spec, [*rows, *cols], [*row_ids, *col_ids], len(rows))
+
+
 def check_family(data, spec, budget, scalar, oracle, size=None):
     """compute_gram under a row-block budget against the scalar and oracle
     Grams; the engine's rectangular path (the first rows against every
@@ -102,13 +109,13 @@ def check_family(data, spec, budget, scalar, oracle, size=None):
     k = (len(data) + 1) // 2
     with mock.patch.object(kernels, "_BLOCK_ELEMENTS", budget):
         got = compute_gram(data, spec).values
-        rect = kernels._kernel_matrix(spec, data[:k], data, ids[:k], ids)
+        block = rect(spec, data[:k], data, ids[:k], ids)
     assert np.array_equal(got, got.T)
     mag = None if size is None else pairwise(data, size)
     want = pairwise(data, scalar)
     assert_close(got, want, mag)
     assert_close(got, pairwise(data, oracle), mag)
-    assert_close(rect, want[:k], None if mag is None else mag[:k])
+    assert_close(block, want[:k], None if mag is None else mag[:k])
     for i in range(min(len(data), 3)):
         for j in range(len(data)):
             x, y = data[i][0], data[j][0]
@@ -341,8 +348,8 @@ def test_degree_order_leaves_grams_bit_identical():
         want = compute_gram(ascending, spec).values
         assert compute_gram(shuffled, spec).values.tobytes() == want.tobytes(), spec.family
         for rows, cols in ((slice(0, 5), slice(5, None)), (slice(5, None), slice(0, 5))):
-            want = kernels._kernel_matrix(spec, ascending[rows], ascending[cols], ids[rows], ids[cols])
-            got = kernels._kernel_matrix(spec, shuffled[rows], shuffled[cols], ids[rows], ids[cols])
+            want = rect(spec, ascending[rows], ascending[cols], ids[rows], ids[cols])
+            got = rect(spec, shuffled[rows], shuffled[cols], ids[rows], ids[cols])
             assert got.tobytes() == want.tobytes(), (spec.family, rows)
 
 
@@ -357,7 +364,7 @@ def assert_budget_free(data, spec, label):
     for budget in (1, 7, kernels._BLOCK_ELEMENTS):
         with mock.patch.object(kernels, "_BLOCK_ELEMENTS", budget):
             got.append(compute_gram(data, spec).values)
-            got.append(kernels._kernel_matrix(spec, data[:15], data, ids[:15], ids))
+            got.append(rect(spec, data[:15], data, ids[:15], ids))
     for k in range(2, len(got)):
         assert got[k].tobytes() == got[k % 2].tobytes(), (label, k)
 
@@ -391,6 +398,38 @@ def test_gaussian_grams_do_not_depend_on_the_budget(shared):
         for _ in range(40)
     ]
     assert_budget_free(data, FuzzyKernelSpec(family="nonsingleton_gaussian"), shared)
+
+
+def workload_specs(data):
+    """(spec, bitwise) for each family that applies to a workload's records:
+    the join and Gaussian families, whose pairs sum in one fixed order, and
+    the cross product, whose gemm sums in another order than evaluate's block."""
+    if isinstance(data[0][0], GaussianFuzzySet):
+        return [(FuzzyKernelSpec(family="nonsingleton_gaussian"), True)]
+    joins = JOIN_FAMILIES if data[0][0].ground.partition is not None else ["nonsingleton"]
+    return [
+        *((FuzzyKernelSpec(family=f, tnorm=TNorm.from_name(t)), True) for f in joins for t in TNORMS),
+        (FuzzyKernelSpec(family="cross_product", k1=RBFKernel(gamma=0.5)), False),
+    ]
+
+
+@pytest.mark.parametrize("name", workloads.NAMES)
+def test_a_pair_is_computed_the_same_wherever_it_sits(name):
+    # a Gram's upper triangle, a block of rows x columns and evaluate's one
+    # pair are one layout, so a pair's value does not depend on where it sits
+    data = dataset_from_obj(workloads.generate(name, 3).document).records
+    ids = [str(i) for i in range(len(data))]
+    k = 6
+    for spec, bitwise in workload_specs(data):
+        want = compute_gram(data, spec).values
+        got = np.array([
+            rect(spec, data[:k], data, ids[:k], ids),
+            [[evaluate(spec, data[i], y) for y in data] for i in range(k)],
+        ])
+        if bitwise:
+            assert (got.view(np.uint64) == want[:k].view(np.uint64)).all(), (spec.family, spec.tnorm)
+        else:
+            assert_close(got, np.broadcast_to(want[:k], got.shape))
 
 
 def test_gram_mirrors_the_upper_triangle_bitwise():
@@ -476,11 +515,13 @@ def test_row_blocks_cover_the_rows_in_bands_within_the_budget(budget):
             per_row = int(rng.integers(1, 2 * budget + 1))
             cost = np.full(n, per_row)
         with mock.patch.object(kernels, "_BLOCK_ELEMENTS", budget):
-            bands = list(kernels._Pairs([""] * n, [""] * n, symmetric).row_blocks(per_row))
+            pairs = kernels._Pairs([""] * (n if symmetric else 2 * n), 0 if symmetric else n)
+            bands = list(pairs.row_blocks(per_row))
         assert [a for a, _, _ in bands] == [0] + [b for _, b, _ in bands[:-1]]
         assert bands[-1][1] == len(cost)
         for a, b, c0 in bands:
-            assert b > a and c0 == (a if symmetric else 0)
+            assert b > a and c0 == pairs.start(a)
+            assert a >= n or c0 == (a if symmetric else 0)  # the join's bands of entries read no c0
             assert cost[a:b].sum() <= budget or b == a + 1
             assert b == len(cost) or cost[a : b + 1].sum() > budget
 
@@ -512,9 +553,9 @@ def test_different_ground_names_pair(line):
         compute_gram(data, spec, item_ids=IDS)
     # a rectangular block: the foreign set among the columns, then among the rows only
     with pytest.raises(ValidationError, match=r"pair \(a, d\): fuzzy sets live on different ground spaces"):
-        kernels._kernel_matrix(spec, data[:2], data, IDS[:2], IDS)
+        rect(spec, data[:2], data, IDS[:2], IDS)
     with pytest.raises(ValidationError, match=r"pair \(d, a\): fuzzy sets live on different ground spaces"):
-        kernels._kernel_matrix(spec, data, data[:3], IDS, IDS[:3])
+        rect(spec, data, data[:3], IDS, IDS[:3])
     # a reference on another ground space fails the first pair
     ref_spec = FuzzyKernelSpec(family="distance_inner", reference=data[3])
     with pytest.raises(ValidationError, match=r"pair \(a, a\): fuzzy sets live on different ground spaces"):
@@ -590,7 +631,7 @@ def test_user_metric_call_order(line):
     compute_gram(data[:5], spec)
     assert calls == expected(keys[:5], keys[:5], gram=True)
     calls.clear()
-    kernels._kernel_matrix(spec, data[:4], data[4:], keys[:4], keys[4:])
+    rect(spec, data[:4], data[4:], keys[:4], keys[4:])
     assert calls == expected(keys[:4], keys[4:], gram=False)
     assert len(calls) == 4 * 5 + 9
 
@@ -598,15 +639,17 @@ def test_user_metric_call_order(line):
 @pytest.mark.parametrize("empty", ["rows", "columns"])
 def test_empty_block_side_raises(line, empty):
     # an empty block has no pair, so no pair check fires; the weight count
-    # and the missing partition once ended in IndexError and AttributeError
+    # and the missing partition once ended in IndexError and AttributeError.
+    # No rows is an empty item list (first_col = 0 makes every item a row),
+    # no columns one item with first_col = 1
     x = (DiscreteFuzzySet(line, {0: 1.0, 2: 0.5}),)
-    rows, cols = ([], [x]) if empty == "rows" else ([x], [])
+    items = [] if empty == "rows" else [x]
     for spec in (
         FuzzyKernelSpec(family="weighted_cross_product", weights=[1.0]),
         FuzzyKernelSpec(family="intersection", tnorm=TNorm.MINIMUM),
     ):
         with pytest.raises(ValidationError, match=f"kernel block has no {empty}"):
-            kernels._kernel_matrix(spec, rows, cols, ["a"] * len(rows), ["a"] * len(cols))
+            kernels._kernel_matrix(spec, items, ["a"] * len(items), len(items))
 
 
 def test_non_finite_value_names_first_pair():
@@ -677,7 +720,7 @@ def test_checks_name_the_first_pair_in_both_layouts(spec, rows, cols, pair, erro
         if cols is None:
             compute_gram(rows, spec, item_ids=IDS[: len(rows)])
         else:
-            kernels._kernel_matrix(spec, rows, cols, IDS[: len(rows)], ["x", "y", "z", "w"][: len(cols)])
+            rect(spec, rows, cols, IDS[: len(rows)], ["x", "y", "z", "w"][: len(cols)])
     assert f"pair ({pair})" in str(info.value)
     assert error in str(info.value)
     assert isinstance(info.value, NumericError if error == "not finite" else ValidationError)

@@ -245,6 +245,8 @@ class TestMatrixFile:
             "2\n1 2\n3 x\n",
             "0\n1\n",
             "",
+            "\u0662\n1 2\n3 4\n",  # int() reads an Arabic-Indic 2 as 2, so this read as 2 x 2
+            "\uff12\n1 2\n3 4\n",  # and a fullwidth 2
         ],
     )
     def test_rejects_body_that_is_not_n_by_n(self, tmp_path, text):

@@ -42,7 +42,9 @@ from fuzzykernels import (
 from fuzzykernels.errors import _number
 
 EYE2 = [[1.0, 0.0], [0.0, 1.0]]
-EYE4 = np.eye(4).tolist()
+# two blocks of two: seeds 2**60 and 2**60 + 1 draw folds with different accuracies, where the identity
+# gave [0.5, 0.5] at both
+BLOCKS4 = [[2.0, 1.0, 0.0, 0.0], [1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 2.0, 1.0], [0.0, 0.0, 1.0, 2.0]]
 MODEL = fit(np.eye(2), [1, -1], 1.0)
 SAMPLES = [GaussianFuzzySet([0.0], [1.0])], [GaussianFuzzySet([1.0], [1.0])]
 POINTS = [[0.0, 1.0], [1.0, 0.5]]
@@ -54,7 +56,7 @@ ENTRY_POINTS = [
     ("fit", fit, dict(gram=EYE2, labels=[1, -1], regularization=1.0),
      {"gram": "matrix", "labels": "labels", "regularization": "number"}),
     ("predict", lambda cross: predict(MODEL, cross), dict(cross=[[0.5, 0.5], [0.2, 0.8]]), {"cross": "matrix"}),
-    ("cross_validate", cross_validate, dict(gram=EYE4, labels=[1, -1, 1, -1], regularization=1.0, folds=2, seed=0),
+    ("cross_validate", cross_validate, dict(gram=BLOCKS4, labels=[1, -1, 1, -1], regularization=1.0, folds=2, seed=0),
      {"gram": "matrix", "labels": "labels", "regularization": "number", "folds": "integer", "seed": "integer"}),
     ("mmd_statistic", mmd_statistic, dict(gxx=EYE2, gyy=EYE2, gxy=[[0.5, 0.5], [0.5, 0.5]]),
      {"gxx": "matrix", "gyy": "matrix", "gxy": "matrix"}),
@@ -123,20 +125,26 @@ def _outcome(call, kwargs):
         return str(exc)
 
 
-@pytest.mark.parametrize(
-    "call, valid, name",
-    [
-        pytest.param(call, valid, name, id=f"{entry}-{name}")
-        for entry, call, valid, kinds in ENTRY_POINTS
-        for name, kind in kinds.items()
-        if kind == "integer"
-    ],
-)
+INTEGER_CASES = [
+    pytest.param(call, valid, name, id=f"{entry}-{name}")
+    for entry, call, valid, kinds in ENTRY_POINTS
+    for name, kind in kinds.items()
+    if kind == "integer"
+]
+
+
+@pytest.mark.parametrize("call, valid, name", INTEGER_CASES)
 def test_numpy_integer_acts_as_the_equal_int(call, valid, name):
     # a numpy integer once went through float() and came back as 2**60
     expected = _outcome(call, {**valid, name: BIG})
     for np_int in (np.int64, np.uint64):
         assert _outcome(call, {**valid, name: np_int(BIG)}) == expected
+
+
+@pytest.mark.parametrize("call, valid, name", INTEGER_CASES)
+def test_integer_case_tells_big_from_its_float(call, valid, name):
+    # otherwise the test above could not see BIG rounded to 2**60
+    assert _outcome(call, {**valid, name: BIG}) != _outcome(call, {**valid, name: 2**60})
 
 
 @pytest.mark.parametrize("np_int", [np.int64, np.uint64])

@@ -5,9 +5,10 @@ Gram matrix, verify positive semidefiniteness, run k-fold kernel ridge
 classification, and run an MMD permutation two-sample test.  Reports go to
 stdout as JSON; randomized commands need an explicit --seed, so repeated runs
 are byte-identical.  Exit codes: 0 success, 2 validation error (an --out
-that cannot be written included), 3 numeric error.  A call that names its
-command first builds that command's parser alone; any other argv is parsed
-by the whole parser of :func:`build_parser`, so its help and errors word it.
+that cannot be written included), 3 numeric error (running out of memory
+included).  A call that names its command first builds that command's
+parser alone; any other argv is parsed by the whole parser of
+:func:`build_parser`, so its help and errors word it.
 """
 
 from __future__ import annotations
@@ -235,8 +236,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command][0](args)
-    # LinAlgError subclasses ValueError, so it is caught first
-    except (NumericError, np.linalg.LinAlgError) as exc:
+    # LinAlgError subclasses ValueError, so it is caught first; numpy's MemoryError names the shape and size
+    except (NumericError, MemoryError, np.linalg.LinAlgError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
     # input files are read by ValidationError-raising readers, so an OSError is an unwritable --out

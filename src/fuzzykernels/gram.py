@@ -26,10 +26,9 @@ _BAND = 128  # rows per band of write_matrix's string reuse
 
 @dataclass
 class GramMatrix:
-    """Symmetric matrix of pairwise kernel values with provenance metadata."""
+    """Symmetric matrix of pairwise kernel values, one item id per row."""
 
     values: np.ndarray
-    spec: FuzzyKernelSpec | None
     item_ids: list[str]
 
     def __post_init__(self):
@@ -72,8 +71,7 @@ def compute_gram(
     ids = [str(i) for i in range(n)] if item_ids is None else [str(s) for s in item_ids]
     if len(ids) != n:
         raise ValueError("need exactly one item id per datum")
-    values = _kernel_matrix(spec, data, ids)
-    return GramMatrix(values=values, spec=spec, item_ids=ids)
+    return GramMatrix(values=_kernel_matrix(spec, data, ids), item_ids=ids)
 
 
 def _as_matrix(g, name: str, square: bool = True, finite: bool = True) -> np.ndarray:
@@ -88,13 +86,6 @@ def _as_matrix(g, name: str, square: bool = True, finite: bool = True) -> np.nda
     if finite and not np.isfinite(m).all():
         raise NumericError(f"{name} contains non-finite entries")
     return m
-
-
-def _provenance(g, n: int) -> tuple[list[str], FuzzyKernelSpec | None]:
-    """Item ids and spec of a GramMatrix; a bare array has ids 0..n-1 and no spec."""
-    if isinstance(g, GramMatrix):
-        return list(g.item_ids), g.spec
-    return [str(i) for i in range(n)], None
 
 
 def check_psd(g, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
@@ -137,8 +128,8 @@ def normalize(g: GramMatrix) -> GramMatrix:
     # k(x,x)/k(x,x) is 1 by definition; set it exactly so the operation is
     # idempotent at the bit level
     np.fill_diagonal(values, 1.0)
-    ids, spec = _provenance(g, m.shape[0])
-    return GramMatrix(values=values, spec=spec, item_ids=ids)
+    ids = list(g.item_ids) if isinstance(g, GramMatrix) else [str(i) for i in range(len(m))]
+    return GramMatrix(values=values, item_ids=ids)
 
 
 def write_matrix(path, g) -> None:

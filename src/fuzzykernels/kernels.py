@@ -398,19 +398,17 @@ class FuzzyKernelSpec:
 
 
 def _as_record(datum: Record) -> tuple[FuzzyDatum, ...]:
-    if isinstance(datum, (DiscreteFuzzySet, GaussianFuzzySet)):
-        return (datum,)
-    return tuple(datum)
+    return tuple(datum) if isinstance(datum, (tuple, list)) else (datum,)
 
 
 def evaluate(spec: FuzzyKernelSpec, x: Record, y: Record) -> float:
     """Evaluate the configured kernel on two fuzzy data.
 
-    A datum is either a single fuzzy set (attribute 0, which meets the first of
-    per-attribute references) or a tuple of them (a multi-attribute record);
-    records combine per-attribute kernel values by product.  This is the
-    (x, y) pair of a two-item block of the batched engine that computes Gram
-    matrices: x its one row, y its one column.
+    A datum is a tuple or list of fuzzy sets (a multi-attribute record), or
+    else one fuzzy set (attribute 0, which meets the first of per-attribute
+    references); records combine per-attribute kernel values by product.
+    This is the (x, y) pair of a two-item block of the batched engine that
+    computes Gram matrices: x its one row, y its one column.
     """
     return float(_kernel_matrix(spec, [x, y], ("x", "y"), 1)[0, 0])
 
@@ -473,17 +471,17 @@ class _Pairs:
             raise ValidationError(f"kernel evaluation failed for {self.name(*hit)}: {text}")
 
     def row_blocks(self, cost):
-        """(first, stop, :meth:`start` of first) of the bands whose
-        temporaries stay within the element budget: ``cost`` elements for each
-        row, or one count per row or per entry of any list (the join bands
-        over support entries); each band takes as many as fit, and at least
-        one."""
+        """(first, stop) of the bands whose temporaries stay within the
+        element budget: ``cost`` elements for each row, or one count per row
+        or per entry of any list (the join bands over support entries); each
+        band takes as many as fit, and at least one.  A band of rows meets
+        the columns from :meth:`start` of its first row on."""
         cost = np.full(self.shape[0], max(cost, 1)) if np.isscalar(cost) else cost
         done = np.concatenate(([0], np.cumsum(cost)))
         a = 0
         while a < len(cost):
             b = max(a + 1, int(np.searchsorted(done, done[a] + _BLOCK_ELEMENTS, "right")) - 1)
-            yield a, b, self.start(a)
+            yield a, b
             a = b
 
 
@@ -508,8 +506,8 @@ def _kernel_matrix(
     arity = np.array([len(r) for r in records])
     pairs.check(arity != arity[0], lambda p, q: f"records have different arity: {arity[p]} vs {arity[q]}")
     pairs.check(arity[0] == 0, "empty record")
-    refs = spec.reference  # a bare fuzzy set is a lone attribute 0, not a record
-    if refs is not None and len(refs) not in (1, arity[0]) and not isinstance(items[0], FuzzyDatum):
+    refs = spec.reference  # a datum that is no tuple or list is a lone attribute 0, not a record
+    if refs is not None and len(refs) not in (1, arity[0]) and isinstance(items[0], (tuple, list)):
         pairs.check(True, f"reference has {len(refs)} attributes but records have {arity[0]}")
     block, _, kind = _FAMILIES[spec.family]
     with np.errstate(all="ignore"):  # non-finite values are reported below, by pair
@@ -528,7 +526,7 @@ def _kernel_matrix(
     # a Gram's upper triangle mirrored in bands of rows: left of each band's diagonal
     # block one copy of the rows above, the block from its own upper triangle; adding
     # 0.0 right of it makes each -0.0 a 0, which prints as 0
-    for a, b, _ in pairs.row_blocks(len(values)) if not first_col else ():
+    for a, b in pairs.row_blocks(len(values)) if not first_col else ():
         values[a:b, :a] = values[:a, a:b].T
         values[a:b, a:b] = np.triu(values[a:b, a:b]) + np.tril(values[a:b, a:b].T, -1)
         values[a:b, b:] += 0.0
@@ -603,7 +601,8 @@ def _support_sum(k2: BaseKernel, k1: np.ndarray, size, at, deg, pairs: _Pairs) -
     start = np.concatenate(([0], np.cumsum(size)))
     nx, ny = size[pairs.rows], size[pairs.cols]
     out = np.zeros(pairs.shape)
-    for a, b, c0 in pairs.row_blocks(int(nx.max(initial=0)) * int(ny.sum())):
+    for a, b in pairs.row_blocks(int(nx.max(initial=0)) * int(ny.sum())):
+        c0 = pairs.start(a)
         sx = slice(start[a], start[b])
         sy = slice(start[pairs.cols.start + c0], start[pairs.cols.stop])
         terms = k1[np.ix_(at[sx], at[sy])] * k2.pairwise(deg[sx, None], deg[sy, None])
@@ -625,7 +624,7 @@ def _join(t: TNorm, item, idx, deg, pairs: _Pairs, weight: np.ndarray | None = N
     # about eight temporaries per term; a pair meets its common points in
     # ascending ground order, so no bit depends on the bands or the record order
     out = np.zeros(pairs.shape)
-    for a, b, _ in pairs.row_blocks(8 * count):
+    for a, b in pairs.row_blocks(8 * count):
         c = count[a:b]
         other = np.repeat(first[a:b] - done[a:b] + done[a], c) + np.arange(done[b] - done[a])
         v = tnorm_array(t, np.repeat(deg[a:b], c), deg[other])
@@ -663,7 +662,8 @@ def _gaussian_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _Pairs
     shared = np.hypot(widths[0], widths[0]) if (widths == widths[0]).all() else None
     mx, wx, my, wy = means[pairs.rows, None], widths[pairs.rows, None], means[pairs.cols], widths[pairs.cols]
     out = np.zeros(pairs.shape)
-    for a, b, c0 in pairs.row_blocks(len(my)):
+    for a, b in pairs.row_blocks(len(my)):
+        c0 = pairs.start(a)
         s = np.zeros((b - a, len(my) - c0))
         # dimensions accumulate in a fixed order, so a pair's value does not
         # depend on where it sits in the block
@@ -698,7 +698,8 @@ def _ratio_distances(attrs: list, ref: DiscreteFuzzySet | None, pairs: _Pairs):
     pairs.check(s[: len(attrs)] == 0, "ratio distance is undefined for two empty fuzzy sets (0/0)", both)
     mx, my = m[pairs.rows], m[pairs.cols]
     d = np.zeros(pairs.shape)
-    for a, b, c0 in pairs.row_blocks(len(my) * len(cols)):
+    for a, b in pairs.row_blocks(len(my) * len(cols)):
+        c0 = pairs.start(a)
         d[a:b, c0:] = np.abs(mx[a:b, None, :] - my[None, c0:, :]).sum(axis=-1)
     d /= s[pairs.rows, None] + s[None, pairs.cols]
     return d, None if ref is None else np.abs(m - m[-1]).sum(axis=1) / (s + s[-1])

@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericError, ValidationError, _labels, _number
-from .gram import GramMatrix, _as_matrix, _provenance, compute_gram
+from .gram import GramMatrix, _as_matrix, compute_gram
 from .kernels import FuzzyKernelSpec, Record
 
 __all__ = [
@@ -31,12 +31,10 @@ _MAX_PERMUTATIONS = 10**6
 
 @dataclass
 class DualModel:
-    """Kernel ridge classifier in dual form: decision value is cross @ coefficients."""
+    """Kernel ridge classifier in dual form: decision value is cross @ coefficients, one
+    coefficient per training item in the training Gram's order, which ``cross``'s columns follow."""
 
     coefficients: np.ndarray
-    item_ids: list[str]
-    spec: FuzzyKernelSpec | None
-    regularization: float
 
 
 @dataclass
@@ -68,18 +66,19 @@ def fit(gram: GramMatrix, labels, regularization: float) -> DualModel:
     """Solve ``(G + lambda I) c = y`` for the dual coefficients.
 
     Labels are +/-1 and treated as centered, so the model has no bias term.
-    A non-finite Gram entry or a singular system raises NumericError.
+    An empty Gram raises ValidationError; a non-finite entry or a singular system, NumericError.
     """
     regularization = _number(regularization, "regularization")
     g = _as_matrix(gram, "gram")
-    coef = _dual_solve(g, _labels(labels, g.shape[0]), regularization)
-    ids, spec = _provenance(gram, g.shape[0])
-    return DualModel(coefficients=coef, item_ids=ids, spec=spec, regularization=regularization)
+    if not g.size:
+        raise ValidationError("gram must be non-empty, got 0 x 0")
+    return DualModel(coefficients=_dual_solve(g, _labels(labels, g.shape[0]), regularization))
 
 
 def predict(model: DualModel, cross) -> np.ndarray:
-    """Sign of the decision values for a test-by-train kernel matrix ``cross[i, j] = k(test_i, train_j)``;
-    sign(0) is +1 so predictions are deterministic."""
+    """Sign of the decision values for a test-by-train kernel matrix ``cross[i, j] = k(test_i, train_j)``,
+    whose columns follow the training Gram's item order: ``compute_gram([*train, *test], spec)``'s
+    ``values[len(train):, :len(train)]``.  sign(0) is +1 so predictions are deterministic."""
     c, k = np.atleast_2d(_as_matrix(cross, "cross", square=False)), model.coefficients.shape[0]
     if c.ndim != 2 or c.shape[1] != k:
         raise ValidationError(f"cross must be 2-D with {k} columns, one per coefficient, got shape {c.shape}")

@@ -220,6 +220,28 @@ class TestNumericErrors:
         assert code == 3
         assert "did not converge" in err
 
+    def test_out_of_memory_exits_3(self, tmp_path):
+        # 20,000 one-dimensional records make a 2.98 GiB Gram; the child caps its
+        # own address space at 1.5 GiB before it imports anything, so nothing
+        # here allocates without a limit
+        rng = np.random.default_rng(17)
+        records = [[{"type": "gaussian", "m": [m], "sigma": [1.0]}] for m in rng.normal(size=20_000).round(6).tolist()]
+        data, kernel = tmp_path / "data.json", tmp_path / "kernel.json"
+        data.write_text(json.dumps({"records": records}))
+        kernel.write_text(json.dumps({"family": "nonsingleton_gaussian"}))
+        code = (
+            "import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (3 << 29, resource.getrlimit(resource.RLIMIT_AS)[1])); "
+            "from fuzzykernels.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+        argv = ["check-psd", "--data", str(data), "--kernel", str(kernel)]
+        result = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True)
+        assert result.returncode == 3
+        assert result.stderr.startswith("numeric error: Unable to allocate 2.98 GiB")
+        assert "Traceback" not in result.stderr
+
 
 class TestCheckPsd:
     def test_psd_verdict(self, tmp_path, capsys, discrete_dataset, linear_kernel_cfg):

@@ -517,11 +517,10 @@ def test_row_blocks_cover_the_rows_in_bands_within_the_budget(budget):
         with mock.patch.object(kernels, "_BLOCK_ELEMENTS", budget):
             pairs = kernels._Pairs([""] * (n if symmetric else 2 * n), 0 if symmetric else n)
             bands = list(pairs.row_blocks(per_row))
-        assert [a for a, _, _ in bands] == [0] + [b for _, b, _ in bands[:-1]]
+        assert [a for a, _ in bands] == [0] + [b for _, b in bands[:-1]]
         assert bands[-1][1] == len(cost)
-        for a, b, c0 in bands:
-            assert b > a and c0 == pairs.start(a)
-            assert a >= n or c0 == (a if symmetric else 0)  # the join's bands of entries read no c0
+        for a, b in bands:
+            assert b > a
             assert cost[a:b].sum() <= budget or b == a + 1
             assert b == len(cost) or cost[a : b + 1].sum() > budget
 
@@ -539,10 +538,16 @@ def line():
 
 
 def test_wrong_attribute_type_names_pair(line):
-    data = [DiscreteFuzzySet(line, {0: 1.0})] * 2 + [GaussianFuzzySet([0.0], [1.0])]
+    x = DiscreteFuzzySet(line, {0: 1.0})
+    spec = FuzzyKernelSpec(family="cross_product")
     want = r"pair \(a, c\): .*needs DiscreteFuzzySet attributes, got GaussianFuzzySet"
     with pytest.raises(ValidationError, match=want):
-        compute_gram(data, FuzzyKernelSpec(family="cross_product"), item_ids=IDS[:3])
+        compute_gram([x, x, GaussianFuzzySet([0.0], [1.0])], spec, item_ids=IDS[:3])
+    # a datum that is neither a fuzzy set nor a tuple or list of them is a lone attribute of the wrong kind
+    with pytest.raises(ValidationError, match=r"pair \(x, y\): .*needs DiscreteFuzzySet attributes, got int"):
+        evaluate(spec, 5, x)
+    with pytest.raises(ValidationError, match=r"pair \(0, 2\): .*needs DiscreteFuzzySet attributes, got float"):
+        compute_gram([x, x, 3.0], spec)
 
 
 def test_different_ground_names_pair(line):

@@ -97,7 +97,7 @@ class TestComputeGram:
         with pytest.raises(ValueError, match="one item id per datum"):
             compute_gram(data, gaussian_spec, item_ids=["a"])
         with pytest.raises(ValueError, match="item_ids length"):
-            GramMatrix(values=np.eye(2), spec=None, item_ids=["a"])
+            GramMatrix(values=np.eye(2), item_ids=["a"])
 
 
 class TestCheckPsd:
@@ -175,7 +175,7 @@ class TestCheckPsd:
 class TestNormalize:
     def _gram(self, values):
         v = np.asarray(values, dtype=float)
-        return GramMatrix(values=v, spec=None, item_ids=[str(i) for i in range(v.shape[0])])
+        return GramMatrix(values=v, item_ids=[str(i) for i in range(v.shape[0])])
 
     def test_unit_diagonal_unchanged(self):
         m = np.array([[1.0, 0.3], [0.3, 1.0]])
@@ -189,6 +189,11 @@ class TestNormalize:
     def test_zero_diagonal_rejected(self):
         with pytest.raises(ValueError):
             normalize(self._gram([[0.0, 0.0], [0.0, 1.0]]))
+
+    def test_item_ids_carry_over(self):
+        m = np.array([[4.0, 2.0], [2.0, 1.0]])
+        assert normalize(GramMatrix(values=m, item_ids=["a", "b"])).item_ids == ["a", "b"]
+        assert normalize(m).item_ids == ["0", "1"]
 
     def test_idempotent_bitwise(self):
         rng = np.random.default_rng(13)

@@ -9,6 +9,7 @@ from fuzzykernels import (
     GaussianFuzzySet,
     GramMatrix,
     NumericError,
+    ValidationError,
     compute_gram,
     cross_validate,
     fit,
@@ -23,7 +24,7 @@ import oracles
 
 def as_gram(values):
     v = np.asarray(values, dtype=float)
-    return GramMatrix(values=v, spec=None, item_ids=[str(i) for i in range(v.shape[0])])
+    return GramMatrix(values=v, item_ids=[str(i) for i in range(v.shape[0])])
 
 
 class TestFit:
@@ -70,6 +71,12 @@ class TestFit:
         # G + lambda I is a subnormal (~1.7e-316) whose inverse overflows
         with pytest.raises(NumericError, match="non-finite coefficients"):
             fit(as_gram([[-1e-300]]), [1], regularization=1.0000000000000002e-300)
+
+    def test_empty_gram_rejected(self):
+        # a model with no coefficients would label every test row +1
+        for gram in (as_gram(np.zeros((0, 0))), np.zeros((0, 0))):
+            with pytest.raises(ValidationError, match="gram must be non-empty"):
+                fit(gram, [], regularization=1.0)
 
     def test_non_square_gram_rejected(self):
         # a 3 x 1 array once broadcast against the ridge term into a 3 x 3 system

@@ -63,7 +63,7 @@ ENTRY_POINTS = [
     ("mmd_permutation_test",
      lambda **kw: mmd_permutation_test(*SAMPLES, FuzzyKernelSpec(family="nonsingleton_gaussian"), **kw),
      dict(n_permutations=10, seed=0), {"n_permutations": "integer", "seed": "integer"}),
-    ("GramMatrix", lambda values: GramMatrix(values, None, ["a", "b"]), dict(values=EYE2), {"values": "held"}),
+    ("GramMatrix", lambda values: GramMatrix(values, ["a", "b"]), dict(values=EYE2), {"values": "held"}),
     ("check_psd", check_psd, dict(g=EYE2, tol=1e-8), {"g": "matrix", "tol": "number"}),
     ("normalize", normalize, dict(g=EYE2), {"g": "matrix"}),
     ("write_matrix", lambda g: write_matrix(os.devnull, g), dict(g=EYE2), {"g": "held"}),

@@ -77,11 +77,8 @@ def cmd_fuzzify(args) -> int:
             widths = widths * n_cols
         if len(widths) != n_cols:
             raise ValidationError(f"got {len(widths)} widths for {n_cols} columns")
-        records = [
-            tuple(GaussianFuzzySet([table[i, j]], [widths[j]]) for j in range(n_cols))
-            for i in range(n_rows)
-        ]
-        ds = Dataset(ground=None, records=records)
+        columns = [GaussianFuzzySet._slot(col[:, None], np.full((n_rows, 1), w)) for col, w in zip(table.T, widths)]
+        ds = Dataset(ground=None, records=list(zip(*columns)))
     else:  # histogram
         bins = _number(args.bins, "--bins", 1, closed=True, integral=True, most=_MAX_BINS)
         centers = np.linspace(table.min(), table.max(), bins)

@@ -212,6 +212,6 @@ def dataset_to_obj(ds: Dataset) -> dict:
 
 
 def write_dataset(ds: Dataset, path) -> None:
+    """Write ``ds`` to ``path`` as compact JSON plus a newline."""
     with open(path, "w") as fh:
-        json.dump(dataset_to_obj(ds), fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(dataset_to_obj(ds)) + "\n")

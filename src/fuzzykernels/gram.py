@@ -96,7 +96,8 @@ def check_psd(g, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
     flagged.  The eigenvalues are bit-identical for a fixed BLAS thread
     count; across thread counts the verdict is the same and they agree
     within ``tol * max(1, |max_eig|)``.  An entry farther than ``tol *
-    max(1, max|g|)`` from its mirror raises ValidationError naming the pair.
+    max(1, max|g|)`` from its mirror raises ValidationError naming the pair,
+    and an eigenvalue that overflows NumericError naming it.
     """
     tol = _number(tol, "tol")
     m = _as_matrix(g, "g")
@@ -107,6 +108,8 @@ def check_psd(g, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
             raise ValidationError(f"g must be symmetric within tol * max(1, max|g|), got g[{i}, {j}] = "
                                   f"{m[i, j]:.17g} and g[{j}, {i}] = {m[j, i]:.17g}")
     eigs = np.linalg.eigvalsh(m)
+    for k in np.flatnonzero(~np.isfinite(eigs))[:1]:  # an overflowed spectrum has no verdict
+        raise NumericError(f"eigenvalue {k} of g is not finite: {eigs[k]}")
     lo = float(eigs[0])
     hi = float(eigs[-1])
     verdict = "PSD" if lo >= -tol * max(1.0, abs(hi)) else "indefinite"

@@ -58,8 +58,12 @@ def _dual_solve(g: np.ndarray, y: np.ndarray, regularization: float) -> np.ndarr
 
 
 def _signs(cross: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """Predicted labels: the sign of ``cross @ coef``, with sign(0) = +1."""
-    return np.where(cross @ coef >= 0.0, 1, -1)
+    """Predicted labels: the sign of ``cross @ coef``, with sign(0) = +1; a non-finite value raises NumericError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = cross @ coef
+    for i in np.flatnonzero(~np.isfinite(values))[:1]:
+        raise NumericError(f"decision value of row {i} is not finite: {values[i]}")
+    return np.where(values >= 0.0, 1, -1)
 
 
 def fit(gram: GramMatrix, labels, regularization: float) -> DualModel:
@@ -110,7 +114,8 @@ def cross_validate(
 
 
 def mmd_statistic(gxx, gyy, gxy) -> float:
-    """Biased MMD^2 estimate: mean(gxx) + mean(gyy) - 2 mean(gxy), floored at 0."""
+    """Biased MMD^2 estimate: mean(gxx) + mean(gyy) - 2 mean(gxy), floored at 0; one that is
+    not finite, as when a mean overflows, raises NumericError."""
     xx, yy, xy = _as_matrix(gxx, "gxx"), _as_matrix(gyy, "gyy"), _as_matrix(gxy, "gxy", square=False)
     if xx.size == 0 or yy.size == 0:
         raise ValueError("MMD needs two non-empty samples")
@@ -119,7 +124,10 @@ def mmd_statistic(gxx, gyy, gxy) -> float:
             f"gxy shape {xy.shape} inconsistent with samples of size "
             f"{xx.shape[0]} and {yy.shape[0]}"
         )
-    v = float(xx.mean() + yy.mean() - 2.0 * xy.mean())
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = float(xx.mean() + yy.mean() - 2.0 * xy.mean())
+    if not np.isfinite(v):
+        raise NumericError(f"MMD statistic is not finite: {v}")
     return max(v, 0.0)
 
 
@@ -162,7 +170,8 @@ def mmd_permutation_test(
     ``tol = 8 N eps max|G|`` bounds rounding, so a replica that draws the
     observed split again counts as a tie.  The p-value uses the add-one
     convention: ``(1 + #{permuted >= observed}) / (1 + n_permutations)``, with
-    ``n_permutations`` from 1 to ``_MAX_PERMUTATIONS``.
+    ``n_permutations`` from 1 to ``_MAX_PERMUTATIONS``.  A sum of ``G`` that
+    overflows, in the statistic or in a replica, raises NumericError.
     """
     if len(sample_a) == 0 or len(sample_b) == 0:
         raise ValueError("both samples must be non-empty")
@@ -174,16 +183,21 @@ def mmd_permutation_test(
     observed = mmd_statistic(g[:n, :n], g[n:, n:], g[:n, n:])
     tol = 8 * total * np.finfo(float).eps * max(g.max(), -g.min())  # max|G| with no N x N temporary
     k, rest = (n, m) if n <= m else (m, n)
-    row_sums, g_sum = g.sum(axis=1), g.sum()
     rng = np.random.default_rng(seed)
     step = max(1, _NULL_BLOCK_ELEMENTS // (4 * total))
     exceed = 0
-    for first in range(0, n_permutations, step):
-        member = _smaller_sample_rows(rng.random((min(step, n_permutations - first), total)), n, m)
-        sss = np.einsum("ij,ij->i", member @ g, member)
-        ss = member @ row_sums
-        stats = sss / k**2 + (g_sum - 2 * ss + sss) / rest**2 - 2 * (ss - sss) / (k * rest)
-        exceed += int(np.count_nonzero(np.maximum(stats, 0.0) >= observed - tol))
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows raises NumericError instead
+        row_sums, g_sum = g.sum(axis=1), g.sum()
+        if not np.isfinite(row_sums).all() or not np.isfinite(g_sum):
+            raise NumericError(f"the pooled Gram's sums are not finite: total {g_sum}")
+        for first in range(0, n_permutations, step):
+            member = _smaller_sample_rows(rng.random((min(step, n_permutations - first), total)), n, m)
+            sss = np.einsum("ij,ij->i", member @ g, member)
+            ss = member @ row_sums
+            stats = sss / k**2 + (g_sum - 2 * ss + sss) / rest**2 - 2 * (ss - sss) / (k * rest)
+            if not np.isfinite(stats).all():  # a sum over a replica's split overflowed, though G's sums did not
+                raise NumericError("a replica of the MMD null overflows")
+            exceed += int(np.count_nonzero(np.maximum(stats, 0.0) >= observed - tol))
     return MmdResult(
         statistic=observed,
         p_value=(1 + exceed) / (1 + n_permutations),

@@ -8,13 +8,14 @@ import os
 import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzzykernels import mmd_statistic, parse_dataset, read_matrix
+from fuzzykernels import Dataset, GaussianFuzzySet, mmd_statistic, parse_dataset, read_matrix, sets
 from fuzzykernels.cli import build_parser, main
 from fuzzykernels.kernels import nonsingleton_gaussian_kernel
 
@@ -138,6 +139,38 @@ class TestFuzzify:
         assert len(ds) == 2  # one record per column
         assert dict(ds.records[0][0].degrees) == {0: 1.0, 2: 0.5}
         assert dict(ds.records[1][0].degrees) == {2: 1.0}
+
+    @pytest.mark.parametrize("widths", [[0.5], [0.5, 1.0, 2.0]])
+    def test_gaussian_file_equals_the_sets_built_cell_by_cell(self, tmp_path, capsys, widths):
+        rows = np.random.default_rng(3).normal(size=(6, 3)).tolist()
+        table, out = tmp_path / "table.csv", tmp_path / "fuzzy.json"
+        table.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows))
+        code, _, err = run_cli(
+            capsys, "fuzzify", "--data", str(table), "--method", "gaussian",
+            "--widths", ",".join(map(str, widths)), "--out", str(out),
+        )
+        assert code == 0, err
+        cell_widths = widths * 3 if len(widths) == 1 else widths
+        records = [tuple(GaussianFuzzySet([x], [w]) for x, w in zip(row, cell_widths)) for row in rows]
+        assert parse_dataset(out) == Dataset(ground=None, records=records)
+
+    def test_gaussian_checks_numbers_per_column_not_per_cell(self, tmp_path, capsys, monkeypatch):
+        """The number rule runs a fixed number of times per column, however many rows the table has."""
+        calls = []
+        check = sets._numbers
+        monkeypatch.setattr(sets, "_numbers", lambda *args, **kwargs: calls.append(args[1]) or check(*args, **kwargs))
+        counts = []
+        for n in (4, 64):
+            table = tmp_path / f"table{n}.csv"
+            table.write_text("1.5,-2.0\n" * n)
+            calls.clear()
+            code, _, err = run_cli(
+                capsys, "fuzzify", "--data", str(table), "--method", "gaussian",
+                "--widths", "0.5", "--out", str(tmp_path / "fuzzy.json"),
+            )
+            assert code == 0, err
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
 
 class TestGram:
@@ -625,6 +658,73 @@ def test_mutated_argv_keeps_exit_contract(mutation_files, tmp_path):
             named = option.lstrip("-") if path is None else path.format(tmp=tmp_path, **names)
             assert named in err, (argv, err)
         assert not out.exists(), argv
+
+
+# each family at its fewest keys, and each numeric field it takes, k1's and k2's parameters too
+SWEEP_CONFIGS = {
+    "cross_product": {},
+    "weighted_cross_product": {"weights": [1.0] * 6},  # one weight per point of the discrete ground
+    "intersection": {"tnorm": "min"},
+    "nonsingleton": {"tnorm": "product"},
+    "nonsingleton_gaussian": {},
+    "distance_inner": {"reference": {"type": "discrete", "degrees": {"0": 1.0}}},
+    "distance_poly": {"reference": {"type": "discrete", "degrees": {"0": 1.0}}},
+    "distance_gaussian": {},
+}
+SWEEP_FIELDS = {"weighted_cross_product": ["weights"], "distance_poly": ["coef0", "gamma", "degree"],
+                "distance_gaussian": ["gamma"]}
+SWEEP_DATA = {
+    "discrete": MUTATED_DATA["discrete"],
+    "gaussian": {
+        "records": [
+            [{"type": "gaussian", "m": m, "sigma": s}]
+            for m, s in (([0.0, 1.0], [0.5, 1.0]), ([0.5, -1.0], [1.0, 0.25]),
+                         ([1.0, 0.0], [1.0, 1.0]), ([-1.0, 2.0], [2.0, 0.5]))
+        ],
+        "labels": [1, -1, 1, -1],
+    },
+}
+
+
+def _sweep_cases():
+    for family, keys in SWEEP_CONFIGS.items():
+        cfg = {"family": family, **keys}
+        yield pytest.param(cfg, id=family)
+        for field in SWEEP_FIELDS.get(family, []):
+            yield pytest.param({**cfg, field: [1e308] * 6 if field == "weights" else 1e308}, id=f"{family}-{field}")
+        for slot in ("k1", "k2") if "cross_product" in family else ():
+            for kind, params in (("rbf", ["gamma"]), ("polynomial", ["coef0", "gamma", "degree"])):
+                for param in params:
+                    cfg_at = {**cfg, slot: {"kind": kind, param: 1e308}}
+                    yield pytest.param(cfg_at, id=f"{family}-{slot}-{kind}-{param}")
+
+
+@pytest.mark.parametrize("cfg", _sweep_cases())
+def test_kernel_field_at_1e308_keeps_exit_contract(tmp_path, cfg):
+    """A kernel field at 1e308, which may overflow a Gram entry or only the sums, the spectrum or
+    the decision values made from finite entries, ends in exit 0, 2 or 3 on every computing command,
+    with no Infinity or NaN in stdout or the matrix file and no warning or traceback."""
+    kernel, out = tmp_path / "kernel.json", tmp_path / "gram.txt"
+    kernel.write_text(json.dumps(cfg))
+    for name, doc in SWEEP_DATA.items():
+        data = tmp_path / f"{name}.json"
+        data.write_text(json.dumps(doc))
+        for argv in (["gram", "--out", str(out)], ["check-psd"], ["classify", "--folds", "2", "--seed", "0"],
+                     ["mmd-test", "--permutations", "20", "--seed", "0"]):
+            argv[1:1] = ["--data", str(data), "--kernel", str(kernel)]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("always")
+                code = main(argv)
+            report, err = stdout.getvalue(), stderr.getvalue()
+            assert code in (0, 2, 3), (argv, code, err)
+            assert "Infinity" not in report and "NaN" not in report, (argv, report)
+            assert not caught and "Warning" not in err and "Traceback" not in err, (argv, err, caught)
+            if code == 0 and out.exists():
+                assert np.isfinite(read_matrix(out)).all(), argv
+                out.unlink()
+            assert not out.exists(), argv
 
 
 TABLE = "1,2,3\n4,5,6\n"

@@ -128,6 +128,11 @@ class TestCheckPsd:
         with pytest.raises(NumericError):
             check_psd(m)
 
+    def test_overflowed_spectrum_raises_naming_the_eigenvalue(self):
+        # finite entries near the float limit give an infinite largest eigenvalue, once a PSD verdict
+        with pytest.raises(NumericError, match=r"eigenvalue 2 of g is not finite: inf"):
+            check_psd(np.full((3, 3), 0.7e308))
+
     def test_spectrum_is_reported(self):
         rep = check_psd(np.diag([1.0, 2.0, 3.0]))
         assert rep.eigenvalues.tolist() == [1.0, 2.0, 3.0]

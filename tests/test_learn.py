@@ -105,6 +105,12 @@ class TestPredict:
         assert pred.tolist() == [1 if s >= 0 else -1 for s in scores]
         assert pred.tolist() == [-1, 1]
 
+    def test_non_finite_decision_value_raises_naming_the_row(self):
+        # row 0's exact value is 0, label +1, but its products overflow; its NaN once read as -1
+        model = fit(np.eye(2) * 1e-300, [1, -1], 1e-300)
+        with pytest.raises(NumericError, match="decision value of row 0 is not finite"):
+            predict(model, [[1e308, 1e308], [1e308, 0.0]])
+
     def test_shape_mismatch(self):
         model = fit(as_gram(np.eye(2)), [1, -1], regularization=1.0)
         with pytest.raises(ValueError):
@@ -216,6 +222,13 @@ class TestCrossValidateOracle:
             np.diag(np.arange(1.0, 8.0)), y, 0.5, 3, 5
         )
 
+    def test_non_finite_decision_value_raises(self):
+        # the fold that tests item 2 trains on items 0 and 1, whose tiny block gives
+        # coefficients near 5e299, and item 2's cross row of 1e308 overflows with them
+        g = np.array([[1e-300, 0.0, 1e308], [0.0, 1e-300, 1e308], [1e308, 1e308, 1e-300]])
+        with pytest.raises(NumericError, match="decision value of row 0 is not finite"):
+            cross_validate(g, [1, 1, -1], 1e-300, folds=3, seed=0)
+
     def test_fold_gathers_no_rows_by_n_temporary(self):
         # a fold holds its m x m training block and the system G + lambda I built
         # from it; a gather that takes the m training rows first, then their
@@ -266,6 +279,12 @@ class TestMmdStatistic:
             mmd_statistic(np.ones((2, 3)), np.ones((2, 2)), np.ones((2, 2)))
         with pytest.raises(ValueError, match="must be square"):
             mmd_statistic(np.ones((2, 2)), np.ones((3, 2)), np.ones((2, 3)))
+
+    def test_overflowing_means_raise_numeric_error(self):
+        # finite entries whose sums overflow once gave NaN and a RuntimeWarning
+        big = np.full((2, 2), 1e308)
+        with pytest.raises(NumericError, match="MMD statistic is not finite"):
+            mmd_statistic(big, big, big)
 
     def test_invariant_under_joint_permutation(self):
         rng = np.random.default_rng(24)
@@ -334,6 +353,20 @@ class TestMmdPermutationTest:
         assert res.n_permutations == 25
         assert res.seed == 9
         assert res.generator == "numpy-pcg64"
+
+    @pytest.mark.parametrize(
+        "values, match",
+        [
+            # a finite statistic (0) and row sums, but the total overflows
+            ([[0.6e308, 0.6e308], [0.6e308, 0.6e308]], "pooled Gram's sums are not finite"),
+            # finite sums, but twice the row sum of the replica that puts item 0 in A overflows
+            ([[0.9e308, 0.05e308], [0.05e308, 1e-300]], "replica of the MMD null overflows"),
+        ],
+    )
+    def test_overflowing_sums_raise_numeric_error(self, spec, monkeypatch, values, match):
+        monkeypatch.setattr(learn, "compute_gram", lambda data, spec, n_jobs: as_gram(values))
+        with pytest.raises(NumericError, match=match):
+            mmd_permutation_test(["a"], ["b"], spec, n_permutations=20, seed=0)
 
     def test_empty_sample_rejected(self, spec):
         rng = np.random.default_rng(31)

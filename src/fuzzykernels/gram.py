@@ -68,9 +68,11 @@ def compute_gram(
     calling thread.
     """
     n = len(data)
+    if isinstance(item_ids, (str, bytes)) or item_ids is not None and not np.iterable(item_ids):  # as a 0-d array
+        raise ValidationError(f"item_ids must be a list of ids, got {item_ids!r}")
     ids = [str(i) for i in range(n)] if item_ids is None else [str(s) for s in item_ids]
     if len(ids) != n:
-        raise ValueError("need exactly one item id per datum")
+        raise ValidationError(f"item_ids must hold exactly one item id per datum ({n}), got {len(ids)}")
     return GramMatrix(values=_kernel_matrix(spec, data, ids), item_ids=ids)
 
 

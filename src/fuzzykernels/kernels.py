@@ -59,7 +59,7 @@ import numpy as np
 from .dataset import _parse_attribute
 from .errors import NumericError, ValidationError, _number, _numbers
 from .sets import DiscreteFuzzySet, GaussianFuzzySet, GroundSpace, Partition, _check_same_ground, support_cells
-from .tnorms import TNorm, apply as tnorm_apply, apply_array as tnorm_array
+from .tnorms import TNorm, apply_array as tnorm_array, intersect
 
 __all__ = [
     "LinearKernel",
@@ -202,8 +202,6 @@ def weighted_cross_product_kernel(
         )
     ix, dx = _sorted_support(x)
     iy, dy = _sorted_support(y)
-    if not ix or not iy:
-        return 0.0
     pts = x.ground.points
     kmat = k1.pairwise(pts[ix], pts[iy]) * k2.pairwise(dx[:, None], dy[:, None])
     kmat = kmat * np.outer(w[ix], w[iy])
@@ -217,17 +215,17 @@ def weighted_cross_product_kernel(
 def intersection_kernel(
     x: DiscreteFuzzySet, y: DiscreteFuzzySet, t: TNorm, p: Partition
 ) -> float:
-    """Measure-weighted T-norm overlap aggregated over partition cells.
+    """Measure-weighted T-norm overlap aggregated over partition cells: the
+    intersection ``z``'s degrees summed over each cell, times its measure.
 
     Only cells entirely contained in *both* supports contribute; a cell only
     partially covered by either support contributes nothing.
     """
-    _check_same_ground(x, y)
-    total = 0.0
+    z, total = intersect(x, y, t).degrees, 0.0
     for k in sorted(support_cells(x, p) & support_cells(y, p)):
         cell_sum = 0.0
-        for i in p.cells[k]:
-            cell_sum += tnorm_apply(t, x.degrees[i], y.degrees[i])
+        for i in p.cells[k]:  # added in turn: sum() compensates since Python 3.12
+            cell_sum += z.get(i, 0.0)
         total += cell_sum * float(p.measures[k])
     return total
 
@@ -242,13 +240,7 @@ def nonsingleton_kernel(x: DiscreteFuzzySet, y: DiscreteFuzzySet, t: TNorm) -> f
     T(a, 0) = 0 for every T-norm, so only the common support matters and
     disjoint supports give 0.
     """
-    _check_same_ground(x, y)
-    best = 0.0
-    for idx in sorted(x.support & y.support):
-        v = tnorm_apply(t, x.degrees[idx], y.degrees[idx])
-        if v > best:
-            best = v
-    return best
+    return max(intersect(x, y, t).degrees.values(), default=0.0)
 
 
 def nonsingleton_gaussian_kernel(x: GaussianFuzzySet, y: GaussianFuzzySet) -> float:
@@ -377,8 +369,11 @@ class FuzzyKernelSpec:
                 raise ValidationError(f"kernel family {self.family!r} takes no {f.name!r}")
         _check_params(self)
         for key in ("k1", "k2"):
-            if key in takes and getattr(self, key) is None:
+            base = getattr(self, key)
+            if key in takes and base is None:
                 object.__setattr__(self, key, LinearKernel())
+            elif key in takes and not isinstance(base, tuple(_BASE_KERNELS.values())):
+                raise ValidationError(f"{key} must be a base kernel ({', '.join(_BASE_KERNELS)}), got {base!r}")
         if "weights" in takes:
             weights = None  # a string, mapping or None is no list, whatever it iterates to
             if isinstance(self.weights, (list, tuple, np.ndarray)):
@@ -386,14 +381,14 @@ class FuzzyKernelSpec:
             if weights is None or weights.ndim != 1:
                 raise ValidationError(f"weights must be a list of numbers, got {self.weights!r}")
             object.__setattr__(self, "weights", tuple(weights.tolist()))
-        if "tnorm" in takes and self.tnorm is None:
-            raise ValidationError(f"{self.family} needs a T-norm")
+        if "tnorm" in takes and not isinstance(self.tnorm, TNorm):
+            raise ValidationError(f"{self.family} needs a T-norm: tnorm must be a TNorm, got {self.tnorm!r}")
         if "reference" in takes:
             refs = (self.reference,) if isinstance(self.reference, FuzzyDatum) else self.reference
             if not isinstance(refs, Sequence) or not refs:
                 raise ValidationError(f"{self.family} needs one reference fuzzy set or a non-empty list")
             object.__setattr__(self, "reference", tuple(refs))
-        if self.metric != "ratio" and not callable(self.metric):
+        if not (callable(self.metric) or isinstance(self.metric, str) and self.metric == "ratio"):
             raise ValidationError(f"unknown metric {self.metric!r}; only 'ratio' is built in")
 
 

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericError, ValidationError, _labels, _number
+from .errors import NumericError, ValidationError, _labels, _number, _numbers
 from .gram import GramMatrix, _as_matrix, compute_gram
 from .kernels import FuzzyKernelSpec, Record
 
@@ -47,9 +47,14 @@ class MmdResult:
 
 
 def _dual_solve(g: np.ndarray, y: np.ndarray, regularization: float) -> np.ndarray:
-    """``c`` solving ``(g + regularization I) c = y``; a singular system or a non-finite ``c`` raises NumericError."""
+    """``c`` solving ``(g + regularization I) c = y``; a diagonal entry that overflows, a singular system or a
+    non-finite ``c`` raises NumericError."""
+    with np.errstate(over="ignore"):
+        a = g + regularization * np.eye(g.shape[0])
+    for i in np.flatnonzero(~np.isfinite(np.diag(a)))[:1]:
+        raise NumericError(f"diagonal entry {i} of gram + regularization * I is not finite: {a[i, i]}")
     try:
-        coef = np.linalg.solve(g + regularization * np.eye(g.shape[0]), y)
+        coef = np.linalg.solve(a, y)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"dual system is singular: {exc}") from exc
     if not np.isfinite(coef).all():
@@ -83,10 +88,13 @@ def predict(model: DualModel, cross) -> np.ndarray:
     """Sign of the decision values for a test-by-train kernel matrix ``cross[i, j] = k(test_i, train_j)``,
     whose columns follow the training Gram's item order: ``compute_gram([*train, *test], spec)``'s
     ``values[len(train):, :len(train)]``.  sign(0) is +1 so predictions are deterministic."""
-    c, k = np.atleast_2d(_as_matrix(cross, "cross", square=False)), model.coefficients.shape[0]
+    coef = _numbers(model.coefficients, "coefficients")
+    if coef.ndim != 1:
+        raise ValidationError(f"coefficients must be a flat vector, got shape {coef.shape}")
+    c, k = np.atleast_2d(_as_matrix(cross, "cross", square=False)), coef.shape[0]
     if c.ndim != 2 or c.shape[1] != k:
         raise ValidationError(f"cross must be 2-D with {k} columns, one per coefficient, got shape {c.shape}")
-    return _signs(c, model.coefficients)
+    return _signs(c, coef)
 
 
 def cross_validate(

@@ -67,14 +67,11 @@ def apply_array(t: TNorm, a, b) -> np.ndarray:
 def intersect(x: DiscreteFuzzySet, y: DiscreteFuzzySet, t: TNorm) -> DiscreteFuzzySet:
     """Pointwise T-norm intersection of two fuzzy sets on the same ground space.
 
-    Zero results are dropped, so the support shrinks to where the T-norm is
-    positive (always a subset of supp(x) & supp(y)).
+    T is evaluated once, over the sorted common support, and zero results are
+    dropped, so the support is where T is positive, within supp(x) & supp(y).
+    The reference intersection and non-singleton kernels build on it.
     """
     _check_same_ground(x, y)
-    common = x.support & y.support
-    degrees = {}
-    for idx in common:
-        d = apply(t, x.degrees[idx], y.degrees[idx])
-        if d > 0.0:
-            degrees[idx] = d
-    return DiscreteFuzzySet(x.ground, degrees)
+    common = sorted(x.support & y.support)
+    values = apply_array(t, [x.degrees[i] for i in common], [y.degrees[i] for i in common])
+    return DiscreteFuzzySet(x.ground, {i: d for i, d in zip(common, values.tolist()) if d > 0.0})

@@ -242,6 +242,19 @@ class TestNumericErrors:
         assert code == 3
         assert "pair (1, 1)" in err
 
+    def test_ridge_that_overflows_the_diagonal_exits_3(self, tmp_path, capsys):
+        # every Gram entry is 1e308, and 1e308 + 1e308 on each fold's diagonal once printed numpy's
+        # overflow warning and exited 0 with fold accuracies [1.0, 0.0]
+        data, kernel = tmp_path / "data.json", tmp_path / "kernel.json"
+        data.write_text(json.dumps(MUTATED_DATA["discrete"]))
+        kernel.write_text(json.dumps({**SWEEP_CONFIGS["distance_poly"], "family": "distance_poly", "coef0": 1e308}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "classify", "--data", str(data), "--kernel", str(kernel),
+                                     "--folds", "2", "--seed", "0", "--ridge", "1e308")
+        assert code == 3 and not out and not caught and "Warning" not in err
+        assert "diagonal entry 0 of gram + regularization * I is not finite" in err
+
     def test_solver_failure_exits_3(self, capsys, monkeypatch, discrete_dataset, linear_kernel_cfg):
         def fail(_):
             raise np.linalg.LinAlgError("eigenvalues did not converge")

@@ -72,6 +72,11 @@ class TestFit:
         with pytest.raises(NumericError, match="non-finite coefficients"):
             fit(as_gram([[-1e-300]]), [1], regularization=1.0000000000000002e-300)
 
+    def test_ridge_that_overflows_the_diagonal_raises(self):
+        # 1e308 + 1e308 on the diagonal once warned of overflow and solved a system with inf in it
+        with pytest.raises(NumericError, match="diagonal entry 0 of gram \\+ regularization \\* I is not finite"):
+            fit(np.full((2, 2), 1e308), [1, -1], 1e308)
+
     def test_empty_gram_rejected(self):
         # a model with no coefficients would label every test row +1
         for gram in (as_gram(np.zeros((0, 0))), np.zeros((0, 0))):
@@ -110,6 +115,10 @@ class TestPredict:
         model = fit(np.eye(2) * 1e-300, [1, -1], 1e-300)
         with pytest.raises(NumericError, match="decision value of row 0 is not finite"):
             predict(model, [[1e308, 1e308], [1e308, 0.0]])
+
+    def test_coefficients_may_be_a_list(self):
+        # a list once failed with AttributeError: 'list' object has no attribute 'shape'
+        assert predict(learn.DualModel(coefficients=[1.0, 2.0]), [[1.0, 2.0]]).tolist() == [1]
 
     def test_shape_mismatch(self):
         model = fit(as_gram(np.eye(2)), [1, -1], regularization=1.0)
@@ -154,6 +163,11 @@ class TestCrossValidate:
             cross_validate(gram, [1, -1, 1, -1], regularization=0.1, folds=1)
         with pytest.raises(ValueError):
             cross_validate(gram, [1, -1, 1, -1], regularization=0.1, folds=5)
+
+    def test_ridge_that_overflows_the_diagonal_raises(self):
+        # each fold's system once had inf on its diagonal, and the folds scored [1.0, 0.0]
+        with pytest.raises(NumericError, match="diagonal entry 0 of gram \\+ regularization \\* I is not finite"):
+            cross_validate(np.full((4, 4), 1e308), [1, -1, 1, -1], 1e308, folds=2, seed=0)
 
     def test_non_square_gram_rejected(self):
         # a 4 x 2 array once failed with a raw IndexError inside a fold

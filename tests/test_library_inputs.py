@@ -5,6 +5,9 @@ the base kernels is set, one at a time, to a string, a bool, None, NaN, inf, a
 nested list or a ragged list.  In a label vector or a matrix the first entry
 takes the string, bool, None, NaN or inf; the whole value is nested one level
 deeper, and the last row (or, for a vector, the first entry) is made ragged.
+Every argument that takes an object (a spec's ``tnorm``, ``k1``, ``k2`` and
+``metric``, ``compute_gram``'s ``item_ids`` and a model's ``coefficients``) is
+set to a string, a number, None unless None is its default, and a 2-D array.
 Each call must raise ValidationError, or NumericError for a non-finite matrix
 entry, naming the argument or its element, with no warning and no value.
 An integer argument also takes a numpy integer above 2**53, which must act as
@@ -20,6 +23,7 @@ import numpy as np
 import pytest
 
 from fuzzykernels import (
+    DualModel,
     FuzzyKernelSpec,
     GaussianFuzzySet,
     GramMatrix,
@@ -30,6 +34,7 @@ from fuzzykernels import (
     TNorm,
     ValidationError,
     check_psd,
+    compute_gram,
     cross_validate,
     fit,
     mmd_permutation_test,
@@ -47,11 +52,13 @@ EYE2 = [[1.0, 0.0], [0.0, 1.0]]
 BLOCKS4 = [[2.0, 1.0, 0.0, 0.0], [1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 2.0, 1.0], [0.0, 0.0, 1.0, 2.0]]
 MODEL = fit(np.eye(2), [1, -1], 1.0)
 SAMPLES = [GaussianFuzzySet([0.0], [1.0])], [GaussianFuzzySet([1.0], [1.0])]
+SPEC = FuzzyKernelSpec(family="nonsingleton_gaussian")
 POINTS = [[0.0, 1.0], [1.0, 0.5]]
 
 # (entry point, call on keyword arguments, valid arguments, {argument: kind}); a "matrix" argument
 # raises NumericError on a non-finite entry, and a "held" one keeps it, so it is not given one here;
-# an "integer" argument is a "number" that must be integral
+# an "integer" argument is a "number" that must be integral; an "object" argument takes neither a number nor
+# None, and an "optional" one takes None as its default
 ENTRY_POINTS = [
     ("fit", fit, dict(gram=EYE2, labels=[1, -1], regularization=1.0),
      {"gram": "matrix", "labels": "labels", "regularization": "number"}),
@@ -61,7 +68,7 @@ ENTRY_POINTS = [
     ("mmd_statistic", mmd_statistic, dict(gxx=EYE2, gyy=EYE2, gxy=[[0.5, 0.5], [0.5, 0.5]]),
      {"gxx": "matrix", "gyy": "matrix", "gxy": "matrix"}),
     ("mmd_permutation_test",
-     lambda **kw: mmd_permutation_test(*SAMPLES, FuzzyKernelSpec(family="nonsingleton_gaussian"), **kw),
+     lambda **kw: mmd_permutation_test(*SAMPLES, SPEC, **kw),
      dict(n_permutations=10, seed=0), {"n_permutations": "integer", "seed": "integer"}),
     ("GramMatrix", lambda values: GramMatrix(values, ["a", "b"]), dict(values=EYE2), {"values": "held"}),
     ("check_psd", check_psd, dict(g=EYE2, tol=1e-8), {"g": "matrix", "tol": "number"}),
@@ -74,6 +81,16 @@ ENTRY_POINTS = [
         for kernel in (LinearKernel, RBFKernel, PolynomialKernel)
     ),
     ("RBFKernel", RBFKernel, dict(gamma=1.0), {"gamma": "number"}),
+    ("FuzzyKernelSpec", lambda **kw: FuzzyKernelSpec("nonsingleton", **kw), dict(tnorm=TNorm.MINIMUM),
+     {"tnorm": "object"}),
+    ("FuzzyKernelSpec", lambda **kw: FuzzyKernelSpec("cross_product", **kw), dict(k1=RBFKernel(), k2=LinearKernel()),
+     {"k1": "optional", "k2": "optional"}),
+    ("FuzzyKernelSpec", lambda **kw: FuzzyKernelSpec("distance_gaussian", **kw), dict(metric="ratio"),
+     {"metric": "object"}),
+    ("compute_gram", lambda item_ids: compute_gram([*SAMPLES[0], *SAMPLES[1]], SPEC, item_ids),
+     dict(item_ids=["a", "b"]), {"item_ids": "optional"}),
+    ("predict", lambda coefficients: predict(DualModel(coefficients), [[0.5, 0.5]]), dict(coefficients=[1.0, 2.0]),
+     {"coefficients": "object"}),
     ("PolynomialKernel", PolynomialKernel, dict(coef0=1.0, gamma=1.0, degree=2),
      {"coef0": "number", "gamma": "number", "degree": "integer"}),
 ]
@@ -89,6 +106,11 @@ def _hostile(value, kind):
     if kind in ("number", "integer"):
         yield from [("string", str(value)), ("bool", True), ("none", None), ("nan", math.nan), ("inf", math.inf)]
         yield from [("nested", [value]), ("ragged", [value, [value]])]
+        return
+    if kind in ("object", "optional"):  # "min" names a T-norm in a config file, but no spec or model takes it
+        yield from [("string", "min"), ("number", 3), ("array", np.array([[1.0, 2.0]]))]
+        if kind == "object":
+            yield "none", None
         return
     for change, x in [("string", str(np.ravel(value)[0])), ("bool", True), ("none", None), ("nan", math.nan), ("inf", math.inf)]:
         if kind != "held" or change not in ("nan", "inf"):

@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from fuzzykernels import (
     GaussianFuzzySet,
     GroundSpace,
     Partition,
+    ValidationError,
     fuzzify_from_histogram,
     support_cells,
 )
@@ -49,6 +52,11 @@ class TestGroundSpace:
     def test_points_immutable(self, ground6):
         with pytest.raises(ValueError):
             ground6.points[0, 0] = 9.9
+
+    def test_int_too_large_for_a_float_is_named(self):
+        # it passes the type screen, and the float conversion's OverflowError sends it to the element loop
+        with pytest.raises(ValidationError, match=r"points\[0\]\[0\] must be a number"):
+            GroundSpace([[10**400]])
 
     def test_partition_size_must_match(self):
         p = Partition([[0, 1], [2]])
@@ -161,6 +169,10 @@ class TestGaussianMembership:
     def test_product_across_dimensions(self):
         fs = GaussianFuzzySet([0.0, 0.0], [1.0, 2.0])
         assert fs([1.0, 2.0]) == pytest.approx(math.exp(-1.0), rel=1e-12)
+
+    def test_other_real_number_types_convert(self):
+        # no int or float, so the element loop checks them, and they convert as float() does
+        assert GaussianFuzzySet([Fraction(1, 3)], [Decimal("1.5")]) == GaussianFuzzySet([1 / 3], [1.5])
 
     def test_dimension_mismatch(self):
         fs = GaussianFuzzySet([0.0, 0.0], [1.0, 1.0])

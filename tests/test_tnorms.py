@@ -1,7 +1,17 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from fuzzykernels import DiscreteFuzzySet, GroundSpace, TNorm, apply, intersect
+from fuzzykernels import (
+    DiscreteFuzzySet,
+    GroundSpace,
+    Partition,
+    TNorm,
+    apply,
+    intersect,
+    intersection_kernel,
+    nonsingleton_kernel,
+    tnorms,
+)
 
 ALL_TNORMS = list(TNorm)
 unit = st.floats(0.0, 1.0)
@@ -102,6 +112,25 @@ class TestIntersect:
         y = DiscreteFuzzySet(ground, {1: 0.9, 2: 0.3})
         out = intersect(x, y, TNorm.PRODUCT)
         assert dict(out.degrees) == pytest.approx({1: 0.81})
+
+    @pytest.mark.parametrize("t", ALL_TNORMS)
+    def test_tnorm_is_applied_once_per_pair(self, monkeypatch, t):
+        # the intersection and the two reference kernels read off it once called T per shared point
+        calls = []
+
+        def counting(*args, apply_array=tnorms.apply_array):
+            calls.append(args)
+            return apply_array(*args)
+
+        monkeypatch.setattr(tnorms, "apply_array", counting)
+        part = Partition([[0, 1], [2, 3], [4, 5], [6, 7]])
+        ground = GroundSpace([[float(i)] for i in range(8)], part)
+        x = DiscreteFuzzySet(ground, {i: 1.0 - 0.1 * i for i in range(7)})
+        y = DiscreteFuzzySet(ground, {i: 1.0 for i in range(1, 8)})  # 6 shared points; cells 1 and 2 in both
+        for call in (intersect, nonsingleton_kernel, lambda x, y, t: intersection_kernel(x, y, t, part)):
+            calls.clear()
+            call(x, y, t)
+            assert len(calls) == 1
 
     def test_mismatched_grounds_rejected(self, ground):
         other = GroundSpace([[9.0], [8.0]])

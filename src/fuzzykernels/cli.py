@@ -2,9 +2,12 @@
 
 Five workflows: fuzzify a crisp CSV table into a fuzzy dataset, compute a
 Gram matrix, verify positive semidefiniteness, run k-fold kernel ridge
-classification, and run an MMD permutation two-sample test.  Reports go to
-stdout as JSON; randomized commands need an explicit --seed, so repeated runs
-are byte-identical.  Exit codes: 0 success, 2 validation error (an --out
+classification, and run an MMD permutation two-sample test.  Each command's
+handler returns its report's fields, and :func:`main` prints the report to
+stdout as JSON: ``"command"`` first, then those fields in order, the
+library's result objects (``PsdReport``, ``MmdResult``) field by field.
+Randomized commands need an explicit --seed, so repeated runs are
+byte-identical.  Exit codes: 0 success, 2 validation error (an --out
 that cannot be written included), 3 numeric error (running out of memory
 included).  A call that names its command first builds that command's
 parser alone; any other argv is parsed by the whole parser of
@@ -58,11 +61,7 @@ def _load_table(path) -> np.ndarray:
     return table
 
 
-def _emit(report: dict) -> None:
-    print(json.dumps(report, indent=2))
-
-
-def cmd_fuzzify(args) -> int:
+def cmd_fuzzify(args) -> dict:
     table = _load_table(args.data)
     n_rows, n_cols = table.shape
     if args.method == "gaussian":
@@ -86,68 +85,48 @@ def cmd_fuzzify(args) -> int:
         records = [(fuzzify_from_histogram(table[:, j], ground),) for j in range(n_cols)]
         ds = Dataset(ground=ground, records=records)
     write_dataset(ds, args.out)
-    _emit({"command": "fuzzify", "method": args.method, "records": len(ds), "out": args.out})
-    return 0
+    return {"method": args.method, "records": len(ds), "out": args.out}
 
 
-def cmd_gram(args) -> int:
+def cmd_gram(args) -> dict:
     ds, cfg, spec = _load(args)
     gram = compute_gram(ds.records, spec, n_jobs=args.jobs)
     write_matrix(args.out, gram)
-    _emit(
-        {
-            "command": "gram",
-            "n": gram.size,
-            "item_ids": gram.item_ids,
-            "kernel": cfg,
-            "matrix_file": args.out,
-        }
-    )
-    return 0
+    return {
+        "n": gram.size,
+        "item_ids": gram.item_ids,
+        "kernel": cfg,
+        "matrix_file": args.out,
+    }
 
 
-def cmd_check_psd(args) -> int:
+def cmd_check_psd(args) -> dict:
     ds, _, spec = _load(args)
     gram = compute_gram(ds.records, spec, n_jobs=args.jobs)
-    report = check_psd(gram, tol=_number(args.tol, "--tol"))
-    _emit(
-        {
-            "command": "check-psd",
-            "n": gram.size,
-            "verdict": report.verdict,
-            "min_eigenvalue": report.min_eigenvalue,
-            "max_eigenvalue": report.max_eigenvalue,
-            "tolerance": report.tolerance,
-            "eigenvalues": report.eigenvalues.tolist(),
-        }
-    )
-    return 0
+    return {"n": gram.size, **vars(check_psd(gram, tol=_number(args.tol, "--tol")))}
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> dict:
     ds, _, spec = _load(args)
     if ds.labels is None:
         raise ValidationError("classification needs a dataset with labels")
     _number(args.folds, "--folds", 2, closed=True, integral=True, most=len(ds.records))
+    _number(args.seed, "--seed", closed=True, integral=True)
     gram = compute_gram(ds.records, spec, n_jobs=args.jobs)
     fold_acc, mean_acc = cross_validate(
         gram, ds.labels, regularization=_number(args.ridge, "--ridge"), folds=args.folds, seed=args.seed
     )
-    _emit(
-        {
-            "command": "classify",
-            "n": gram.size,
-            "folds": args.folds,
-            "seed": args.seed,
-            "ridge": args.ridge,
-            "fold_accuracies": fold_acc,
-            "mean_accuracy": mean_acc,
-        }
-    )
-    return 0
+    return {
+        "n": gram.size,
+        "folds": args.folds,
+        "seed": args.seed,
+        "ridge": args.ridge,
+        "fold_accuracies": fold_acc,
+        "mean_accuracy": mean_acc,
+    }
 
 
-def cmd_mmd_test(args) -> int:
+def cmd_mmd_test(args) -> dict:
     ds, _, spec = _load(args)
     if ds.labels is None:
         raise ValidationError("mmd-test needs labels: +1 marks sample A, -1 marks sample B")
@@ -162,22 +141,10 @@ def cmd_mmd_test(args) -> int:
         n_permutations=_number(
             args.permutations, "--permutations", 1, closed=True, integral=True, most=_MAX_PERMUTATIONS
         ),
-        seed=args.seed,
+        seed=_number(args.seed, "--seed", closed=True, integral=True),
         n_jobs=args.jobs,
     )
-    _emit(
-        {
-            "command": "mmd-test",
-            "n_a": len(sample_a),
-            "n_b": len(sample_b),
-            "statistic": result.statistic,
-            "p_value": result.p_value,
-            "n_permutations": result.n_permutations,
-            "seed": result.seed,
-            "generator": result.generator,
-        }
-    )
-    return 0
+    return {"n_a": len(sample_a), "n_b": len(sample_b), **vars(result)}
 
 
 _COMMANDS = {  # each command's handler and its line in the top-level help
@@ -231,8 +198,10 @@ def main(argv=None) -> int:
         args, extra = _command_parser(argv[0]).parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
     if not argv or argv[0] not in _COMMANDS or extra:  # the whole parser words every other argv's help and errors
         args = build_parser().parse_args(argv)
+    handler = _COMMANDS[args.command][0]
     try:
-        return _COMMANDS[args.command][0](args)
+        print(json.dumps({"command": args.command, **handler(args)}, indent=2, default=np.ndarray.tolist))
+        return 0
     # LinAlgError subclasses ValueError, so it is caught first; numpy's MemoryError names the shape and size
     except (NumericError, MemoryError, np.linalg.LinAlgError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

@@ -26,16 +26,14 @@ _BAND = 128  # rows per band of write_matrix's string reuse
 
 @dataclass
 class GramMatrix:
-    """Symmetric matrix of pairwise kernel values, one item id per row."""
+    """Symmetric matrix of pairwise kernel values, one item id per row (None numbers the rows from "0")."""
 
     values: np.ndarray
     item_ids: list[str]
 
     def __post_init__(self):
-        v = _as_matrix(self.values, "values", finite=False)
-        if len(self.item_ids) != v.shape[0]:
-            raise ValueError("item_ids length must match matrix size")
-        self.values = v
+        self.values = _as_matrix(self.values, "values", finite=False)
+        self.item_ids = _ids(self.item_ids, self.values.shape[0])
 
     @property
     def size(self) -> int:
@@ -44,9 +42,11 @@ class GramMatrix:
 
 @dataclass
 class PsdReport:
+    """:func:`check_psd`'s result; its fields, in this order, are the keys of the ``check-psd`` report."""
+
+    verdict: str  # "PSD" | "indefinite"
     min_eigenvalue: float
     max_eigenvalue: float
-    verdict: str  # "PSD" | "indefinite"
     tolerance: float
     eigenvalues: np.ndarray
 
@@ -67,13 +67,18 @@ def compute_gram(
     compatibility and does not change the result: the engine runs in the
     calling thread.
     """
-    n = len(data)
+    ids = _ids(item_ids, len(data))
+    return GramMatrix(values=_kernel_matrix(spec, data, ids), item_ids=ids)
+
+
+def _ids(item_ids, n: int) -> list[str]:
+    """``item_ids`` as n strings, ``"0"`` to ``"n-1"`` for None; anything else raises ValidationError naming it."""
     if isinstance(item_ids, (str, bytes)) or item_ids is not None and not np.iterable(item_ids):  # as a 0-d array
         raise ValidationError(f"item_ids must be a list of ids, got {item_ids!r}")
     ids = [str(i) for i in range(n)] if item_ids is None else [str(s) for s in item_ids]
     if len(ids) != n:
         raise ValidationError(f"item_ids must hold exactly one item id per datum ({n}), got {len(ids)}")
-    return GramMatrix(values=_kernel_matrix(spec, data, ids), item_ids=ids)
+    return ids
 
 
 def _as_matrix(g, name: str, square: bool = True, finite: bool = True) -> np.ndarray:
@@ -104,7 +109,7 @@ def check_psd(g, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
     tol = _number(tol, "tol")
     m = _as_matrix(g, "g")
     if not m.size:
-        raise ValueError("check_psd needs a non-empty matrix, got 0 x 0")
+        raise ValidationError("check_psd needs a non-empty matrix, got 0 x 0")
     if not (m == m.T).all():  # an exactly symmetric matrix pays this one comparison; the loop raises at the first pair
         for i, j in np.argwhere(np.abs(m - m.T) > tol * max(1.0, np.abs(m).max()))[:1]:
             raise ValidationError(f"g must be symmetric within tol * max(1, max|g|), got g[{i}, {j}] = "
@@ -115,7 +120,7 @@ def check_psd(g, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
     lo = float(eigs[0])
     hi = float(eigs[-1])
     verdict = "PSD" if lo >= -tol * max(1.0, abs(hi)) else "indefinite"
-    return PsdReport(min_eigenvalue=lo, max_eigenvalue=hi, verdict=verdict, tolerance=tol, eigenvalues=eigs)
+    return PsdReport(verdict=verdict, min_eigenvalue=lo, max_eigenvalue=hi, tolerance=tol, eigenvalues=eigs)
 
 
 def normalize(g: GramMatrix) -> GramMatrix:
@@ -127,14 +132,13 @@ def normalize(g: GramMatrix) -> GramMatrix:
     m = _as_matrix(g, "g")
     diag = np.diag(m).copy()
     if (diag <= 0).any():
-        raise ValueError("normalization needs strictly positive diagonal entries")
+        raise ValidationError("normalization needs strictly positive diagonal entries")
     inv = 1.0 / np.sqrt(diag)
     values = m * np.outer(inv, inv)
     # k(x,x)/k(x,x) is 1 by definition; set it exactly so the operation is
     # idempotent at the bit level
     np.fill_diagonal(values, 1.0)
-    ids = list(g.item_ids) if isinstance(g, GramMatrix) else [str(i) for i in range(len(m))]
-    return GramMatrix(values=values, item_ids=ids)
+    return GramMatrix(values=values, item_ids=g.item_ids if isinstance(g, GramMatrix) else None)
 
 
 def write_matrix(path, g) -> None:

@@ -39,6 +39,8 @@ class DualModel:
 
 @dataclass
 class MmdResult:
+    """:func:`mmd_permutation_test`'s result; its fields, in this order, end the ``mmd-test`` report."""
+
     statistic: float
     p_value: float
     n_permutations: int
@@ -126,7 +128,7 @@ def mmd_statistic(gxx, gyy, gxy) -> float:
     not finite, as when a mean overflows, raises NumericError."""
     xx, yy, xy = _as_matrix(gxx, "gxx"), _as_matrix(gyy, "gyy"), _as_matrix(gxy, "gxy", square=False)
     if xx.size == 0 or yy.size == 0:
-        raise ValueError("MMD needs two non-empty samples")
+        raise ValidationError("MMD needs two non-empty samples")
     if xy.shape != (xx.shape[0], yy.shape[0]):
         raise ValidationError(
             f"gxy shape {xy.shape} inconsistent with samples of size "
@@ -182,7 +184,7 @@ def mmd_permutation_test(
     overflows, in the statistic or in a replica, raises NumericError.
     """
     if len(sample_a) == 0 or len(sample_b) == 0:
-        raise ValueError("both samples must be non-empty")
+        raise ValidationError("both samples must be non-empty")
     n_permutations = _number(n_permutations, "n_permutations", 1, closed=True, integral=True, most=_MAX_PERMUTATIONS)
     seed = _number(seed, "seed", closed=True, integral=True)
     n, m = len(sample_a), len(sample_b)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzzykernels import Dataset, GaussianFuzzySet, mmd_statistic, parse_dataset, read_matrix, sets
+from fuzzykernels import Dataset, GaussianFuzzySet, cli, learn, mmd_statistic, parse_dataset, read_matrix, sets
 from fuzzykernels.cli import build_parser, main
 from fuzzykernels.kernels import nonsingleton_gaussian_kernel
 
@@ -819,13 +819,15 @@ def _data(**ground):
             "mmd-test --data {data} --kernel {kernel} --seed 0", {**DATA, "labels": None}, KERNEL, "labels",
             id="mmd-no-labels",
         ),
-        # a negative seed once exited 2 with numpy's "expected non-negative integer", naming no option
+        # a negative seed once exited 2 with numpy's "expected non-negative integer", naming no option,
+        # and then with the library's "seed must be ...", naming no flag
         pytest.param(
-            "classify --data {data} --kernel {kernel} --seed -1 --folds 2", DATA, KERNEL, "seed",
-            id="classify-negative-seed",
+            "classify --data {data} --kernel {kernel} --seed -1 --folds 2", DATA, KERNEL,
+            "error: --seed must be finite and >= 0, got -1", id="classify-negative-seed",
         ),
         pytest.param(
-            "mmd-test --data {data} --kernel {kernel} --seed -1", DATA, KERNEL, "seed", id="mmd-negative-seed",
+            "mmd-test --data {data} --kernel {kernel} --seed -1", DATA, KERNEL,
+            "error: --seed must be finite and >= 0, got -1", id="mmd-negative-seed",
         ),
         # counts out of range once exited 2 with a message naming no option
         *(
@@ -994,7 +996,47 @@ def test_invalid_input_exits_2_naming_where(tmp_path, capsys, argv, data, kernel
     assert not paths["out"].exists()
 
 
+@pytest.mark.parametrize("command", ["classify", "mmd-test"])
+def test_seed_is_checked_before_the_gram(tmp_path, capsys, monkeypatch, command):
+    # classify once computed the whole Gram before cross_validate refused the seed
+    def no_gram(*args, **kwargs):
+        raise AssertionError("the Gram was computed")
+
+    monkeypatch.setattr(cli, "compute_gram", no_gram)
+    monkeypatch.setattr(learn, "compute_gram", no_gram)
+    data, kernel = tmp_path / "data.json", tmp_path / "kernel.json"
+    data.write_text(json.dumps(DATA))
+    kernel.write_text(json.dumps(KERNEL))
+    folds = ["--folds", "2"] if command == "classify" else []
+    code, out, err = run_cli(capsys, command, "--data", str(data), "--kernel", str(kernel), *folds, "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: --seed must be finite and >= 0, got -1\n"
+
+
 COMMANDS = ["fuzzify", "gram", "check-psd", "classify", "mmd-test"]
+REPORT_KEYS = {  # each report's keys in print order; check-psd's and mmd-test's end with PsdReport's and MmdResult's
+    "fuzzify": ["command", "method", "records", "out"],
+    "gram": ["command", "n", "item_ids", "kernel", "matrix_file"],
+    "check-psd": ["command", "n", "verdict", "min_eigenvalue", "max_eigenvalue", "tolerance", "eigenvalues"],
+    "classify": ["command", "n", "folds", "seed", "ridge", "fold_accuracies", "mean_accuracy"],
+    "mmd-test": ["command", "n_a", "n_b", "statistic", "p_value", "n_permutations", "seed", "generator"],
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_report_keys_in_order(tmp_path, capsys, discrete_dataset, linear_kernel_cfg, command):
+    table = tmp_path / "table.csv"
+    table.write_text("1.0,2.0\n3.0,4.0\n")
+    options = {
+        "fuzzify": ["--data", table, "--method", "histogram", "--bins", "3", "--out", tmp_path / "fuzzy.json"],
+        "gram": ["--out", tmp_path / "gram.txt"],
+        "classify": ["--folds", "2", "--seed", "0"],
+        "mmd-test": ["--permutations", "5", "--seed", "0"],
+    }.get(command, [])
+    inputs = [] if command == "fuzzify" else ["--data", discrete_dataset, "--kernel", linear_kernel_cfg]
+    code, out, _ = run_cli(capsys, command, *map(str, inputs + options))
+    assert code == 0
+    assert list(json.loads(out)) == REPORT_KEYS[command]
 EVERY_REQUIRED = ["--data", "d", "--kernel", "k", "--out", "o", "--method", "gaussian", "--seed", "1"]
 
 

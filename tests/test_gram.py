@@ -94,9 +94,9 @@ class TestComputeGram:
 
     def test_item_ids_must_match_the_items(self, gaussian_spec):
         data = [GaussianFuzzySet([0.0], [1.0])] * 2
-        with pytest.raises(ValueError, match="one item id per datum"):
+        with pytest.raises(ValidationError, match="one item id per datum"):
             compute_gram(data, gaussian_spec, item_ids=["a"])
-        with pytest.raises(ValueError, match="item_ids length"):
+        with pytest.raises(ValidationError, match="one item id per datum"):
             GramMatrix(values=np.eye(2), item_ids=["a"])
 
 
@@ -142,7 +142,7 @@ class TestCheckPsd:
         path = tmp_path / "empty.txt"
         path.write_text("0\n")
         for m in (np.zeros((0, 0)), read_matrix(path)):
-            with pytest.raises(ValueError, match="non-empty matrix"):
+            with pytest.raises(ValidationError, match="non-empty matrix"):
                 check_psd(m)
 
     @pytest.mark.parametrize(
@@ -192,7 +192,7 @@ class TestNormalize:
         assert out.values == pytest.approx(np.ones((2, 2)))
 
     def test_zero_diagonal_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="strictly positive diagonal"):
             normalize(self._gram([[0.0, 0.0], [0.0, 1.0]]))
 
     def test_item_ids_carry_over(self):

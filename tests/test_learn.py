@@ -384,7 +384,7 @@ class TestMmdPermutationTest:
 
     def test_empty_sample_rejected(self, spec):
         rng = np.random.default_rng(31)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="both samples must be non-empty"):
             mmd_permutation_test([], self._sample(rng, 3), spec, seed=0)
 
     def test_counts_every_repeat_of_the_observed_split(self, spec):
@@ -542,5 +542,5 @@ def test_mmd_permutation_test_matches_tie_oracle(kind, n, m, seed, permutations)
     ],
 )
 def test_bad_arguments_raise_value_error(call, match):
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ValidationError, match=match):
         call()

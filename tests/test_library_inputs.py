@@ -6,8 +6,9 @@ nested list or a ragged list.  In a label vector or a matrix the first entry
 takes the string, bool, None, NaN or inf; the whole value is nested one level
 deeper, and the last row (or, for a vector, the first entry) is made ragged.
 Every argument that takes an object (a spec's ``tnorm``, ``k1``, ``k2`` and
-``metric``, ``compute_gram``'s ``item_ids`` and a model's ``coefficients``) is
-set to a string, a number, None unless None is its default, and a 2-D array.
+``metric``, the ``item_ids`` of ``compute_gram`` and ``GramMatrix`` and a
+model's ``coefficients``) is set to a string, a number, None unless None is its
+default, and a 2-D array; ``item_ids`` also to a list of the wrong length.
 Each call must raise ValidationError, or NumericError for a non-finite matrix
 entry, naming the argument or its element, with no warning and no value.
 An integer argument also takes a numpy integer above 2**53, which must act as
@@ -58,7 +59,7 @@ POINTS = [[0.0, 1.0], [1.0, 0.5]]
 # (entry point, call on keyword arguments, valid arguments, {argument: kind}); a "matrix" argument
 # raises NumericError on a non-finite entry, and a "held" one keeps it, so it is not given one here;
 # an "integer" argument is a "number" that must be integral; an "object" argument takes neither a number nor
-# None, and an "optional" one takes None as its default
+# None, an "optional" one takes None as its default, and "ids" are "optional" and one per item
 ENTRY_POINTS = [
     ("fit", fit, dict(gram=EYE2, labels=[1, -1], regularization=1.0),
      {"gram": "matrix", "labels": "labels", "regularization": "number"}),
@@ -71,6 +72,7 @@ ENTRY_POINTS = [
      lambda **kw: mmd_permutation_test(*SAMPLES, SPEC, **kw),
      dict(n_permutations=10, seed=0), {"n_permutations": "integer", "seed": "integer"}),
     ("GramMatrix", lambda values: GramMatrix(values, ["a", "b"]), dict(values=EYE2), {"values": "held"}),
+    ("GramMatrix", lambda item_ids: GramMatrix(EYE2, item_ids), dict(item_ids=["a", "b"]), {"item_ids": "ids"}),
     ("check_psd", check_psd, dict(g=EYE2, tol=1e-8), {"g": "matrix", "tol": "number"}),
     ("normalize", normalize, dict(g=EYE2), {"g": "matrix"}),
     ("write_matrix", lambda g: write_matrix(os.devnull, g), dict(g=EYE2), {"g": "held"}),
@@ -88,7 +90,7 @@ ENTRY_POINTS = [
     ("FuzzyKernelSpec", lambda **kw: FuzzyKernelSpec("distance_gaussian", **kw), dict(metric="ratio"),
      {"metric": "object"}),
     ("compute_gram", lambda item_ids: compute_gram([*SAMPLES[0], *SAMPLES[1]], SPEC, item_ids),
-     dict(item_ids=["a", "b"]), {"item_ids": "optional"}),
+     dict(item_ids=["a", "b"]), {"item_ids": "ids"}),
     ("predict", lambda coefficients: predict(DualModel(coefficients), [[0.5, 0.5]]), dict(coefficients=[1.0, 2.0]),
      {"coefficients": "object"}),
     ("PolynomialKernel", PolynomialKernel, dict(coef0=1.0, gamma=1.0, degree=2),
@@ -107,10 +109,12 @@ def _hostile(value, kind):
         yield from [("string", str(value)), ("bool", True), ("none", None), ("nan", math.nan), ("inf", math.inf)]
         yield from [("nested", [value]), ("ragged", [value, [value]])]
         return
-    if kind in ("object", "optional"):  # "min" names a T-norm in a config file, but no spec or model takes it
+    if kind in ("object", "optional", "ids"):  # "min" names a T-norm in a config file, but no spec or model takes it
         yield from [("string", "min"), ("number", 3), ("array", np.array([[1.0, 2.0]]))]
         if kind == "object":
             yield "none", None
+        if kind == "ids":
+            yield "short", value[:-1]
         return
     for change, x in [("string", str(np.ravel(value)[0])), ("bool", True), ("none", None), ("nan", math.nan), ("inf", math.inf)]:
         if kind != "held" or change not in ("nan", "inf"):

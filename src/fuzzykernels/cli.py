@@ -102,8 +102,9 @@ def cmd_gram(args) -> dict:
 
 def cmd_check_psd(args) -> dict:
     ds, _, spec = _load(args)
+    tol = _number(args.tol, "--tol")
     gram = compute_gram(ds.records, spec, n_jobs=args.jobs)
-    return {"n": gram.size, **vars(check_psd(gram, tol=_number(args.tol, "--tol")))}
+    return {"n": gram.size, **vars(check_psd(gram, tol=tol))}
 
 
 def cmd_classify(args) -> dict:
@@ -112,10 +113,9 @@ def cmd_classify(args) -> dict:
         raise ValidationError("classification needs a dataset with labels")
     _number(args.folds, "--folds", 2, closed=True, integral=True, most=len(ds.records))
     _number(args.seed, "--seed", closed=True, integral=True)
+    _number(args.ridge, "--ridge")
     gram = compute_gram(ds.records, spec, n_jobs=args.jobs)
-    fold_acc, mean_acc = cross_validate(
-        gram, ds.labels, regularization=_number(args.ridge, "--ridge"), folds=args.folds, seed=args.seed
-    )
+    fold_acc, mean_acc = cross_validate(gram, ds.labels, regularization=args.ridge, folds=args.folds, seed=args.seed)
     return {
         "n": gram.size,
         "folds": args.folds,

@@ -23,6 +23,7 @@ Gaussian data — "ground_space" are optional.
 
 Records are checked one attribute slot (attribute j of every record) at a time, or
 one by one where that declines; an error names the first bad record in row-major order.
+:class:`Dataset` checks the labels itself, so one built in code holds no labels the reader refuses.
 """
 
 from __future__ import annotations
@@ -30,31 +31,28 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ValidationError, _labels
 from .sets import DiscreteFuzzySet, GaussianFuzzySet, GroundSpace, Partition
 
 __all__ = ["Dataset", "parse_dataset", "dataset_from_obj", "dataset_to_obj", "write_dataset"]
 
 
-@dataclass(eq=False)
+@dataclass
 class Dataset:
+    """The ground space (None for purely Gaussian data), the records, each a tuple of attributes, and
+    the labels: None, or one +1 or -1 per record, held as a list of ints.  Any other labels raise
+    ValidationError with the reader's messages."""
+
     ground: GroundSpace | None
     records: list[tuple]
-    labels: np.ndarray | None = None
+    labels: list[int] | None = None
+
+    def __post_init__(self):
+        if self.labels is not None:
+            self.labels = _labels(self.labels, len(self.records)).astype(int).tolist()
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        if self.ground != other.ground or self.records != other.records:
-            return False
-        if (self.labels is None) != (other.labels is None):
-            return False
-        return self.labels is None or np.array_equal(self.labels, other.labels)
 
 
 def _parse_ground(obj) -> GroundSpace:
@@ -136,26 +134,20 @@ def dataset_from_obj(obj) -> Dataset:
     records = _slots(raw_records, ground)
     if records is None:  # the record loop words every error
         records = []
-        arity = None
-        kinds = None
         for i, raw in enumerate(raw_records):
             if not isinstance(raw, list) or not raw:
                 raise ValidationError(f"records[{i}]: must be a non-empty list of attributes")
             attrs = tuple(
                 _parse_attribute(a, ground, f"records[{i}][{j}]") for j, a in enumerate(raw)
             )
-            row_kinds = tuple(type(a).__name__ for a in attrs)
-            if arity is None:
-                arity, kinds = len(attrs), row_kinds
-            elif len(attrs) != arity:
-                raise ValidationError(f"records[{i}]: has {len(attrs)} attributes, expected {arity}")
-            elif row_kinds != kinds:
+            first = records[0] if records else attrs
+            if len(attrs) != len(first):
+                raise ValidationError(f"records[{i}]: has {len(attrs)} attributes, expected {len(first)}")
+            row_kinds, kinds = (tuple(type(a).__name__ for a in r) for r in (attrs, first))
+            if row_kinds != kinds:
                 raise ValidationError(f"records[{i}]: attribute kinds {row_kinds} differ from {kinds}")
             records.append(attrs)
-    labels = None
-    if obj.get("labels") is not None:
-        labels = _labels(obj["labels"], len(records)).astype(int)
-    return Dataset(ground=ground, records=records, labels=labels)
+    return Dataset(ground=ground, records=records, labels=obj.get("labels"))
 
 
 def _read_json(path):
@@ -191,7 +183,7 @@ def _attribute_to_obj(attr):
         }
     if isinstance(attr, GaussianFuzzySet):
         return {"type": "gaussian", "m": attr.means.tolist(), "sigma": attr.widths.tolist()}
-    raise TypeError(f"not a fuzzy attribute: {attr!r}")
+    raise ValidationError(f"not a fuzzy attribute: {attr!r}")
 
 
 def dataset_to_obj(ds: Dataset) -> dict:
@@ -207,7 +199,7 @@ def dataset_to_obj(ds: Dataset) -> dict:
         obj["ground_space"] = gobj
     obj["records"] = [[_attribute_to_obj(a) for a in rec] for rec in ds.records]
     if ds.labels is not None:
-        obj["labels"] = [int(v) for v in ds.labels]
+        obj["labels"] = ds.labels
     return obj
 
 

@@ -67,7 +67,7 @@ def compute_gram(
     compatibility and does not change the result: the engine runs in the
     calling thread.
     """
-    ids = _ids(item_ids, len(data))
+    ids = _ids(item_ids, len(_items(data, "data")))
     return GramMatrix(values=_kernel_matrix(spec, data, ids), item_ids=ids)
 
 
@@ -79,6 +79,14 @@ def _ids(item_ids, n: int) -> list[str]:
     if len(ids) != n:
         raise ValidationError(f"item_ids must hold exactly one item id per datum ({n}), got {len(ids)}")
     return ids
+
+
+def _items(values, name: str) -> Sequence:
+    """``values`` if it is a list, tuple or array of records; anything else, as a string, a number, None
+    or an iterator, raises ValidationError naming ``name``."""
+    if isinstance(values, (str, bytes)) or not (isinstance(values, Sequence) or np.ndim(values) > 0):
+        raise ValidationError(f"{name} must be a list of records, got {values!r}")
+    return values
 
 
 def _as_matrix(g, name: str, square: bool = True, finite: bool = True) -> np.ndarray:
@@ -182,14 +190,14 @@ def write_matrix(path, g) -> None:
 def read_matrix(path) -> np.ndarray:
     """Read a file in :func:`write_matrix`'s format.  A header that is not a
     non-negative integer n, or a body that is not n rows of n numbers, raises
-    ValueError."""
+    ValidationError."""
     with open(path) as fh:
         header, body = fh.readline(), fh.read()
     if not (header.strip().isascii() and header.strip().isdigit()):  # int() takes any Unicode digit
-        raise ValueError(f"bad matrix file header {header!r}")
+        raise ValidationError(f"bad matrix file header {header!r}")
     n = int(header)
     # loadtxt warns on a body without data, which only n = 0 may have
     m = np.loadtxt(body.splitlines(), ndmin=2, comments=None) if body.strip() else np.zeros((0, 0))
     if m.shape != (n, n):
-        raise ValueError(f"matrix file header says {n}, but the body is {m.shape[0]} x {m.shape[1]}")
+        raise ValidationError(f"matrix file header says {n}, but the body is {m.shape[0]} x {m.shape[1]}")
     return m

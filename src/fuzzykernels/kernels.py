@@ -197,7 +197,7 @@ def weighted_cross_product_kernel(
     _check_same_ground(x, y)
     w = _numbers(weights, "weights", 0, closed=True)
     if w.shape != (len(x.ground),):
-        raise ValueError(
+        raise ValidationError(
             f"need one weight per ground point ({len(x.ground)}), got shape {w.shape}"
         )
     ix, dx = _sorted_support(x)
@@ -252,7 +252,7 @@ def nonsingleton_gaussian_kernel(x: GaussianFuzzySet, y: GaussianFuzzySet) -> fl
     operands (see _halved), so every finite input gives a finite value.
     """
     if x.dim != y.dim:
-        raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
+        raise ValidationError(f"dimension mismatch: {x.dim} vs {y.dim}")
     m, w = _halved([x, y])
     with np.errstate(over="ignore"):  # a z too large to square gives 0
         return float(np.exp(-0.5 * float(np.sum(np.square((m[0] - m[1]) / np.hypot(*w))))))
@@ -283,7 +283,7 @@ def ratio_distance(x: DiscreteFuzzySet, y: DiscreteFuzzySet) -> float:
     _check_same_ground(x, y)
     union = sorted(x.support | y.support)
     if not union:
-        raise ValueError("ratio distance is undefined for two empty fuzzy sets (0/0)")
+        raise ValidationError("ratio distance is undefined for two empty fuzzy sets (0/0)")
     num = 0.0
     den = 0.0
     for idx in union:
@@ -494,6 +494,8 @@ def _kernel_matrix(
     row-major (upper-triangle) order.  A block with no rows or no columns has
     no pair to name, so it raises ValidationError up front.
     """
+    if not isinstance(spec, FuzzyKernelSpec):
+        raise ValidationError(f"spec must be a FuzzyKernelSpec, got {spec!r}")
     pairs = _Pairs(ids, first_col)
     if not all(pairs.shape):
         raise ValidationError(f"kernel block has no {'columns' if pairs.shape[0] else 'rows'}")
@@ -736,7 +738,7 @@ _FAMILIES = {
 
 
 def _family(name: str) -> tuple[Callable, tuple[str, ...], type]:
-    if name not in _FAMILIES:
+    if not isinstance(name, str) or name not in _FAMILIES:
         raise ValidationError(f"unknown kernel family {name!r}; expected one of {', '.join(_FAMILIES)}")
     return _FAMILIES[name]
 

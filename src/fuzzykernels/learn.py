@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericError, ValidationError, _labels, _number, _numbers
-from .gram import GramMatrix, _as_matrix, compute_gram
+from .gram import GramMatrix, _as_matrix, _items, compute_gram
 from .kernels import FuzzyKernelSpec, Record
 
 __all__ = [
@@ -90,6 +90,8 @@ def predict(model: DualModel, cross) -> np.ndarray:
     """Sign of the decision values for a test-by-train kernel matrix ``cross[i, j] = k(test_i, train_j)``,
     whose columns follow the training Gram's item order: ``compute_gram([*train, *test], spec)``'s
     ``values[len(train):, :len(train)]``.  sign(0) is +1 so predictions are deterministic."""
+    if not isinstance(model, DualModel):
+        raise ValidationError(f"model must be a DualModel, got {model!r}")
     coef = _numbers(model.coefficients, "coefficients")
     if coef.ndim != 1:
         raise ValidationError(f"coefficients must be a flat vector, got shape {coef.shape}")
@@ -183,11 +185,11 @@ def mmd_permutation_test(
     ``n_permutations`` from 1 to ``_MAX_PERMUTATIONS``.  A sum of ``G`` that
     overflows, in the statistic or in a replica, raises NumericError.
     """
-    if len(sample_a) == 0 or len(sample_b) == 0:
+    n, m = len(_items(sample_a, "sample_a")), len(_items(sample_b, "sample_b"))
+    if n == 0 or m == 0:
         raise ValidationError("both samples must be non-empty")
     n_permutations = _number(n_permutations, "n_permutations", 1, closed=True, integral=True, most=_MAX_PERMUTATIONS)
     seed = _number(seed, "seed", closed=True, integral=True)
-    n, m = len(sample_a), len(sample_b)
     total = n + m
     g = compute_gram(list(sample_a) + list(sample_b), spec, n_jobs=n_jobs).values
     observed = mmd_statistic(g[:n, :n], g[n:, n:], g[:n, n:])

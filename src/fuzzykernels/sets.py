@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import _number, _numbers
+from .errors import ValidationError, _number, _numbers
 
 __all__ = [
     "GroundSpace",
@@ -37,15 +37,15 @@ __all__ = [
 
 def _index(value) -> int:
     """A ground-space index as an int; a bool, or a value of a type that is not
-    an integer (1.5, 1.0, "1"), raises ValueError instead of being truncated."""
+    an integer (1.5, 1.0, "1"), raises ValidationError instead of being truncated."""
     if type(value) is int:
         return value
     if isinstance(value, bool):
-        raise ValueError(f"index {value!r} is not an integer")
+        raise ValidationError(f"index {value!r} is not an integer")
     try:
         return operator.index(value)
     except TypeError as exc:
-        raise ValueError(f"index {value!r} is not an integer") from exc
+        raise ValidationError(f"index {value!r} is not an integer") from exc
 
 
 def _built(cls, **fields):
@@ -63,24 +63,26 @@ class Partition:
     """
 
     def __init__(self, cells: Sequence[Iterable[int]], measures: Sequence[float] | None = None):
+        if not isinstance(cells, Iterable):
+            raise ValidationError(f"cells must be a list of cells, got {cells!r}")
         norm_cells = []
         for k, cell in enumerate(cells):
             if not isinstance(cell, Iterable):
-                raise ValueError(f"cells[{k}] must be a list of ground indices, got {cell!r}")
+                raise ValidationError(f"cells[{k}] must be a list of ground indices, got {cell!r}")
             idxs = [*cell]
             if {*map(type, idxs)} != {int}:  # _index refuses a bool, float or string, and converts a numpy int
                 idxs = [*map(_index, idxs)]
             if not idxs:
-                raise ValueError(f"cell {k} is empty")
+                raise ValidationError(f"cell {k} is empty")
             norm_cells.append(tuple(sorted(idxs)))
         self.cells: tuple[tuple[int, ...], ...] = tuple(norm_cells)
 
         flat = [i for cell in self.cells for i in cell]
         n = len(flat)
         if len(set(flat)) < n:
-            raise ValueError("cells are not pairwise disjoint")
+            raise ValidationError("cells are not pairwise disjoint")
         if n and (min(flat) < 0 or max(flat) >= n):  # n distinct indices in 0..n-1 are all of them
-            raise ValueError("cells must cover the index set 0..n-1 without gaps")
+            raise ValidationError("cells must cover the index set 0..n-1 without gaps")
         self.size = n
         cell_index = np.empty(n, dtype=np.intp)
         cell_index[np.array(flat, dtype=np.intp)] = np.repeat(np.arange(len(self.cells)), [*map(len, self.cells)])
@@ -92,7 +94,7 @@ class Partition:
         else:
             meas = _numbers(measures, "measures", 0, closed=True)
             if meas.shape != (len(self.cells),):
-                raise ValueError("need exactly one measure per cell")
+                raise ValidationError("need exactly one measure per cell")
         meas.flags.writeable = False
         self.measures: np.ndarray = meas
 
@@ -123,11 +125,13 @@ class GroundSpace:
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] == 0:
-            raise ValueError("points must be a non-empty list of equal-dimension vectors")
+            raise ValidationError("points must be a non-empty list of equal-dimension vectors")
         pts.flags.writeable = False
         self.points: np.ndarray = pts
+        if partition is not None and not isinstance(partition, Partition):
+            raise ValidationError(f"partition must be a Partition, got {partition!r}")
         if partition is not None and partition.size != len(pts):
-            raise ValueError(
+            raise ValidationError(
                 f"partition covers {partition.size} indices but the ground space has {len(pts)} points"
             )
         self.partition = partition
@@ -152,7 +156,7 @@ class GroundSpace:
 
 def _check_same_ground(x: "DiscreteFuzzySet", y: "DiscreteFuzzySet") -> None:
     if x.ground != y.ground:
-        raise ValueError("fuzzy sets live on different ground spaces")
+        raise ValidationError("fuzzy sets live on different ground spaces")
 
 
 class DiscreteFuzzySet:
@@ -163,15 +167,18 @@ class DiscreteFuzzySet:
     """
 
     def __init__(self, ground: GroundSpace, degrees: Mapping[int, float]):
+        if not isinstance(ground, GroundSpace):
+            raise ValidationError(f"ground must be a GroundSpace, got {ground!r}")
+        if not isinstance(degrees, Mapping):
+            raise ValidationError(f"degrees must be a mapping of index to degree, got {degrees!r}")
         self.ground = ground
         n = len(ground)
         clean: dict[int, float] = {}
         for idx, deg in degrees.items():
             i = _index(idx)
             if not 0 <= i < n:
-                raise ValueError(f"index {i} outside ground space of {n} points")
+                raise ValidationError(f"index {i} outside ground space of {n} points")
             clean[i] = _number(deg, f"degree at index {i}", 0, most=1)
-        self._degrees = clean
         self.degrees: Mapping[int, float] = MappingProxyType(clean)
 
     @classmethod
@@ -195,26 +202,26 @@ class DiscreteFuzzySet:
         cleans = [dict(islice(pairs, len(obj))) for obj in objs]
         if sum(map(len, cleans)) < len(idx):  # two keys such as "1" and "01" name one index
             return None
-        return [_built(cls, ground=ground, _degrees=clean, degrees=MappingProxyType(clean)) for clean in cleans]
+        return [_built(cls, ground=ground, degrees=MappingProxyType(clean)) for clean in cleans]
 
     @property
     def support(self) -> frozenset[int]:
-        return frozenset(self._degrees)
+        return frozenset(self.degrees)
 
     def __call__(self, idx: int) -> float:
         """Degree of membership of the point at ``idx``; 0 outside the support."""
         i = _index(idx)
         if not 0 <= i < len(self.ground):
-            raise ValueError(f"index {i} outside ground space of {len(self.ground)} points")
-        return self._degrees.get(i, 0.0)
+            raise ValidationError(f"index {i} outside ground space of {len(self.ground)} points")
+        return self.degrees.get(i, 0.0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiscreteFuzzySet):
             return NotImplemented
-        return self.ground == other.ground and self._degrees == other._degrees
+        return self.ground == other.ground and self.degrees == other.degrees
 
     def __repr__(self) -> str:
-        return f"DiscreteFuzzySet({len(self._degrees)} of {len(self.ground)} points)"
+        return f"DiscreteFuzzySet({len(self.degrees)} of {len(self.ground)} points)"
 
 
 class GaussianFuzzySet:
@@ -224,7 +231,7 @@ class GaussianFuzzySet:
         m = np.atleast_1d(_numbers(means, "m"))
         s = np.atleast_1d(_numbers(widths, "sigma", 0))
         if m.ndim != 1 or m.shape != s.shape or m.size == 0:
-            raise ValueError("means and widths must be equal-length non-empty vectors")
+            raise ValidationError("means and widths must be equal-length non-empty vectors")
         m.flags.writeable = False
         s.flags.writeable = False
         self.means: np.ndarray = m
@@ -252,7 +259,7 @@ class GaussianFuzzySet:
         """The membership degree at a point of matching dimension."""
         v = np.atleast_1d(_numbers(x, "x"))
         if v.shape != self.means.shape:
-            raise ValueError(f"point has dimension {v.size}, fuzzy set has {self.dim}")
+            raise ValidationError(f"point has dimension {v.size}, fuzzy set has {self.dim}")
         z = (v - self.means) / self.widths
         return float(np.exp(-0.5 * np.dot(z, z)))
 
@@ -275,9 +282,9 @@ def fuzzify_from_histogram(samples: Sequence[float], ground: GroundSpace) -> Dis
     """
     vals = _numbers(samples, "samples")
     if vals.size == 0:
-        raise ValueError("cannot fuzzify an empty sample list")
+        raise ValidationError("cannot fuzzify an empty sample list")
     if ground.dim != 1:
-        raise ValueError("histogram fuzzification needs a 1-dimensional ground space")
+        raise ValidationError("histogram fuzzification needs a 1-dimensional ground space")
     # ascending samples keep _nearest's reduceat linear; the counts do not depend on their order
     counts = np.bincount(_nearest(np.sort(vals), ground.points[:, 0]), minlength=len(ground))
     peak = counts.max()
@@ -320,9 +327,9 @@ def _bisect(holds, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def support_cells(fs: DiscreteFuzzySet, partition: Partition) -> set[int]:
     """Indices of the partition cells entirely contained in ``supp(fs)``.  A
     partition that is not the ground space's own (or, when the ground carries
-    none, one that does not cover its indices) raises ValueError."""
+    none, one that does not cover its indices) raises ValidationError."""
     own = fs.ground.partition
     if partition.size != len(fs.ground) or (own is not None and partition != own):
-        raise ValueError("partition does not belong to the fuzzy sets' ground space")
+        raise ValidationError("partition does not belong to the fuzzy sets' ground space")
     supp = fs.support
     return {k for k, cell in enumerate(partition.cells) if all(i in supp for i in cell)}

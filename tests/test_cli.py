@@ -996,9 +996,24 @@ def test_invalid_input_exits_2_naming_where(tmp_path, capsys, argv, data, kernel
     assert not paths["out"].exists()
 
 
-@pytest.mark.parametrize("command", ["classify", "mmd-test"])
-def test_seed_is_checked_before_the_gram(tmp_path, capsys, monkeypatch, command):
-    # classify once computed the whole Gram before cross_validate refused the seed
+SEED = "--seed must be finite and >= 0, got -1"
+
+
+@pytest.mark.parametrize(
+    "command, options, message",
+    [
+        pytest.param("classify", ["--folds", "2", "--seed", "-1"], SEED, id="classify"),
+        pytest.param("mmd-test", ["--seed", "-1"], SEED, id="mmd-test"),
+        pytest.param("check-psd", ["--tol", "nan"], "--tol must be finite and > 0, got nan", id="check-psd-tol"),
+        pytest.param(
+            "classify", ["--folds", "2", "--seed", "0", "--ridge", "nan"], "--ridge must be finite and > 0, got nan",
+            id="classify-ridge",
+        ),
+    ],
+)
+def test_seed_is_checked_before_the_gram(tmp_path, capsys, monkeypatch, command, options, message):
+    # classify once computed the whole Gram before cross_validate refused the seed, and check-psd
+    # and classify read --tol and --ridge only after it too
     def no_gram(*args, **kwargs):
         raise AssertionError("the Gram was computed")
 
@@ -1007,10 +1022,9 @@ def test_seed_is_checked_before_the_gram(tmp_path, capsys, monkeypatch, command)
     data, kernel = tmp_path / "data.json", tmp_path / "kernel.json"
     data.write_text(json.dumps(DATA))
     kernel.write_text(json.dumps(KERNEL))
-    folds = ["--folds", "2"] if command == "classify" else []
-    code, out, err = run_cli(capsys, command, "--data", str(data), "--kernel", str(kernel), *folds, "--seed", "-1")
+    code, out, err = run_cli(capsys, command, "--data", str(data), "--kernel", str(kernel), *options)
     assert (code, out) == (2, "")
-    assert err == "error: --seed must be finite and >= 0, got -1\n"
+    assert err == f"error: {message}\n"
 
 
 COMMANDS = ["fuzzify", "gram", "check-psd", "classify", "mmd-test"]

@@ -144,6 +144,59 @@ class TestRoundTrip:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+def _two_records():
+    ground = GroundSpace([[0.0], [1.0]])
+    return ground, [(DiscreteFuzzySet(ground, {0: 1.0}),), (DiscreteFuzzySet(ground, {1: 0.5}),)]
+
+
+class TestLabels:
+    """A Dataset checks its own labels by the reader's rule, so no Dataset holds labels that
+    ``write_dataset`` would write and ``parse_dataset`` refuse."""
+
+    @pytest.mark.parametrize(
+        "labels, match",
+        [
+            pytest.param([2, 1], r"labels\[0\] must be \+1 or -1, got 2", id="two"),
+            pytest.param(np.array([1, 2]), r"labels\[1\] must be \+1 or -1, got 2", id="int-array-two"),
+            pytest.param([1, 0.5], r"labels\[1\] must be \+1 or -1, got 0.5", id="half"),
+            pytest.param([1], r"a flat vector of 2 entries, got shape \(1,\)", id="one-short"),
+            pytest.param([1, -1, 1], r"a flat vector of 2 entries, got shape \(3,\)", id="one-over"),
+            pytest.param([[1, -1]], r"a flat vector of 2 entries, got shape \(1, 2\)", id="nested"),
+            pytest.param(["1", -1], r"labels\[0\] must be a number", id="string"),
+            pytest.param([True, -1], r"labels\[0\] must be a number", id="bool"),
+        ],
+    )
+    def test_bad_labels_raise_the_readers_message(self, labels, match):
+        ground, records = _two_records()
+        with pytest.raises(ValidationError, match=match) as built:
+            Dataset(ground=ground, records=records, labels=labels)
+        doc = dataset_to_obj(Dataset(ground=ground, records=records))
+        with pytest.raises(ValidationError) as read:
+            dataset_from_obj({**doc, "labels": np.asarray(labels, dtype=object).tolist()})
+        assert str(built.value) == str(read.value)
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            pytest.param(np.array([1, -1]), id="int-array"),
+            pytest.param(np.array([1.0, -1.0]), id="float-array"),
+            pytest.param([1.0, -1], id="float-list"),
+            pytest.param((1, -1), id="tuple"),
+        ],
+    )
+    def test_labels_are_held_as_ints_and_read_back_equal(self, tmp_path, labels):
+        ground, records = _two_records()
+        ds = Dataset(ground=ground, records=records, labels=labels)
+        assert ds.labels == [1, -1] and {*map(type, ds.labels)} == {int}
+        write_dataset(ds, tmp_path / "data.json")
+        assert parse_dataset(tmp_path / "data.json") == ds
+        assert ds != Dataset(ground=ground, records=records)
+
+    def test_write_refuses_an_attribute_that_is_no_fuzzy_set(self, tmp_path):
+        with pytest.raises(ValidationError, match="not a fuzzy attribute: 1.0"):
+            write_dataset(Dataset(ground=None, records=[(1.0,)]), tmp_path / "data.json")
+
+
 def _parsed(obj):
     """``dataset_from_obj(obj)`` with the repr of every degree and array the sets
     hold (so 1 and 1.0, a dtype or a writeable flag differ), or the type and

@@ -240,7 +240,7 @@ class TestMatrixFile:
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("not-a-number\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="bad matrix file header"):
             read_matrix(path)
 
     @pytest.mark.parametrize(

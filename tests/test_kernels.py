@@ -202,7 +202,7 @@ class TestWeightedCrossProduct:
 
     def test_weight_count_must_match_the_ground(self, line_ground):
         x = DiscreteFuzzySet(line_ground, {0: 1.0})
-        with pytest.raises(ValueError, match="one weight per ground point"):
+        with pytest.raises(ValidationError, match="one weight per ground point"):
             weighted_cross_product_kernel(x, x, LinearKernel(), LinearKernel(), [1.0, 1.0])
 
     def test_matches_bruteforce(self, line_ground):
@@ -359,7 +359,7 @@ class TestNonsingletonGaussian:
     def test_dimension_mismatch(self):
         x = GaussianFuzzySet([0.0], [1.0])
         y = GaussianFuzzySet([0.0, 0.0], [1.0, 1.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="dimension mismatch: 1 vs 2"):
             nonsingleton_gaussian_kernel(x, y)
 
     def test_monotone_in_mean_gap(self):
@@ -390,7 +390,7 @@ class TestRatioDistance:
 
     def test_both_empty_rejected(self, line_ground):
         x = DiscreteFuzzySet(line_ground, {})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="undefined for two empty fuzzy sets"):
             ratio_distance(x, x)
 
     def test_breaks_the_triangle_inequality(self, line_ground):

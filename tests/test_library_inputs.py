@@ -5,10 +5,13 @@ the base kernels is set, one at a time, to a string, a bool, None, NaN, inf, a
 nested list or a ragged list.  In a label vector or a matrix the first entry
 takes the string, bool, None, NaN or inf; the whole value is nested one level
 deeper, and the last row (or, for a vector, the first entry) is made ragged.
-Every argument that takes an object (a spec's ``tnorm``, ``k1``, ``k2`` and
-``metric``, the ``item_ids`` of ``compute_gram`` and ``GramMatrix`` and a
-model's ``coefficients``) is set to a string, a number, None unless None is its
+Every argument that takes an object (a spec's ``family``, ``tnorm``, ``k1``,
+``k2`` and ``metric``, the ``spec`` of the engine's entry points, the
+``item_ids`` of ``compute_gram`` and ``GramMatrix``, and ``predict``'s model
+and its ``coefficients``) is set to a string, a number, None unless None is its
 default, and a 2-D array; ``item_ids`` also to a list of the wrong length.
+Every list of records (``compute_gram``'s data and the two MMD samples) is set
+to a string, a number, None and an iterator over its records.
 Each call must raise ValidationError, or NumericError for a non-finite matrix
 entry, naming the argument or its element, with no warning and no value.
 An integer argument also takes a numpy integer above 2**53, which must act as
@@ -37,6 +40,7 @@ from fuzzykernels import (
     check_psd,
     compute_gram,
     cross_validate,
+    evaluate,
     fit,
     mmd_permutation_test,
     mmd_statistic,
@@ -59,7 +63,8 @@ POINTS = [[0.0, 1.0], [1.0, 0.5]]
 # (entry point, call on keyword arguments, valid arguments, {argument: kind}); a "matrix" argument
 # raises NumericError on a non-finite entry, and a "held" one keeps it, so it is not given one here;
 # an "integer" argument is a "number" that must be integral; an "object" argument takes neither a number nor
-# None, an "optional" one takes None as its default, and "ids" are "optional" and one per item
+# None, an "optional" one takes None as its default, and "ids" are "optional" and one per item; "items" is a
+# list of records
 ENTRY_POINTS = [
     ("fit", fit, dict(gram=EYE2, labels=[1, -1], regularization=1.0),
      {"gram": "matrix", "labels": "labels", "regularization": "number"}),
@@ -91,6 +96,13 @@ ENTRY_POINTS = [
      {"metric": "object"}),
     ("compute_gram", lambda item_ids: compute_gram([*SAMPLES[0], *SAMPLES[1]], SPEC, item_ids),
      dict(item_ids=["a", "b"]), {"item_ids": "ids"}),
+    ("compute_gram", compute_gram, dict(data=[*SAMPLES[0], *SAMPLES[1]], spec=SPEC),
+     {"data": "items", "spec": "object"}),
+    ("mmd_permutation_test", mmd_permutation_test, dict(sample_a=SAMPLES[0], sample_b=SAMPLES[1], spec=SPEC),
+     {"sample_a": "items", "sample_b": "items", "spec": "object"}),
+    ("evaluate", evaluate, dict(spec=SPEC, x=SAMPLES[0][0], y=SAMPLES[1][0]), {"spec": "object"}),
+    ("FuzzyKernelSpec", FuzzyKernelSpec, dict(family="nonsingleton_gaussian"), {"family": "object"}),
+    ("predict", lambda model: predict(model, [[0.5, 0.5]]), dict(model=MODEL), {"model": "object"}),
     ("predict", lambda coefficients: predict(DualModel(coefficients), [[0.5, 0.5]]), dict(coefficients=[1.0, 2.0]),
      {"coefficients": "object"}),
     ("PolynomialKernel", PolynomialKernel, dict(coef0=1.0, gamma=1.0, degree=2),
@@ -115,6 +127,9 @@ def _hostile(value, kind):
             yield "none", None
         if kind == "ids":
             yield "short", value[:-1]
+        return
+    if kind == "items":
+        yield from [("string", "min"), ("number", 3), ("none", None), ("iterator", iter(value))]
         return
     for change, x in [("string", str(np.ravel(value)[0])), ("bool", True), ("none", None), ("nan", math.nan), ("inf", math.inf)]:
         if kind != "held" or change not in ("nan", "inf"):

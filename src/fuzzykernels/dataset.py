@@ -187,6 +187,8 @@ def _attribute_to_obj(attr):
 
 
 def dataset_to_obj(ds: Dataset) -> dict:
+    if not isinstance(ds, Dataset):
+        raise ValidationError(f"ds must be a Dataset, got {ds!r}")
     obj: dict = {}
     if ds.ground is not None:
         gobj: dict = {"points": ds.ground.points.tolist()}
@@ -204,6 +206,8 @@ def dataset_to_obj(ds: Dataset) -> dict:
 
 
 def write_dataset(ds: Dataset, path) -> None:
-    """Write ``ds`` to ``path`` as compact JSON plus a newline."""
+    """Write ``ds`` to ``path`` as compact JSON plus a newline; a ``ds`` that
+    is no Dataset raises ValidationError before the file is opened."""
+    text = json.dumps(dataset_to_obj(ds)) + "\n"
     with open(path, "w") as fh:
-        fh.write(json.dumps(dataset_to_obj(ds)) + "\n")
+        fh.write(text)

@@ -196,8 +196,10 @@ def read_matrix(path) -> np.ndarray:
     if not (header.strip().isascii() and header.strip().isdigit()):  # int() takes any Unicode digit
         raise ValidationError(f"bad matrix file header {header!r}")
     n = int(header)
-    # loadtxt warns on a body without data, which only n = 0 may have
-    m = np.loadtxt(body.splitlines(), ndmin=2, comments=None) if body.strip() else np.zeros((0, 0))
+    try:  # loadtxt warns on a body without data, which only n = 0 may have
+        m = np.loadtxt(body.splitlines(), ndmin=2, comments=None) if body.strip() else np.zeros((0, 0))
+    except ValueError as exc:  # an entry that is not a number, or rows of different lengths
+        raise ValidationError(f"bad matrix file body: {exc}") from exc
     if m.shape != (n, n):
         raise ValidationError(f"matrix file header says {n}, but the body is {m.shape[0]} x {m.shape[1]}")
     return m

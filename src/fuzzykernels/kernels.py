@@ -18,9 +18,9 @@ nonsingleton / nonsingleton_gaussian
     supremum has the closed form
     ``prod_d exp(-(m_d - m'_d)^2 / (2 (sigma_d^2 + sigma'_d^2)))``.
 distance_inner / distance_poly / distance_gaussian
-    Distance substitution kernels built from a distance between fuzzy sets,
-    by default the ratio distance ``sum|X-Y| / sum(X+Y)``, which is no metric:
-    it breaks the triangle inequality.
+    Distance substitution kernels built from a distance between fuzzy sets:
+    in a spec the ratio distance ``sum|X-Y| / sum(X+Y)``, which is no metric
+    (it breaks the triangle inequality); the scalar references take any ``d``.
 
 Which Grams are PSD (positive semidefinite), for base kernels in ``_RANGES``.  A record's kernel, the
 product of its attributes', is PSD where each is (Schur's product theorem).
@@ -42,8 +42,9 @@ the one pair of a two-item block.  Each family computes a block in arrays:
 intersection and non-singleton join the support entries that share a ground
 point, so their work follows sum |supp x & supp y|; the cross product takes
 the gemm ``M K1 M^T`` for a linear ``k2`` and a finite ``K1``, and a sum over
-support pairs otherwise; the distance families loop over pairs only for a
-user metric.  The arithmetic has a fixed order, so repeated evaluations are
+support pairs otherwise; the distance families take ``|X - Y|_1`` by
+broadcasting each band of rows against the columns over the active ground
+points.  The arithmetic has a fixed order, so repeated evaluations are
 bit-identical.
 """
 
@@ -347,6 +348,9 @@ class FuzzyKernelSpec:
     * distance_inner: ``metric``, ``reference`` (required: one fuzzy set, or one per attribute);
     * distance_poly: ``metric``, ``reference``, ``coef0``, ``gamma``, ``degree``;
     * distance_gaussian: ``metric``, ``gamma``.
+
+    ``metric`` is ``"ratio"`` only, the one distance the engine computes; a
+    general distance ``d`` goes to the scalar references, such as :func:`distance_inner`.
     """
 
     family: str
@@ -354,7 +358,7 @@ class FuzzyKernelSpec:
     k2: BaseKernel | None = None
     tnorm: TNorm | None = None
     weights: tuple[float, ...] | None = None
-    metric: Union[str, Metric] = "ratio"
+    metric: str = "ratio"
     reference: tuple[DiscreteFuzzySet, ...] | None = None
     coef0: float = 0.0
     gamma: float = 1.0
@@ -388,7 +392,7 @@ class FuzzyKernelSpec:
             if not isinstance(refs, Sequence) or not refs:
                 raise ValidationError(f"{self.family} needs one reference fuzzy set or a non-empty list")
             object.__setattr__(self, "reference", tuple(refs))
-        if not (callable(self.metric) or isinstance(self.metric, str) and self.metric == "ratio"):
+        if not (isinstance(self.metric, str) and self.metric == "ratio"):
             raise ValidationError(f"unknown metric {self.metric!r}; only 'ratio' is built in")
 
 
@@ -672,22 +676,9 @@ def _gaussian_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _Pairs
 
 
 def _distance_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _Pairs) -> np.ndarray:
+    """The family's kernel of the ratio distance ``|X - Y|_1 / (|X|_1 + |Y|_1)``, rows against columns."""
     refs = spec.reference
     ref = None if refs is None else refs[0] if len(refs) == 1 else refs[slot]
-    if isinstance(spec.metric, str):
-        d, d0 = _ratio_distances(attrs, ref, pairs)
-    else:
-        d, d0 = _metric_distances(spec.metric, attrs, ref, pairs)
-    if ref is None:  # distance_gaussian
-        return np.exp(-spec.gamma * d**2)
-    # distance_inner keeps coef0 = 0, gamma = 1 and degree = 1, which leave every bit of inner as it is
-    inner = 0.5 * (d0[pairs.rows, None] ** 2 + d0[None, pairs.cols] ** 2 - d**2)
-    return (spec.coef0 + spec.gamma * inner) ** spec.degree
-
-
-def _ratio_distances(attrs: list, ref: DiscreteFuzzySet | None, pairs: _Pairs):
-    """Ratio distance ``|X - Y|_1 / (|X|_1 + |Y|_1)`` between rows and columns,
-    and from each item to ``ref``."""
     cols, _, m = _dense(_discrete(attrs, pairs, ref)[1])
     s = m.sum(axis=1)
     # against an empty reference, one empty item of a pair is enough to fail
@@ -699,28 +690,12 @@ def _ratio_distances(attrs: list, ref: DiscreteFuzzySet | None, pairs: _Pairs):
         c0 = pairs.start(a)
         d[a:b, c0:] = np.abs(mx[a:b, None, :] - my[None, c0:, :]).sum(axis=-1)
     d /= s[pairs.rows, None] + s[None, pairs.cols]
-    return d, None if ref is None else np.abs(m - m[-1]).sum(axis=1) / (s + s[-1])
-
-
-def _metric_distances(metric: Metric, attrs: list, ref, pairs: _Pairs):
-    """A user metric is opaque Python: one call per pair, and one per item to
-    ``ref`` at the item's first pair, made in pair order so that a failure
-    names its pair."""
-    d = np.zeros(pairs.shape)
-    d0 = np.zeros(len(attrs))
-    seen = np.full(len(attrs), ref is None)  # with no reference, no item is measured against one
-    for i in range(pairs.shape[0]):
-        for j in range(pairs.start(i), pairs.shape[1]):
-            q = pairs.cols.start + j
-            try:
-                for k in (i, q):
-                    if not seen[k]:
-                        d0[k] = metric(attrs[k], ref)
-                        seen[k] = True
-                d[i, j] = metric(attrs[i], attrs[q])
-            except Exception as exc:
-                raise ValidationError(f"kernel evaluation failed for {pairs.name(i, j)}: {exc}") from exc
-    return d, d0
+    if ref is None:  # distance_gaussian
+        return np.exp(-spec.gamma * d**2)
+    d0 = np.abs(m - m[-1]).sum(axis=1) / (s + s[-1])  # each item's distance to the reference, last in m
+    # distance_inner keeps coef0 = 0, gamma = 1 and degree = 1, which leave every bit of inner as it is
+    inner = 0.5 * (d0[pairs.rows, None] ** 2 + d0[None, pairs.cols] ** 2 - d**2)
+    return (spec.coef0 + spec.gamma * inner) ** spec.degree
 
 
 # the one place that knows what a family is: its batch function, the spec

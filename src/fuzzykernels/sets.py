@@ -281,6 +281,8 @@ def fuzzify_from_histogram(samples: Sequence[float], ground: GroundSpace) -> Dis
     of the support.
     """
     vals = _numbers(samples, "samples")
+    if not isinstance(ground, GroundSpace):
+        raise ValidationError(f"ground must be a GroundSpace, got {ground!r}")
     if vals.size == 0:
         raise ValidationError("cannot fuzzify an empty sample list")
     if ground.dim != 1:
@@ -328,6 +330,10 @@ def support_cells(fs: DiscreteFuzzySet, partition: Partition) -> set[int]:
     """Indices of the partition cells entirely contained in ``supp(fs)``.  A
     partition that is not the ground space's own (or, when the ground carries
     none, one that does not cover its indices) raises ValidationError."""
+    if not isinstance(fs, DiscreteFuzzySet):
+        raise ValidationError(f"fs must be a DiscreteFuzzySet, got {fs!r}")
+    if not isinstance(partition, Partition):
+        raise ValidationError(f"partition must be a Partition, got {partition!r}")
     own = fs.ground.partition
     if partition.size != len(fs.ground) or (own is not None and partition != own):
         raise ValidationError("partition does not belong to the fuzzy sets' ground space")

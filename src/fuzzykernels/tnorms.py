@@ -61,7 +61,7 @@ def apply_array(t: TNorm, a, b) -> np.ndarray:
         # the case split demands exact boundary comparison; degrees are
         # never clamped
         return np.where(np.equal(b, 1.0), a, np.where(np.equal(a, 1.0), b, 0.0))
-    raise TypeError(f"not a TNorm: {t!r}")
+    raise ValidationError(f"t must be a TNorm, got {t!r}")
 
 
 def intersect(x: DiscreteFuzzySet, y: DiscreteFuzzySet, t: TNorm) -> DiscreteFuzzySet:
@@ -71,6 +71,9 @@ def intersect(x: DiscreteFuzzySet, y: DiscreteFuzzySet, t: TNorm) -> DiscreteFuz
     dropped, so the support is where T is positive, within supp(x) & supp(y).
     The reference intersection and non-singleton kernels build on it.
     """
+    for name, fs in (("x", x), ("y", y)):
+        if not isinstance(fs, DiscreteFuzzySet):
+            raise ValidationError(f"{name} must be a DiscreteFuzzySet, got {fs!r}")
     _check_same_ground(x, y)
     common = sorted(x.support & y.support)
     values = apply_array(t, [x.degrees[i] for i in common], [y.degrees[i] for i in common])

@@ -196,6 +196,13 @@ class TestLabels:
         with pytest.raises(ValidationError, match="not a fuzzy attribute: 1.0"):
             write_dataset(Dataset(ground=None, records=[(1.0,)]), tmp_path / "data.json")
 
+    @pytest.mark.parametrize("ds", [None, Dataset(ground=None, records=[(1.0,)])], ids=["none", "bad-attribute"])
+    def test_write_opens_no_file_for_a_bad_dataset(self, tmp_path, ds):
+        # the file was opened, and left empty, before the dataset was read
+        with pytest.raises(ValidationError):
+            write_dataset(ds, tmp_path / "data.json")
+        assert not (tmp_path / "data.json").exists()
+
 
 def _parsed(obj):
     """``dataset_from_obj(obj)`` with the repr of every degree and array the sets

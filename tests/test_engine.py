@@ -37,6 +37,7 @@ from fuzzykernels import (
     nonsingleton_gaussian_kernel,
     nonsingleton_kernel,
     ratio_distance,
+    spec_from_config,
     weighted_cross_product_kernel,
 )
 
@@ -244,31 +245,28 @@ def test_nonsingleton_gaussian(seed, dim, n_records, n_attrs, log_mean, log_widt
 @given(
     family=st.sampled_from(["distance_inner", "distance_poly", "distance_gaussian"]),
     per_slot=st.booleans(),
-    user_metric=st.booleans(),
     **shapes,
 )
-def test_distance_families(family, per_slot, user_metric, seed, n_points, n_records, n_attrs, budget):
+def test_distance_families(family, per_slot, seed, n_points, n_records, n_attrs, budget):
     rng = np.random.default_rng(seed)
     ground, data = discrete_data(rng, n_points, n_records, n_attrs, allow_empty=False)
     refs = tuple(random_set(rng, ground, allow_empty=False) for _ in range(n_attrs if per_slot else 1))
-    # the brute-force ratio metric, passed as a callable, takes the per-pair loop
-    metric = oracles.bf_ratio_distance if user_metric else "ratio"
     ref = lambda s: refs[s if per_slot else 0]
     d = ratio_distance
     # the inner product 0.5 (d(x,r)^2 + d(y,r)^2 - d(x,y)^2) can cancel
     term_size = lambda x, y, s: 0.5 * (d(x, ref(s)) ** 2 + d(y, ref(s)) ** 2 + d(x, y) ** 2)
     size = None
     if family == "distance_gaussian":
-        spec = FuzzyKernelSpec(family=family, metric=metric, gamma=1.5)
+        spec = FuzzyKernelSpec(family=family, gamma=1.5)
         scalar = lambda x, y, s: distance_gaussian_kernel(x, y, gamma=1.5)
         oracle = lambda x, y, s: np.exp(-1.5 * oracles.bf_ratio_distance(x, y) ** 2)
     elif family == "distance_inner":
-        spec = FuzzyKernelSpec(family=family, metric=metric, reference=refs)
+        spec = FuzzyKernelSpec(family=family, reference=refs)
         scalar = lambda x, y, s: distance_inner(x, y, ref(s))
         oracle = lambda x, y, s: distance_inner(x, y, ref(s), oracles.bf_ratio_distance)
         size = term_size
     else:
-        spec = FuzzyKernelSpec(family=family, metric=metric, reference=refs, coef0=1.0, gamma=0.5, degree=3)
+        spec = FuzzyKernelSpec(family=family, reference=refs, coef0=1.0, gamma=0.5, degree=3)
         scalar = lambda x, y, s: distance_polynomial_kernel(x, y, ref(s), coef0=1.0, gamma=0.5, degree=3)
         oracle = lambda x, y, s: (1.0 + 0.5 * distance_inner(x, y, ref(s), oracles.bf_ratio_distance)) ** 3
         size = lambda x, y, s: (1.0 + 0.5 * term_size(x, y, s)) ** 3
@@ -588,57 +586,14 @@ def test_both_empty_ratio_distance_names_pair(line):
         compute_gram([full, empty, full, empty], spec, item_ids=IDS)
 
 
-class TwoArgError(Exception):
-    def __init__(self, where, what):
-        super().__init__(f"{where}: {what}")
-
-
-def test_user_metric_error_keeps_its_cause(line):
-    def metric(x, y):
-        if 2 in x.support or 2 in y.support:
-            raise TwoArgError("metric", "point 2 is not allowed")
-        return 0.5
-
-    data = [DiscreteFuzzySet(line, {i: 1.0}) for i in range(3)]
-    spec = FuzzyKernelSpec(family="distance_gaussian", metric=metric)
-    with pytest.raises(ValidationError, match=r"pair \(a, c\): metric: point 2 is not allowed") as info:
-        compute_gram(data, spec, item_ids=IDS[:3])
-    assert isinstance(info.value.__cause__, TwoArgError)
-
-
-def test_user_metric_call_order(line):
-    # a user metric is called once per computed pair, in row-major
-    # (upper-triangle) order, and once per item against the reference, at
-    # that item's first pair
-    sets = {f"s{k}": DiscreteFuzzySet(line, {k % 3: 0.25 + 0.05 * k, (k + 1) % 3: 0.5}) for k in range(9)}
-    ref = DiscreteFuzzySet(line, {1: 1.0})
-    name = {id(fs): key for key, fs in sets.items()} | {id(ref): "ref"}
-    calls = []
-
-    def metric(x, y):
-        calls.append((name[id(x)], name[id(y)]))
-        return ratio_distance(x, y)
-
-    def expected(rows, cols, gram):
-        seen, out = set(), []
-        for i, x in enumerate(rows):
-            for y in cols[i if gram else 0:]:
-                for item in (x, y):
-                    if item not in seen:
-                        seen.add(item)
-                        out.append((item, "ref"))
-                out.append((x, y))
-        return out
-
-    spec = FuzzyKernelSpec(family="distance_inner", metric=metric, reference=ref)
-    data = list(sets.values())
-    keys = list(sets)
-    compute_gram(data[:5], spec)
-    assert calls == expected(keys[:5], keys[:5], gram=True)
-    calls.clear()
-    rect(spec, data[:4], data[4:], keys[:4], keys[4:])
-    assert calls == expected(keys[:4], keys[4:], gram=False)
-    assert len(calls) == 4 * 5 + 9
+@pytest.mark.parametrize("family", ["distance_inner", "distance_gaussian"])
+def test_metric_is_the_ratio_distance_only(line, family):
+    # the engine computes the ratio distance alone; a callable, even the
+    # brute-force ratio metric, is refused, and configs may still spell the default
+    ref = {"reference": DiscreteFuzzySet(line, {1: 1.0})} if family == "distance_inner" else {}
+    with pytest.raises(ValidationError, match=r"unknown metric .*; only 'ratio' is built in"):
+        FuzzyKernelSpec(family=family, metric=oracles.bf_ratio_distance, **ref)
+    assert spec_from_config({"family": "distance_gaussian", "metric": "ratio"}) == FuzzyKernelSpec("distance_gaussian")
 
 
 @pytest.mark.parametrize("empty", ["rows", "columns"])

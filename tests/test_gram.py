@@ -243,6 +243,13 @@ class TestMatrixFile:
         with pytest.raises(ValidationError, match="bad matrix file header"):
             read_matrix(path)
 
+    def test_bad_entry(self, tmp_path):
+        # numpy's own ValueError once came through as it is; its position text stays
+        path = tmp_path / "bad.txt"
+        path.write_text("2\n1 2\n3 x\n")
+        with pytest.raises(ValidationError, match=r"bad matrix file body: .*'x'.* at row 1, column 2"):
+            read_matrix(path)
+
     @pytest.mark.parametrize(
         "text",
         [

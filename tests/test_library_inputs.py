@@ -7,9 +7,11 @@ takes the string, bool, None, NaN or inf; the whole value is nested one level
 deeper, and the last row (or, for a vector, the first entry) is made ragged.
 Every argument that takes an object (a spec's ``family``, ``tnorm``, ``k1``,
 ``k2`` and ``metric``, the ``spec`` of the engine's entry points, the
-``item_ids`` of ``compute_gram`` and ``GramMatrix``, and ``predict``'s model
-and its ``coefficients``) is set to a string, a number, None unless None is its
-default, and a 2-D array; ``item_ids`` also to a list of the wrong length.
+``item_ids`` of ``compute_gram`` and ``GramMatrix``, ``predict``'s model and
+its ``coefficients``, the T-norm and the sets of the tnorms functions, the
+ground, set and partition of the sets functions, and the dataset writer's
+dataset) is set to a string, a number, None unless None is its default, and a
+2-D array; ``item_ids`` also to a list of the wrong length.
 Every list of records (``compute_gram``'s data and the two MMD samples) is set
 to a string, a number, None and an iterator over its records.
 Each call must raise ValidationError, or NumericError for a non-finite matrix
@@ -27,12 +29,16 @@ import numpy as np
 import pytest
 
 from fuzzykernels import (
+    Dataset,
+    DiscreteFuzzySet,
     DualModel,
     FuzzyKernelSpec,
     GaussianFuzzySet,
     GramMatrix,
+    GroundSpace,
     LinearKernel,
     NumericError,
+    Partition,
     PolynomialKernel,
     RBFKernel,
     TNorm,
@@ -40,13 +46,17 @@ from fuzzykernels import (
     check_psd,
     compute_gram,
     cross_validate,
+    dataset_to_obj,
     evaluate,
     fit,
+    fuzzify_from_histogram,
     mmd_permutation_test,
     mmd_statistic,
     normalize,
     predict,
+    support_cells,
     tnorms,
+    write_dataset,
     write_matrix,
 )
 from fuzzykernels.errors import _number
@@ -59,6 +69,8 @@ MODEL = fit(np.eye(2), [1, -1], 1.0)
 SAMPLES = [GaussianFuzzySet([0.0], [1.0])], [GaussianFuzzySet([1.0], [1.0])]
 SPEC = FuzzyKernelSpec(family="nonsingleton_gaussian")
 POINTS = [[0.0, 1.0], [1.0, 0.5]]
+GROUND = GroundSpace([[0.0], [1.0]], Partition([[0], [1]]))
+SET = DiscreteFuzzySet(GROUND, {0: 1.0})
 
 # (entry point, call on keyword arguments, valid arguments, {argument: kind}); a "matrix" argument
 # raises NumericError on a non-finite entry, and a "held" one keeps it, so it is not given one here;
@@ -82,6 +94,14 @@ ENTRY_POINTS = [
     ("normalize", normalize, dict(g=EYE2), {"g": "matrix"}),
     ("write_matrix", lambda g: write_matrix(os.devnull, g), dict(g=EYE2), {"g": "held"}),
     ("tnorms.apply", lambda a, b: tnorms.apply(TNorm.MINIMUM, a, b), dict(a=0.5, b=0.5), {"a": "number", "b": "number"}),
+    ("tnorms.apply", lambda t: tnorms.apply(t, 0.5, 0.5), dict(t=TNorm.MINIMUM), {"t": "object"}),
+    ("tnorms.apply_array", lambda t: tnorms.apply_array(t, [0.5], [0.5]), dict(t=TNorm.MINIMUM), {"t": "object"}),
+    ("tnorms.intersect", tnorms.intersect, dict(x=SET, y=SET, t=TNorm.MINIMUM),
+     {"x": "object", "y": "object", "t": "object"}),
+    ("fuzzify_from_histogram", fuzzify_from_histogram, dict(samples=[1.0], ground=GROUND), {"ground": "object"}),
+    ("support_cells", support_cells, dict(fs=SET, partition=GROUND.partition), {"fs": "object", "partition": "object"}),
+    ("dataset_to_obj", dataset_to_obj, dict(ds=Dataset(GROUND, [(SET,)])), {"ds": "object"}),
+    ("write_dataset", lambda ds: write_dataset(ds, os.devnull), dict(ds=Dataset(GROUND, [(SET,)])), {"ds": "object"}),
     *(
         (f"{kernel.__name__}.pairwise", lambda U, V, k=kernel: k().pairwise(U, V), dict(U=POINTS, V=POINTS),
          {"U": "points", "V": "points"})

@@ -6,6 +6,7 @@ from fuzzykernels import (
     GroundSpace,
     Partition,
     TNorm,
+    ValidationError,
     apply,
     intersect,
     intersection_kernel,
@@ -39,7 +40,7 @@ class TestApply:
             apply(t, 0.5, bad)
 
     def test_rejects_a_name_for_a_tnorm(self):
-        with pytest.raises(TypeError, match="not a TNorm"):
+        with pytest.raises(ValidationError, match="t must be a TNorm, got 'min'"):
             apply("min", 0.5, 0.5)
 
     def test_from_name_aliases(self):

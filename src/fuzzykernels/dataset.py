@@ -23,7 +23,7 @@ Gaussian data — "ground_space" are optional.
 
 Records are checked one attribute slot (attribute j of every record) at a time, or
 one by one where that declines; an error names the first bad record in row-major order.
-:class:`Dataset` checks the labels itself, so one built in code holds no labels the reader refuses.
+:class:`Dataset` checks its records and labels itself, so one built in code holds nothing the reader refuses.
 """
 
 from __future__ import annotations
@@ -37,17 +37,48 @@ from .sets import DiscreteFuzzySet, GaussianFuzzySet, GroundSpace, Partition
 __all__ = ["Dataset", "parse_dataset", "dataset_from_obj", "dataset_to_obj", "write_dataset"]
 
 
+def _record(rec, i: int, first: tuple | None, ground: GroundSpace | None) -> tuple:
+    """Record ``i`` as a tuple: a non-empty tuple or list of fuzzy sets with the arity and attribute kinds
+    of ``first`` (None for the first record), each discrete set on ``ground``.  Anything else raises
+    ValidationError naming ``records[i]``, or ``records[i][j]`` for attribute j."""
+    if not isinstance(rec, (tuple, list)) or not rec:
+        raise ValidationError(f"records[{i}]: must be a non-empty list of attributes")
+    rec = tuple(rec)
+    if first is None:
+        first = rec
+        for j, a in enumerate(rec):
+            if type(a) is not DiscreteFuzzySet and type(a) is not GaussianFuzzySet:
+                raise ValidationError(f"records[{i}][{j}]: not a fuzzy attribute: {a!r}")
+    elif len(rec) != len(first):
+        raise ValidationError(f"records[{i}]: has {len(rec)} attributes, expected {len(first)}")
+    for a, kind in zip(rec, first):  # no enumerate: it would take a third of the time
+        if type(a) is not type(kind):
+            row_kinds, kinds = (tuple(type(x).__name__ for x in r) for r in (rec, first))
+            raise ValidationError(f"records[{i}]: attribute kinds {row_kinds} differ from {kinds}")
+        if type(a) is DiscreteFuzzySet and a.ground is not ground and a.ground != ground:
+            j = [x is a for x in rec].index(True)
+            raise ValidationError(f"records[{i}][{j}]: discrete attribute not on the dataset's ground space")
+    return rec
+
+
 @dataclass
 class Dataset:
-    """The ground space (None for purely Gaussian data), the records, each a tuple of attributes, and
-    the labels: None, or one +1 or -1 per record, held as a list of ints.  Any other labels raise
-    ValidationError with the reader's messages."""
+    """The ground space (None for purely Gaussian data), the records, and the labels: None, or one
+    +1 or -1 per record, held as a list of ints.  The records are a non-empty list, each record a tuple
+    or list of fuzzy sets, held as a tuple, of one arity and one kind per slot, every discrete set on
+    the ground space.  Any other records or labels raise ValidationError naming the record or label."""
 
     ground: GroundSpace | None
     records: list[tuple]
     labels: list[int] | None = None
 
     def __post_init__(self):
+        if self.ground is not None and not isinstance(self.ground, GroundSpace):
+            raise ValidationError(f"ground must be a GroundSpace or None, got {self.ground!r}")
+        if not isinstance(self.records, list) or not self.records:
+            raise ValidationError(f"records must be a non-empty list of records, got {self.records!r}")
+        first = _record(self.records[0], 0, None, self.ground)
+        self.records = [first] + [_record(r, i, first, self.ground) for i, r in enumerate(self.records[1:], 1)]
         if self.labels is not None:
             self.labels = _labels(self.labels, len(self.records)).astype(int).tolist()
 
@@ -137,16 +168,8 @@ def dataset_from_obj(obj) -> Dataset:
         for i, raw in enumerate(raw_records):
             if not isinstance(raw, list) or not raw:
                 raise ValidationError(f"records[{i}]: must be a non-empty list of attributes")
-            attrs = tuple(
-                _parse_attribute(a, ground, f"records[{i}][{j}]") for j, a in enumerate(raw)
-            )
-            first = records[0] if records else attrs
-            if len(attrs) != len(first):
-                raise ValidationError(f"records[{i}]: has {len(attrs)} attributes, expected {len(first)}")
-            row_kinds, kinds = (tuple(type(a).__name__ for a in r) for r in (attrs, first))
-            if row_kinds != kinds:
-                raise ValidationError(f"records[{i}]: attribute kinds {row_kinds} differ from {kinds}")
-            records.append(attrs)
+            attrs = [_parse_attribute(a, ground, f"records[{i}][{j}]") for j, a in enumerate(raw)]
+            records.append(_record(attrs, i, records[0] if records else None, ground))
     return Dataset(ground=ground, records=records, labels=obj.get("labels"))
 
 

@@ -1,5 +1,5 @@
-"""Desk-scale consumers of the kernels: a dual-form ridge classifier for
-noisy/fuzzified supervised data, and an MMD permutation two-sample test."""
+"""Desk-scale consumers of the kernels: a dual-form ridge classifier for noisy/fuzzified
+supervised data, whose model is its coefficient vector, and an MMD permutation two-sample test."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from .gram import GramMatrix, _as_matrix, _items, compute_gram
 from .kernels import FuzzyKernelSpec, Record
 
 __all__ = [
-    "DualModel",
     "MmdResult",
     "fit",
     "predict",
@@ -27,14 +26,6 @@ RNG_NAME = "numpy-pcg64"
 _NULL_BLOCK_ELEMENTS = 1 << 16  # in a block's 4 N-wide MMD temporaries
 # a p-value of 1e-6 is fine enough for any test; 10**6 replicas take ~3 s at N = 120, and time grows as N^2
 _MAX_PERMUTATIONS = 10**6
-
-
-@dataclass
-class DualModel:
-    """Kernel ridge classifier in dual form: decision value is cross @ coefficients, one
-    coefficient per training item in the training Gram's order, which ``cross``'s columns follow."""
-
-    coefficients: np.ndarray
 
 
 @dataclass
@@ -73,8 +64,9 @@ def _signs(cross: np.ndarray, coef: np.ndarray) -> np.ndarray:
     return np.where(values >= 0.0, 1, -1)
 
 
-def fit(gram: GramMatrix, labels, regularization: float) -> DualModel:
-    """Solve ``(G + lambda I) c = y`` for the dual coefficients.
+def fit(gram: GramMatrix, labels, regularization: float) -> np.ndarray:
+    """The model: the dual coefficients ``c`` solving ``(G + lambda I) c = y``, one per training item
+    in the training Gram's order, which the columns of :func:`predict`'s ``cross`` follow.
 
     Labels are +/-1 and treated as centered, so the model has no bias term.
     An empty Gram raises ValidationError; a non-finite entry or a singular system, NumericError.
@@ -83,16 +75,15 @@ def fit(gram: GramMatrix, labels, regularization: float) -> DualModel:
     g = _as_matrix(gram, "gram")
     if not g.size:
         raise ValidationError("gram must be non-empty, got 0 x 0")
-    return DualModel(coefficients=_dual_solve(g, _labels(labels, g.shape[0]), regularization))
+    return _dual_solve(g, _labels(labels, g.shape[0]), regularization)
 
 
-def predict(model: DualModel, cross) -> np.ndarray:
-    """Sign of the decision values for a test-by-train kernel matrix ``cross[i, j] = k(test_i, train_j)``,
-    whose columns follow the training Gram's item order: ``compute_gram([*train, *test], spec)``'s
-    ``values[len(train):, :len(train)]``.  sign(0) is +1 so predictions are deterministic."""
-    if not isinstance(model, DualModel):
-        raise ValidationError(f"model must be a DualModel, got {model!r}")
-    coef = _numbers(model.coefficients, "coefficients")
+def predict(coefficients, cross) -> np.ndarray:
+    """Sign of the decision values ``cross @ coefficients``, for :func:`fit`'s coefficients and a
+    test-by-train kernel matrix ``cross[i, j] = k(test_i, train_j)`` whose columns follow the training
+    Gram's item order: ``compute_gram([*train, *test], spec)``'s ``values[len(train):, :len(train)]``.
+    sign(0) is +1 so predictions are deterministic."""
+    coef = _numbers(coefficients, "coefficients")
     if coef.ndim != 1:
         raise ValidationError(f"coefficients must be a flat vector, got shape {coef.shape}")
     c, k = np.atleast_2d(_as_matrix(cross, "cross", square=False)), coef.shape[0]

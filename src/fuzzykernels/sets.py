@@ -281,6 +281,8 @@ def fuzzify_from_histogram(samples: Sequence[float], ground: GroundSpace) -> Dis
     of the support.
     """
     vals = _numbers(samples, "samples")
+    if vals.ndim != 1:
+        raise ValidationError(f"samples must be a flat list of numbers, got shape {vals.shape}")
     if not isinstance(ground, GroundSpace):
         raise ValidationError(f"ground must be a GroundSpace, got {ground!r}")
     if vals.size == 0:

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from fuzzykernels import dataset, sets
+from fuzzykernels import cli, dataset, sets
 from fuzzykernels import (
     Dataset,
     DiscreteFuzzySet,
@@ -149,6 +149,13 @@ def _two_records():
     return ground, [(DiscreteFuzzySet(ground, {0: 1.0}),), (DiscreteFuzzySet(ground, {1: 0.5}),)]
 
 
+def _mutated_to_a_float():
+    """A Dataset whose records were set, after it was built, to one whose attribute is no fuzzy set."""
+    ds = Dataset(ground=None, records=[(GaussianFuzzySet([0.0], [1.0]),)])
+    ds.records = [(1.0,)]
+    return ds
+
+
 class TestLabels:
     """A Dataset checks its own labels by the reader's rule, so no Dataset holds labels that
     ``write_dataset`` would write and ``parse_dataset`` refuse."""
@@ -196,12 +203,107 @@ class TestLabels:
         with pytest.raises(ValidationError, match="not a fuzzy attribute: 1.0"):
             write_dataset(Dataset(ground=None, records=[(1.0,)]), tmp_path / "data.json")
 
-    @pytest.mark.parametrize("ds", [None, Dataset(ground=None, records=[(1.0,)])], ids=["none", "bad-attribute"])
+    @pytest.mark.parametrize("ds", [lambda: None, _mutated_to_a_float], ids=["none", "bad-attribute"])
     def test_write_opens_no_file_for_a_bad_dataset(self, tmp_path, ds):
         # the file was opened, and left empty, before the dataset was read
         with pytest.raises(ValidationError):
-            write_dataset(ds, tmp_path / "data.json")
+            write_dataset(ds(), tmp_path / "data.json")
         assert not (tmp_path / "data.json").exists()
+
+
+def _fuzzified(method):
+    """The Dataset that ``fuzzify`` builds from TABLE by ``method``, caught before it is written."""
+
+    def build(tmp_path, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "write_dataset", lambda ds, path: built.append(ds))
+        (tmp_path / "table.csv").write_text(TABLE)
+        out = tmp_path / "out.json"
+        assert main(["fuzzify", "--data", str(tmp_path / "table.csv"), "--out", str(out), "--method", *method]) == 0
+        return built[0]
+
+    return build
+
+
+def _code_built(**kwargs):
+    return lambda tmp_path, monkeypatch: Dataset(**kwargs)
+
+
+_GROUND = GroundSpace([[0.0], [1.0], [2.0]])
+_PARTITIONED = GroundSpace([[0.0], [1.0], [2.0]], Partition([[0, 1], [2]], [2.0, 0.5]))
+_G = [GaussianFuzzySet([0.0, 1.0], [0.5, 1.0]), GaussianFuzzySet([1.5, -1.0], [2.0, 0.25])]
+
+ROUND_TRIPS = [
+    *(
+        pytest.param(lambda tmp_path, monkeypatch, n=name, s=seed: dataset_from_obj(workloads.generate(n, s).document),
+                     id=f"{name}-{seed}")
+        for name in workloads.NAMES
+        for seed in (1, 7)
+    ),
+    pytest.param(_fuzzified(["gaussian", "--widths", "0.5,2,1"]), id="fuzzify-gaussian"),
+    pytest.param(_fuzzified(["histogram", "--bins", "4"]), id="fuzzify-histogram"),
+    pytest.param(_code_built(ground=None, records=[(_G[0], _G[1]), [_G[1], _G[0]]]), id="gaussian-only"),
+    pytest.param(
+        _code_built(ground=_PARTITIONED, records=[(DiscreteFuzzySet(_PARTITIONED, {0: 1.0, 2: 0.5}),),
+                                                  (DiscreteFuzzySet(_PARTITIONED, {1: 0.25}),)]),
+        id="partitioned",
+    ),
+    pytest.param(
+        _code_built(ground=_GROUND, records=[(DiscreteFuzzySet(_GROUND, {0: 1.0}), _G[0]),
+                                             (DiscreteFuzzySet(_GROUND, {1: 0.5, 2: 1.0}), _G[1])]),
+        id="two-slot",
+    ),
+    pytest.param(
+        _code_built(ground=_GROUND, records=[(DiscreteFuzzySet(_GROUND, {0: 1.0}),),
+                                             (DiscreteFuzzySet(_GROUND, {2: 0.75}),)], labels=np.array([-1.0, 1.0])),
+        id="labelled",
+    ),
+    pytest.param(  # a set on an equal ground that is another object is on the dataset's ground
+        _code_built(ground=_GROUND, records=[(DiscreteFuzzySet(GroundSpace([[0.0], [1.0], [2.0]]), {1: 1.0}),)]),
+        id="equal-ground",
+    ),
+]
+
+
+@pytest.mark.parametrize("build", ROUND_TRIPS)
+def test_every_dataset_that_builds_reads_back_equal(tmp_path, monkeypatch, build):
+    ds = build(tmp_path, monkeypatch)
+    assert type(ds.records) is list and {*map(type, ds.records)} == {tuple}
+    assert dataset_from_obj(dataset_to_obj(ds)) == ds
+    write_dataset(ds, tmp_path / "back.json")
+    assert parse_dataset(tmp_path / "back.json") == ds
+
+
+_SET = DiscreteFuzzySet(_GROUND, {0: 1.0})
+
+
+@pytest.mark.parametrize(
+    "ground, records, match",
+    [
+        pytest.param(_GROUND, 5, r"records must be a non-empty list of records, got 5", id="records-number"),
+        pytest.param(_GROUND, [], r"records must be a non-empty list of records, got \[\]", id="records-empty"),
+        pytest.param(_GROUND, ((_SET,),), r"records must be a non-empty list", id="records-tuple"),
+        pytest.param(_GROUND, [5], r"records\[0\]: must be a non-empty list of attributes", id="record-number"),
+        pytest.param(_GROUND, [(_SET,), ()], r"records\[1\]: must be a non-empty list of attributes",
+                     id="record-empty"),
+        pytest.param(_GROUND, [(5,)], r"records\[0\]\[0\]: not a fuzzy attribute: 5", id="attribute-number"),
+        pytest.param(_GROUND, [(_SET,), (_SET, _SET)], r"records\[1\]: has 2 attributes, expected 1", id="arity"),
+        pytest.param(_GROUND, [(_SET,), (_G[0],)],
+                     r"records\[1\]: attribute kinds \('GaussianFuzzySet',\) differ from \('DiscreteFuzzySet',\)",
+                     id="kinds"),
+        pytest.param(_GROUND, [(_SET,), (5,)], r"records\[1\]: attribute kinds \('int',\)",
+                     id="later-attribute-number"),
+        pytest.param(None, [(_SET,)], r"records\[0\]\[0\]: discrete attribute not on the dataset's ground space",
+                     id="no-ground"),
+        pytest.param(_PARTITIONED, [(_G[0], DiscreteFuzzySet(_PARTITIONED, {0: 1.0})), (_G[1], _SET)],
+                     r"records\[1\]\[1\]: discrete attribute not on the dataset's ground space", id="other-ground"),
+        pytest.param(5, [(_G[0],)], r"ground must be a GroundSpace or None, got 5", id="ground-number"),
+    ],
+)
+def test_a_dataset_the_reader_would_refuse_does_not_build(ground, records, match):
+    # each of these once built, and write_dataset then raised a raw TypeError or wrote a file parse_dataset refuses
+    with pytest.raises(ValidationError, match=match):
+        Dataset(ground=ground, records=records)
 
 
 def _parsed(obj):

@@ -1,17 +1,18 @@
 """Hostile values at the library's entry points.
 
-Every number, label and matrix argument of learn.py, gram.py, tnorms.apply and
-the base kernels is set, one at a time, to a string, a bool, None, NaN, inf, a
-nested list or a ragged list.  In a label vector or a matrix the first entry
-takes the string, bool, None, NaN or inf; the whole value is nested one level
-deeper, and the last row (or, for a vector, the first entry) is made ragged.
+Every number, label, vector and matrix argument of learn.py, gram.py, tnorms.apply,
+the base kernels and the histogram fuzzifier is set, one at a time, to a string, a
+bool, None, NaN, inf, a nested list or a ragged list.  In a label vector, a vector
+or a matrix the first entry takes the string, bool, None, NaN or inf; the whole
+value is nested one level deeper, and the last row (or, for a vector, the first
+entry) is made ragged; a vector (``predict``'s ``coefficients``, the fuzzifier's
+``samples``) is also set to its bare first entry and to a 2-D array.
 Every argument that takes an object (a spec's ``family``, ``tnorm``, ``k1``,
 ``k2`` and ``metric``, the ``spec`` of the engine's entry points, the
-``item_ids`` of ``compute_gram`` and ``GramMatrix``, ``predict``'s model and
-its ``coefficients``, the T-norm and the sets of the tnorms functions, the
-ground, set and partition of the sets functions, and the dataset writer's
-dataset) is set to a string, a number, None unless None is its default, and a
-2-D array; ``item_ids`` also to a list of the wrong length.
+``item_ids`` of ``compute_gram`` and ``GramMatrix``, the T-norm and the sets of
+the tnorms functions, the ground, set and partition of the sets functions, and
+the dataset writer's dataset) is set to a string, a number, None unless None is
+its default, and a 2-D array; ``item_ids`` also to a list of the wrong length.
 Every list of records (``compute_gram``'s data and the two MMD samples) is set
 to a string, a number, None and an iterator over its records.
 Each call must raise ValidationError, or NumericError for a non-finite matrix
@@ -31,7 +32,6 @@ import pytest
 from fuzzykernels import (
     Dataset,
     DiscreteFuzzySet,
-    DualModel,
     FuzzyKernelSpec,
     GaussianFuzzySet,
     GramMatrix,
@@ -76,7 +76,7 @@ SET = DiscreteFuzzySet(GROUND, {0: 1.0})
 # raises NumericError on a non-finite entry, and a "held" one keeps it, so it is not given one here;
 # an "integer" argument is a "number" that must be integral; an "object" argument takes neither a number nor
 # None, an "optional" one takes None as its default, and "ids" are "optional" and one per item; "items" is a
-# list of records
+# list of records, and a "vector" a flat list of numbers
 ENTRY_POINTS = [
     ("fit", fit, dict(gram=EYE2, labels=[1, -1], regularization=1.0),
      {"gram": "matrix", "labels": "labels", "regularization": "number"}),
@@ -98,7 +98,8 @@ ENTRY_POINTS = [
     ("tnorms.apply_array", lambda t: tnorms.apply_array(t, [0.5], [0.5]), dict(t=TNorm.MINIMUM), {"t": "object"}),
     ("tnorms.intersect", tnorms.intersect, dict(x=SET, y=SET, t=TNorm.MINIMUM),
      {"x": "object", "y": "object", "t": "object"}),
-    ("fuzzify_from_histogram", fuzzify_from_histogram, dict(samples=[1.0], ground=GROUND), {"ground": "object"}),
+    ("fuzzify_from_histogram", fuzzify_from_histogram, dict(samples=[0.0, 1.0], ground=GROUND),
+     {"samples": "vector", "ground": "object"}),
     ("support_cells", support_cells, dict(fs=SET, partition=GROUND.partition), {"fs": "object", "partition": "object"}),
     ("dataset_to_obj", dataset_to_obj, dict(ds=Dataset(GROUND, [(SET,)])), {"ds": "object"}),
     ("write_dataset", lambda ds: write_dataset(ds, os.devnull), dict(ds=Dataset(GROUND, [(SET,)])), {"ds": "object"}),
@@ -122,9 +123,8 @@ ENTRY_POINTS = [
      {"sample_a": "items", "sample_b": "items", "spec": "object"}),
     ("evaluate", evaluate, dict(spec=SPEC, x=SAMPLES[0][0], y=SAMPLES[1][0]), {"spec": "object"}),
     ("FuzzyKernelSpec", FuzzyKernelSpec, dict(family="nonsingleton_gaussian"), {"family": "object"}),
-    ("predict", lambda model: predict(model, [[0.5, 0.5]]), dict(model=MODEL), {"model": "object"}),
-    ("predict", lambda coefficients: predict(DualModel(coefficients), [[0.5, 0.5]]), dict(coefficients=[1.0, 2.0]),
-     {"coefficients": "object"}),
+    ("predict", lambda coefficients: predict(coefficients, [[0.5, 0.5]]), dict(coefficients=[1.0, 2.0]),
+     {"coefficients": "vector"}),
     ("PolynomialKernel", PolynomialKernel, dict(coef0=1.0, gamma=1.0, degree=2),
      {"coef0": "number", "gamma": "number", "degree": "integer"}),
 ]
@@ -155,7 +155,9 @@ def _hostile(value, kind):
         if kind != "held" or change not in ("nan", "inf"):
             yield change, _first(value, x)
     yield "nested", [value]
-    yield "ragged", [*value[:-1], value[-1][:-1]] if kind != "labels" else [[value[0]], *value[1:]]
+    yield "ragged", [*value[:-1], value[-1][:-1]] if kind not in ("labels", "vector") else [[value[0]], *value[1:]]
+    if kind == "vector":
+        yield from [("number", value[0]), ("array", np.array([value]))]
 
 
 CASES = [

@@ -199,19 +199,18 @@ def parse_dataset(path) -> Dataset:
 
 
 def _attribute_to_obj(attr):
-    if isinstance(attr, DiscreteFuzzySet):
-        return {
-            "type": "discrete",
-            "degrees": {str(i): attr.degrees[i] for i in sorted(attr.degrees)},
-        }
-    if isinstance(attr, GaussianFuzzySet):
-        return {"type": "gaussian", "m": attr.means.tolist(), "sigma": attr.widths.tolist()}
-    raise ValidationError(f"not a fuzzy attribute: {attr!r}")
+    """A checked record's attribute, which is a DiscreteFuzzySet or a GaussianFuzzySet, as its JSON object."""
+    if type(attr) is DiscreteFuzzySet:
+        return {"type": "discrete", "degrees": {str(i): attr.degrees[i] for i in sorted(attr.degrees)}}
+    return {"type": "gaussian", "m": attr.means.tolist(), "sigma": attr.widths.tolist()}
 
 
 def dataset_to_obj(ds: Dataset) -> dict:
+    """``ds`` as the JSON object :func:`dataset_from_obj` reads.  Its fields pass the constructor's
+    rules again, so one set or changed after ``ds`` was built raises ValidationError naming it."""
     if not isinstance(ds, Dataset):
         raise ValidationError(f"ds must be a Dataset, got {ds!r}")
+    ds = Dataset(ds.ground, ds.records, ds.labels)
     obj: dict = {}
     if ds.ground is not None:
         gobj: dict = {"points": ds.ground.points.tolist()}
@@ -229,8 +228,8 @@ def dataset_to_obj(ds: Dataset) -> dict:
 
 
 def write_dataset(ds: Dataset, path) -> None:
-    """Write ``ds`` to ``path`` as compact JSON plus a newline; a ``ds`` that
-    is no Dataset raises ValidationError before the file is opened."""
+    """Write ``ds`` to ``path`` as compact JSON plus a newline; a ``ds`` that is no Dataset, or
+    whose fields break its rules, raises ValidationError before the file is opened."""
     text = json.dumps(dataset_to_obj(ds)) + "\n"
     with open(path, "w") as fh:
         fh.write(text)

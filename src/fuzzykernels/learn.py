@@ -22,8 +22,9 @@ __all__ = [
 ]
 
 RNG_NAME = "numpy-pcg64"
-# 1 << 18 instead: N = 120, same null time, 1.4 MB more peak RSS; N = 2040, null 0.24-0.27 s not 0.43-0.45 s, same RSS
-_NULL_BLOCK_ELEMENTS = 1 << 16  # in a block's 4 N-wide MMD temporaries
+# a block's 4 N-wide MMD temporaries hold max(this, N^2 // 16) elements: N <= 1024, every benchmark size, gets this
+# budget; N = 2040 gets 31 rows, not 8, and a null of 0.14-0.19 s, not 0.29-0.35 s, for a sixteenth of the Gram more
+_NULL_BLOCK_ELEMENTS = 1 << 16
 # a p-value of 1e-6 is fine enough for any test; 10**6 replicas take ~3 s at N = 120, and time grows as N^2
 _MAX_PERMUTATIONS = 10**6
 
@@ -135,9 +136,11 @@ def mmd_statistic(gxx, gyy, gxy) -> float:
 
 
 def _smaller_sample_rows(keys: np.ndarray, n: int, m: int) -> np.ndarray:
-    """0/1 rows marking each row's smaller sample: A is the n smallest keys, ties in record order."""
-    in_a = keys <= np.partition(keys, n - 1, axis=1)[:, [n - 1]]
-    for r in np.flatnonzero(np.count_nonzero(in_a, axis=1) != n):  # a tie at the n-th smallest key
+    """0/1 rows marking each row's smaller sample: A is the n smallest keys, ties in record order.
+    A row's sorted copy gives its n-th smallest key, and a tie at it is an equal (n+1)-th."""
+    ordered = np.sort(keys, axis=1)
+    in_a = keys <= ordered[:, [n - 1]]
+    for r in np.flatnonzero(ordered[:, n - 1] == ordered[:, n]):  # only these rows hold more than n keys <= it
         in_a[r] = np.argsort(np.argsort(keys[r], kind="stable")) < n
     return (in_a if n <= m else ~in_a).astype(float)
 
@@ -163,9 +166,9 @@ def mmd_permutation_test(
     cross sum is ``ss - sss`` and the larger sample's sum ``sum(G) - 2 ss +
     sss``, whose cancellation error stays O(eps max|G|) after division by
     ``(N - k)^2``.  A block's four N-wide temporaries (the keys, their
-    partitioned copy, the mask or ``M``, and ``M @ G``) stay within
-    ``_NULL_BLOCK_ELEMENTS``, so memory is O(N^2) plus that budget for any
-    ``n_permutations``.
+    sorted copy, the mask or ``M``, and ``M @ G``) stay within the larger of
+    ``_NULL_BLOCK_ELEMENTS`` and N^2 / 16 elements, so memory is O(N^2) for
+    any ``n_permutations``, and large N gets blocks of N / 64 rows.
     ``n_jobs`` is accepted for compatibility and does not change the result.
 
     The reported statistic is :func:`mmd_statistic` of the given split.  A
@@ -187,7 +190,7 @@ def mmd_permutation_test(
     tol = 8 * total * np.finfo(float).eps * max(g.max(), -g.min())  # max|G| with no N x N temporary
     k, rest = (n, m) if n <= m else (m, n)
     rng = np.random.default_rng(seed)
-    step = max(1, _NULL_BLOCK_ELEMENTS // (4 * total))
+    step = max(1, max(_NULL_BLOCK_ELEMENTS, total**2 // 16) // (4 * total))
     exceed = 0
     with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows raises NumericError instead
         row_sums, g_sum = g.sum(axis=1), g.sum()

@@ -210,6 +210,27 @@ class TestLabels:
             write_dataset(ds(), tmp_path / "data.json")
         assert not (tmp_path / "data.json").exists()
 
+    @pytest.mark.parametrize(
+        "mutate, match",
+        [
+            pytest.param(lambda ds: setattr(ds, "labels", [5, 5]), r"labels\[0\] must be \+1 or -1", id="labels-set"),
+            pytest.param(lambda ds: ds.labels.__setitem__(1, 5), r"labels\[1\] must be \+1 or -1", id="label-changed"),
+            pytest.param(
+                lambda ds: setattr(ds, "records", [(1.0,)]), r"records\[0\]\[0\]: not a fuzzy attribute: 1.0",
+                id="records-set",
+            ),
+        ],
+    )
+    def test_write_checks_fields_changed_after_construction(self, tmp_path, mutate, match):
+        # the fields are plain, mutable lists: the writer once wrote labels and records that
+        # parse_dataset refuses, because only the constructor checked them
+        ground, records = _two_records()
+        ds = Dataset(ground=ground, records=records, labels=[1, -1])
+        mutate(ds)
+        with pytest.raises(ValidationError, match=match):
+            write_dataset(ds, tmp_path / "data.json")
+        assert not (tmp_path / "data.json").exists()
+
 
 def _fuzzified(method):
     """The Dataset that ``fuzzify`` builds from TABLE by ``method``, caught before it is written."""

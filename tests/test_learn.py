@@ -453,13 +453,50 @@ class TestMmdPermutationTest:
             tracemalloc.stop()
         assert peak <= 4 * 8 * learn._NULL_BLOCK_ELEMENTS + 600 * 600, peak
 
+    def test_large_null_blocks_grow_with_the_gram(self, spec, monkeypatch):
+        # above N = 1024 a block's four N-wide temporaries hold N^2 / 16 elements, not the fixed budget:
+        # 17 rows at N = 1100, where the budget alone gives 14.  Beyond the Gram, the null's peak is one
+        # such block of 8-byte elements, plus N^2 / 4 bytes for the previous block's M or mmd_statistic's bool
+        # check of a sample's block: 0.66 of 0.91 MB here, and 1.29 MB with blocks of N^2 / 8
+        total = 1100
+        x = np.random.default_rng(36).normal(size=(total, 3))
+        sq = (x * x).sum(axis=1)
+        g = np.exp(-0.5 * np.maximum(sq[:, None] + sq[None, :] - 2 * x @ x.T, 0.0))
+        monkeypatch.setattr(learn, "compute_gram", lambda records, spec, n_jobs: as_gram(g))
+        heights, select = [], learn._smaller_sample_rows
+        monkeypatch.setattr(
+            learn, "_smaller_sample_rows", lambda keys, n, m: heights.append(len(keys)) or select(keys, n, m)
+        )
+        tracemalloc.start()
+        try:
+            mmd_permutation_test([None] * 551, [None] * 549, spec, n_permutations=100, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert learn._NULL_BLOCK_ELEMENTS // (4 * total) == 14
+        assert heights == [17] * 5 + [15]
+        assert peak <= 8 * max(learn._NULL_BLOCK_ELEMENTS, total * total // 16) + total * total // 4, peak
 
-@pytest.mark.parametrize("n, m", [(1, 5), (3, 3), (4, 2), (5, 1), (1, 1)])
+    def test_null_count_between_none_and_all_at_the_benchmark_shape(self, spec):
+        # the benchmark's MMD shape (60 + 60 records, one 3-D Gaussian attribute whose width vector
+        # every record shares) counts no replica there, so a wrongly picked replica would not show in
+        # its p-value; here both samples share one law, and 28 of 300 replicas, in 3 blocks, count
+        rng = np.random.default_rng(0)
+        widths = rng.uniform(0.5, 1.0, size=3)
+        pooled = [GaussianFuzzySet(rng.normal(0.0, 0.3, size=3), widths) for _ in range(120)]
+        res = mmd_permutation_test(pooled[:60], pooled[60:], spec, n_permutations=300, seed=0)
+        assert res.p_value == oracles.bf_mmd_p_value(compute_gram(pooled, spec).values, 60, 300, 0)
+        assert res.p_value * 301 == pytest.approx(29)
+
+
+@pytest.mark.parametrize("n, m", [(1, 5), (3, 3), (4, 2), (5, 1), (1, 1), (150, 150), (1, 299), (299, 1)])
 def test_split_of_tied_keys_is_the_stable_argsort_split(n, m):
     """Keys whose n-th and (n+1)-th smallest are equal split as the first n
-    of a stable argsort, the lower record index first, with A or B marked."""
+    of a stable argsort, the lower record index first, with A or B marked;
+    so do random untied rows.  N = 300 passes numpy's small-array sort sizes."""
     base = (np.random.default_rng(n + m).permutation(n + m) + 1.0) / (n + m + 1)
-    keys = np.tile(base, (6, 1))  # row 5 keeps its distinct keys
+    keys = np.tile(base, (10, 1))  # row 5 keeps its distinct keys
+    keys[6:] = np.random.default_rng(n * m).random((4, n + m))
     keys[2:4] = keys[2:4, ::-1]  # the tied pair in the other record order
     for row in (0, 2):
         order = np.argsort(keys[row])

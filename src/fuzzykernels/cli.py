@@ -94,7 +94,7 @@ def cmd_gram(args) -> dict:
     write_matrix(args.out, gram)
     return {
         "n": gram.size,
-        "item_ids": gram.item_ids,
+        "item_ids": [str(i) for i in range(gram.size)],
         "kernel": cfg,
         "matrix_file": args.out,
     }

@@ -1,4 +1,6 @@
-"""Gram matrices over fuzzy datasets: computation, PSD verification, normalization."""
+"""Gram matrices over fuzzy datasets: computation, PSD verification, normalization.
+
+A Gram names its items by position: row and column i are item i of the data."""
 
 from __future__ import annotations
 
@@ -26,14 +28,12 @@ _BAND = 128  # rows per band of write_matrix's string reuse
 
 @dataclass
 class GramMatrix:
-    """Symmetric matrix of pairwise kernel values, one item id per row (None numbers the rows from "0")."""
+    """Symmetric matrix of pairwise kernel values; row and column i are item i of the data."""
 
     values: np.ndarray
-    item_ids: list[str]
 
     def __post_init__(self):
         self.values = _as_matrix(self.values, "values", finite=False)
-        self.item_ids = _ids(self.item_ids, self.values.shape[0])
 
     @property
     def size(self) -> int:
@@ -51,34 +51,19 @@ class PsdReport:
     eigenvalues: np.ndarray
 
 
-def compute_gram(
-    data: Sequence[Record],
-    spec: FuzzyKernelSpec,
-    item_ids: Sequence[str] | None = None,
-    n_jobs: int = 1,
-) -> GramMatrix:
-    """Pairwise kernel matrix over a dataset.
+def compute_gram(data: Sequence[Record], spec: FuzzyKernelSpec, *, n_jobs: int = 1) -> GramMatrix:
+    """Pairwise kernel matrix over a dataset; items are named by position.
 
     The data are one item list of the batched engine, at first column 0:
     its upper triangle is computed and mirrored, so the result is exactly
     symmetric.  Invalid data raises ValidationError and a non-finite kernel
-    value NumericError, each naming the first offending pair ``(id_i,
-    id_j)`` in row-major upper-triangle order.  ``n_jobs`` is accepted for
-    compatibility and does not change the result: the engine runs in the
-    calling thread.
+    value NumericError, each naming the first offending pair ``(i, j)`` of
+    data positions in row-major upper-triangle order.  ``n_jobs`` is
+    accepted for compatibility and does not change the result: the engine
+    runs in the calling thread.
     """
-    ids = _ids(item_ids, len(_items(data, "data")))
-    return GramMatrix(values=_kernel_matrix(spec, data, ids), item_ids=ids)
-
-
-def _ids(item_ids, n: int) -> list[str]:
-    """``item_ids`` as n strings, ``"0"`` to ``"n-1"`` for None; anything else raises ValidationError naming it."""
-    if isinstance(item_ids, (str, bytes)) or item_ids is not None and not np.iterable(item_ids):  # as a 0-d array
-        raise ValidationError(f"item_ids must be a list of ids, got {item_ids!r}")
-    ids = [str(i) for i in range(n)] if item_ids is None else [str(s) for s in item_ids]
-    if len(ids) != n:
-        raise ValidationError(f"item_ids must hold exactly one item id per datum ({n}), got {len(ids)}")
-    return ids
+    ids = [str(i) for i in range(len(_items(data, "data")))]
+    return GramMatrix(values=_kernel_matrix(spec, data, ids))
 
 
 def _items(values, name: str) -> Sequence:
@@ -136,6 +121,7 @@ def normalize(g: GramMatrix) -> GramMatrix:
 
     Produces a unit diagonal and preserves the PSD verdict (congruence by a
     positive diagonal matrix).  Idempotent: normalizing twice changes nothing.
+    Row and column i stay item i of ``g``.
     """
     m = _as_matrix(g, "g")
     diag = np.diag(m).copy()
@@ -146,7 +132,7 @@ def normalize(g: GramMatrix) -> GramMatrix:
     # k(x,x)/k(x,x) is 1 by definition; set it exactly so the operation is
     # idempotent at the bit level
     np.fill_diagonal(values, 1.0)
-    return GramMatrix(values=values, item_ids=g.item_ids if isinstance(g, GramMatrix) else None)
+    return GramMatrix(values=values)
 
 
 def write_matrix(path, g) -> None:

@@ -185,7 +185,8 @@ class DiscreteFuzzySet:
     def _slot(cls, ground: GroundSpace, objs: Sequence[dict]) -> list[DiscreteFuzzySet] | None:
         """One set per dict of index strings to degrees, as in a dataset file, by the rule of ``__init__``
         and of the file's keys (plain decimal digits, one index each) checked over all the dicts at
-        once; None, never an exception, where one breaks it or holds a degree that is not a float."""
+        once, each degree held as a float; None, never an exception, where one breaks it or holds a
+        degree that is neither an int nor a float (a bool is neither)."""
         keys = [k for obj in objs for k in obj]
         degs = [d for obj in objs for d in obj.values()]
         try:
@@ -193,12 +194,13 @@ class DiscreteFuzzySet:
             if keys and not (digits.isascii() and digits.isdigit()):
                 return None
             idx = [*map(int, keys)]
-        except (TypeError, ValueError):  # a key that is not a string; an empty key, or too many digits for int()
+            at = np.array(degs, dtype=float)
+        except (TypeError, ValueError, OverflowError):  # a key that is not a string; an empty key, or too many
+            return None  # digits for int(); a degree that is no number, or an int too large for a float
+        if (max(idx, default=-1) >= len(ground) or {*map(type, degs)} - {float, int}
+                or not ((0.0 < at) & (at <= 1.0)).all()):  # also false for NaN
             return None
-        if (max(idx, default=-1) >= len(ground) or {*map(type, degs)} - {float}
-                or not ((0.0 < (at := np.array(degs))) & (at <= 1.0)).all()):  # also false for NaN
-            return None
-        pairs = zip(idx, degs)
+        pairs = zip(idx, at.tolist())
         cleans = [dict(islice(pairs, len(obj))) for obj in objs]
         if sum(map(len, cleans)) < len(idx):  # two keys such as "1" and "01" name one index
             return None

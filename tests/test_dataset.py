@@ -422,6 +422,10 @@ GROUND = {"points": [[0.0], [1.0], [2.0]]}
         pytest.param([[_gaussian([1e308], [1.0])], [_gaussian([1e308], [1.0])]], id="gaussian-sum-overflows"),
         pytest.param([[_gaussian([], [])], [_gaussian([], [])]], id="gaussian-empty"),
         pytest.param([[_discrete({"0": 1})], [_discrete({"1": 0.5})]], id="int-degree"),
+        pytest.param([[_discrete({"0": 1})], [_discrete({"1": 0})]], id="int-degree-zero"),
+        pytest.param([[_discrete({"0": 1})], [_discrete({"1": 2})]], id="int-degree-above-one"),
+        pytest.param([[_discrete({"0": 1})], [_discrete({"1": 10**400})]], id="int-degree-too-large"),
+        pytest.param([[_discrete({"0": 1})], [_discrete({"1": True})]], id="bool-degree"),
         pytest.param([[_discrete({"0": 0.5})], [_discrete({"1": 0.5, "01": 0.25})]], id="index-twice"),
         pytest.param([[_discrete({"0": 0.5})], [_discrete({"3": 0.5})]], id="index-outside"),
         pytest.param([[_discrete({"0": 0.5})], [_discrete({"": 0.5, "1": 0.5})]], id="key-empty"),
@@ -486,3 +490,12 @@ def test_gaussian_parse_checks_numbers_per_slot_not_per_record(monkeypatch):
         dataset_from_obj({"records": [[_gaussian([0.1 * k, 1.0], [0.5, 2.0])] for k in range(n)]})
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def test_slot_pass_takes_integer_degrees():
+    # a crisp document's degrees are JSON integers; the slot pass holds them as floats, as __init__ does
+    records = dataset._slots([[_discrete({"0": 1, "2": 1})], [_discrete({"1": 1})]], dataset._parse_ground(GROUND))
+    assert records is not None
+    held = [list(rec[0].degrees.items()) for rec in records]
+    assert held == [[(0, 1.0), (2, 1.0)], [(1, 1.0)]]
+    assert {type(d) for items in held for _, d in items} == {float}

@@ -35,7 +35,6 @@ class TestComputeGram:
         g = compute_gram([GaussianFuzzySet([1.0], [0.5])], gaussian_spec)
         assert g.values.shape == (1, 1)
         assert g.values[0, 0] == 1.0
-        assert g.item_ids == ["0"]
 
     def test_identical_gaussians_all_ones(self, gaussian_spec):
         data = [GaussianFuzzySet([0.0], [1.0]), GaussianFuzzySet([0.0], [1.0])]
@@ -86,18 +85,17 @@ class TestComputeGram:
     def test_eval_error_names_the_pair(self, gaussian_spec):
         data = [GaussianFuzzySet([0.0], [1.0]), GaussianFuzzySet([0.0, 1.0], [1.0, 1.0])]
         with pytest.raises(ValueError, match=r"\(0, 1\)"):
-            compute_gram(data, gaussian_spec, item_ids=["0", "1"])
+            compute_gram(data, gaussian_spec)
 
     def test_empty_dataset_rejected(self, gaussian_spec):
         with pytest.raises(ValueError):
             compute_gram([], gaussian_spec)
 
-    def test_item_ids_must_match_the_items(self, gaussian_spec):
+    def test_n_jobs_is_keyword_only(self, gaussian_spec):
+        # an id list passed third raises instead of binding to the ignored n_jobs
         data = [GaussianFuzzySet([0.0], [1.0])] * 2
-        with pytest.raises(ValidationError, match="one item id per datum"):
-            compute_gram(data, gaussian_spec, item_ids=["a"])
-        with pytest.raises(ValidationError, match="one item id per datum"):
-            GramMatrix(values=np.eye(2), item_ids=["a"])
+        with pytest.raises(TypeError):
+            compute_gram(data, gaussian_spec, ["a", "b"])
 
 
 class TestCheckPsd:
@@ -180,7 +178,7 @@ class TestCheckPsd:
 class TestNormalize:
     def _gram(self, values):
         v = np.asarray(values, dtype=float)
-        return GramMatrix(values=v, item_ids=[str(i) for i in range(v.shape[0])])
+        return GramMatrix(values=v)
 
     def test_unit_diagonal_unchanged(self):
         m = np.array([[1.0, 0.3], [0.3, 1.0]])
@@ -194,11 +192,6 @@ class TestNormalize:
     def test_zero_diagonal_rejected(self):
         with pytest.raises(ValidationError, match="strictly positive diagonal"):
             normalize(self._gram([[0.0, 0.0], [0.0, 1.0]]))
-
-    def test_item_ids_carry_over(self):
-        m = np.array([[4.0, 2.0], [2.0, 1.0]])
-        assert normalize(GramMatrix(values=m, item_ids=["a", "b"])).item_ids == ["a", "b"]
-        assert normalize(m).item_ids == ["0", "1"]
 
     def test_idempotent_bitwise(self):
         rng = np.random.default_rng(13)

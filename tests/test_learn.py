@@ -24,7 +24,7 @@ import oracles
 
 def as_gram(values):
     v = np.asarray(values, dtype=float)
-    return GramMatrix(values=v, item_ids=[str(i) for i in range(v.shape[0])])
+    return GramMatrix(values=v)
 
 
 class TestFit:

@@ -8,11 +8,10 @@ value is nested one level deeper, and the last row (or, for a vector, the first
 entry) is made ragged; a vector (``predict``'s ``coefficients``, the fuzzifier's
 ``samples``) is also set to its bare first entry and to a 2-D array.
 Every argument that takes an object (a spec's ``family``, ``tnorm``, ``k1``,
-``k2`` and ``metric``, the ``spec`` of the engine's entry points, the
-``item_ids`` of ``compute_gram`` and ``GramMatrix``, the T-norm and the sets of
-the tnorms functions, the ground, set and partition of the sets functions, and
-the dataset writer's dataset) is set to a string, a number, None unless None is
-its default, and a 2-D array; ``item_ids`` also to a list of the wrong length.
+``k2`` and ``metric``, the ``spec`` of the engine's entry points, the T-norm
+and the sets of the tnorms functions, the ground, set and partition of the sets
+functions, and the dataset writer's dataset) is set to a string, a number, None
+unless None is its default, and a 2-D array.
 Every list of records (``compute_gram``'s data and the two MMD samples) is set
 to a string, a number, None and an iterator over its records.
 Each call must raise ValidationError, or NumericError for a non-finite matrix
@@ -75,8 +74,8 @@ SET = DiscreteFuzzySet(GROUND, {0: 1.0})
 # (entry point, call on keyword arguments, valid arguments, {argument: kind}); a "matrix" argument
 # raises NumericError on a non-finite entry, and a "held" one keeps it, so it is not given one here;
 # an "integer" argument is a "number" that must be integral; an "object" argument takes neither a number nor
-# None, an "optional" one takes None as its default, and "ids" are "optional" and one per item; "items" is a
-# list of records, and a "vector" a flat list of numbers
+# None, and an "optional" one takes None as its default; "items" is a list of records, and a "vector" a flat
+# list of numbers
 ENTRY_POINTS = [
     ("fit", fit, dict(gram=EYE2, labels=[1, -1], regularization=1.0),
      {"gram": "matrix", "labels": "labels", "regularization": "number"}),
@@ -88,8 +87,7 @@ ENTRY_POINTS = [
     ("mmd_permutation_test",
      lambda **kw: mmd_permutation_test(*SAMPLES, SPEC, **kw),
      dict(n_permutations=10, seed=0), {"n_permutations": "integer", "seed": "integer"}),
-    ("GramMatrix", lambda values: GramMatrix(values, ["a", "b"]), dict(values=EYE2), {"values": "held"}),
-    ("GramMatrix", lambda item_ids: GramMatrix(EYE2, item_ids), dict(item_ids=["a", "b"]), {"item_ids": "ids"}),
+    ("GramMatrix", GramMatrix, dict(values=EYE2), {"values": "held"}),
     ("check_psd", check_psd, dict(g=EYE2, tol=1e-8), {"g": "matrix", "tol": "number"}),
     ("normalize", normalize, dict(g=EYE2), {"g": "matrix"}),
     ("write_matrix", lambda g: write_matrix(os.devnull, g), dict(g=EYE2), {"g": "held"}),
@@ -115,8 +113,6 @@ ENTRY_POINTS = [
      {"k1": "optional", "k2": "optional"}),
     ("FuzzyKernelSpec", lambda **kw: FuzzyKernelSpec("distance_gaussian", **kw), dict(metric="ratio"),
      {"metric": "object"}),
-    ("compute_gram", lambda item_ids: compute_gram([*SAMPLES[0], *SAMPLES[1]], SPEC, item_ids),
-     dict(item_ids=["a", "b"]), {"item_ids": "ids"}),
     ("compute_gram", compute_gram, dict(data=[*SAMPLES[0], *SAMPLES[1]], spec=SPEC),
      {"data": "items", "spec": "object"}),
     ("mmd_permutation_test", mmd_permutation_test, dict(sample_a=SAMPLES[0], sample_b=SAMPLES[1], spec=SPEC),
@@ -141,12 +137,10 @@ def _hostile(value, kind):
         yield from [("string", str(value)), ("bool", True), ("none", None), ("nan", math.nan), ("inf", math.inf)]
         yield from [("nested", [value]), ("ragged", [value, [value]])]
         return
-    if kind in ("object", "optional", "ids"):  # "min" names a T-norm in a config file, but no spec or model takes it
+    if kind in ("object", "optional"):  # "min" names a T-norm in a config file, but no spec or model takes it
         yield from [("string", "min"), ("number", 3), ("array", np.array([[1.0, 2.0]]))]
         if kind == "object":
             yield "none", None
-        if kind == "ids":
-            yield "short", value[:-1]
         return
     if kind == "items":
         yield from [("string", "min"), ("number", 3), ("none", None), ("iterator", iter(value))]

@@ -5,7 +5,8 @@ Gram matrix, verify positive semidefiniteness, run k-fold kernel ridge
 classification, and run an MMD permutation two-sample test.  Each command's
 handler returns its report's fields, and :func:`main` prints the report to
 stdout as JSON: ``"command"`` first, then those fields in order, the
-library's result objects (``PsdReport``, ``MmdResult``) field by field.
+library's result objects (``PsdReport``, ``MmdResult``) field by field;
+the ``gram`` report is ``command``, ``n``, ``kernel``, ``matrix_file``.
 Randomized commands need an explicit --seed, so repeated runs are
 byte-identical.  Exit codes: 0 success, 2 validation error (an --out
 that cannot be written included), 3 numeric error (running out of memory
@@ -89,22 +90,18 @@ def cmd_fuzzify(args) -> dict:
 
 
 def cmd_gram(args) -> dict:
+    """Write the Gram matrix to --out, whose row and column i are record i of the data; report its size n."""
     ds, cfg, spec = _load(args)
     gram = compute_gram(ds.records, spec, n_jobs=args.jobs)
     write_matrix(args.out, gram)
-    return {
-        "n": gram.size,
-        "item_ids": [str(i) for i in range(gram.size)],
-        "kernel": cfg,
-        "matrix_file": args.out,
-    }
+    return {"n": len(gram.values), "kernel": cfg, "matrix_file": args.out}
 
 
 def cmd_check_psd(args) -> dict:
     ds, _, spec = _load(args)
     tol = _number(args.tol, "--tol")
     gram = compute_gram(ds.records, spec, n_jobs=args.jobs)
-    return {"n": gram.size, **vars(check_psd(gram, tol=tol))}
+    return {"n": len(gram.values), **vars(check_psd(gram, tol=tol))}
 
 
 def cmd_classify(args) -> dict:
@@ -117,7 +114,7 @@ def cmd_classify(args) -> dict:
     gram = compute_gram(ds.records, spec, n_jobs=args.jobs)
     fold_acc, mean_acc = cross_validate(gram, ds.labels, regularization=args.ridge, folds=args.folds, seed=args.seed)
     return {
-        "n": gram.size,
+        "n": len(gram.values),
         "folds": args.folds,
         "seed": args.seed,
         "ridge": args.ridge,

@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import ValidationError, _labels
+from .errors import _PATH, ValidationError, _instance, _labels
 from .sets import DiscreteFuzzySet, GaussianFuzzySet, GroundSpace, Partition
 
 __all__ = ["Dataset", "parse_dataset", "dataset_from_obj", "dataset_to_obj", "write_dataset"]
@@ -157,7 +157,7 @@ def dataset_from_obj(obj) -> Dataset:
     """Validate a decoded JSON document into a :class:`Dataset`: one attribute slot at a time,
     or record by record where that declines, naming the first bad record in row-major order."""
     if not isinstance(obj, dict):
-        raise ValidationError("dataset document must be a JSON object")
+        raise ValidationError(f"dataset document (obj) must be a JSON object, got {type(obj).__name__}")
     ground = _parse_ground(obj["ground_space"]) if obj.get("ground_space") is not None else None
     raw_records = obj.get("records")
     if not isinstance(raw_records, list) or not raw_records:
@@ -173,10 +173,21 @@ def dataset_from_obj(obj) -> Dataset:
     return Dataset(ground=ground, records=records, labels=obj.get("labels"))
 
 
+def _read_text(path) -> str:
+    """The text of a UTF-8 file; a path that is no str or os.PathLike raises ValidationError naming
+    ``path``, and a file that cannot be read or is not UTF-8 ValidationError naming the file."""
+    _instance(path, _PATH, "path")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: UnicodeDecodeError
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
 def _read_json(path):
-    """The JSON document in a file; a file that cannot be read or decoded, an
-    integer literal too long for int(), or an object that gives one key twice,
-    raises ValidationError naming the file."""
+    """The JSON document in a file, read by :func:`_read_text`; a document that cannot be decoded, an
+    integer literal too long for int(), or an object that gives one key twice, raises ValidationError
+    naming the file."""
 
     def unique(pairs):
         if len(obj := dict(pairs)) < len(pairs):
@@ -184,12 +195,12 @@ def _read_json(path):
             raise ValueError(f"key {key!r} is given more than once")
         return obj
 
+    text = _read_text(path)
     try:
-        with open(path) as fh:
-            return json.load(fh, object_pairs_hook=unique)
+        return json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}") from exc
-    except (OSError, ValueError, RecursionError) as exc:  # ValueError: UnicodeDecodeError, int()'s digit limit
+    except (ValueError, RecursionError) as exc:  # int()'s digit limit, a key given twice
         raise ValidationError(f"{path}: {exc}") from exc
 
 
@@ -208,8 +219,7 @@ def _attribute_to_obj(attr):
 def dataset_to_obj(ds: Dataset) -> dict:
     """``ds`` as the JSON object :func:`dataset_from_obj` reads.  Its fields pass the constructor's
     rules again, so one set or changed after ``ds`` was built raises ValidationError naming it."""
-    if not isinstance(ds, Dataset):
-        raise ValidationError(f"ds must be a Dataset, got {ds!r}")
+    _instance(ds, Dataset, "ds")
     ds = Dataset(ds.ground, ds.records, ds.labels)
     obj: dict = {}
     if ds.ground is not None:
@@ -229,7 +239,8 @@ def dataset_to_obj(ds: Dataset) -> dict:
 
 def write_dataset(ds: Dataset, path) -> None:
     """Write ``ds`` to ``path`` as compact JSON plus a newline; a ``ds`` that is no Dataset, or
-    whose fields break its rules, raises ValidationError before the file is opened."""
+    whose fields break its rules, or a ``path`` that is no str or os.PathLike, raises ValidationError
+    before the file is opened."""
     text = json.dumps(dataset_to_obj(ds)) + "\n"
-    with open(path, "w") as fh:
+    with open(_instance(path, _PATH, "path"), "w") as fh:
         fh.write(text)

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the one rule for valid numbers."""
 
 import math
+import os
 
 import numpy as np
 
@@ -33,6 +34,18 @@ def _number(value, name: str, least: float = 0, closed: bool = False, integral: 
     if integral and not x.is_integer():
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     return int(value if isinstance(value, (int, np.integer)) else x) if integral else x
+
+
+def _instance(value, types, name: str):
+    """``value`` if it is an instance of ``types``, a class or a tuple of classes; anything else raises
+    ValidationError naming ``name``."""
+    if not isinstance(value, types):
+        kinds = " or ".join(t.__name__ for t in (types if isinstance(types, tuple) else (types,)))
+        raise ValidationError(f"{name} must be a {kinds}, got {value!r}")
+    return value
+
+
+_PATH = (str, os.PathLike)  # a file path; open() would take an int or a bool as a file descriptor
 
 
 _REAL = (int, float, np.integer, np.floating)  # bool is an int, and is excluded where this is read

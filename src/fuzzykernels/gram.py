@@ -1,6 +1,7 @@
 """Gram matrices over fuzzy datasets: computation, PSD verification, normalization.
 
-A Gram names its items by position: row and column i are item i of the data."""
+A Gram names its items by position: row and column i are item i of the data, and its size is
+``len(values)``."""
 
 from __future__ import annotations
 
@@ -9,7 +10,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import _REAL_KINDS, NumericError, ValidationError, _number, _numbers
+from .dataset import _read_text
+from .errors import _REAL_KINDS, _PATH, NumericError, ValidationError, _instance, _number, _numbers
 from .kernels import FuzzyKernelSpec, Record, _kernel_matrix
 
 __all__ = [
@@ -34,10 +36,6 @@ class GramMatrix:
 
     def __post_init__(self):
         self.values = _as_matrix(self.values, "values", finite=False)
-
-    @property
-    def size(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass
@@ -139,46 +137,45 @@ def write_matrix(path, g) -> None:
     """Dense matrix file: first line n, then n rows of the entries'
     ``%.17g`` strings, separated by single spaces.
 
-    Rows go out in bands of ``_BAND``.  When a band's diagonal block is
+    Rows go out in bands of ``_BAND``, each row in one pass: the entries
+    left of the band are one ``%`` format of a row template, and so are the
+    rest, from the band's first column.  When the band's diagonal block is
     bitwise symmetric (its ``uint64`` view equals its transpose, so a
     ``-0.0`` opposite a ``0.0``, or two NaNs with different payloads, never
-    count as equal), row i formats its entries from the diagonal on and
-    takes its in-band entries left of the diagonal from the strings that
-    earlier rows of the band made for the mirrored entries.  Every other
-    entry, and every row of a band whose block is not symmetric, is one
-    ``%`` format of a row template.  Each cached string is dropped once
-    read, so memory is O(n) plus the block comparison's ``_BAND**2``
-    entries and at most ``_BAND**2 / 4`` strings."""
+    count as equal), the band mirrors: row i formats from its diagonal on
+    and takes its in-band entries left of the diagonal from the strings
+    that earlier rows of the band made for the mirrored entries.  Each
+    cached string is dropped once read, so memory is O(n) plus the block
+    comparison's ``_BAND**2`` entries and at most ``_BAND**2 / 4`` strings.
+    A ``path`` that is no str or os.PathLike raises ValidationError before
+    the file is opened."""
     m = _as_matrix(g, "g", finite=False)
     n = m.shape[0]
     template = "%.17g " * n  # its first 6k - 1 characters format k entries
-    with open(path, "w") as fh:
+    with open(_instance(path, _PATH, "path"), "w") as fh:
         fh.write(f"{n}\n")
         for a in range(0, n, _BAND):
             b = min(a + _BAND, n)
             block = m[a:b, a:b].view(np.uint64)
-            if not np.array_equal(block, block.T):
-                for row in m[a:b]:
-                    fh.write(template[:-1] % tuple(row.tolist()) + "\n")
-                continue
+            mirror = np.array_equal(block, block.T)
             band = []  # each earlier row's strings for the band's later columns, popped in column order
             for i in range(a, b):
                 row = m[i].tolist()
-                right = template[: 6 * (n - i) - 1] % tuple(row[i:])
-                parts = list(map(list.pop, band))
-                band.append(right.split(" ", b - i)[b - i - 1 : 0 : -1])
-                if a:
-                    parts.insert(0, template[: 6 * a - 1] % tuple(row[:a]))
-                parts.append(right)
-                fh.write(" ".join(parts) + "\n")
+                start = i if mirror else a
+                right = template[: 6 * (n - start) - 1] % tuple(row[start:])
+                parts = [template[: 6 * a - 1] % tuple(row[:a])] if a else []
+                parts += map(list.pop, band)
+                if mirror:
+                    band.append(right.split(" ", b - i)[b - i - 1 : 0 : -1])
+                fh.write(" ".join([*parts, right]) + "\n")
 
 
 def read_matrix(path) -> np.ndarray:
-    """Read a file in :func:`write_matrix`'s format.  A header that is not a
-    non-negative integer n, or a body that is not n rows of n numbers, raises
-    ValidationError."""
-    with open(path) as fh:
-        header, body = fh.readline(), fh.read()
+    """Read a file in :func:`write_matrix`'s format.  A ``path`` that is no str
+    or os.PathLike, a file that cannot be read or is not UTF-8, a header that
+    is not a non-negative integer n, or a body that is not n rows of n
+    numbers, raises ValidationError."""
+    header, _, body = _read_text(path).partition("\n")
     if not (header.strip().isascii() and header.strip().isdigit()):  # int() takes any Unicode digit
         raise ValidationError(f"bad matrix file header {header!r}")
     n = int(header)

@@ -58,7 +58,7 @@ from typing import Callable, Mapping, Sequence, Union
 import numpy as np
 
 from .dataset import _parse_attribute
-from .errors import NumericError, ValidationError, _number, _numbers
+from .errors import NumericError, ValidationError, _instance, _number, _numbers
 from .sets import DiscreteFuzzySet, GaussianFuzzySet, GroundSpace, Partition, _check_same_ground, support_cells
 from .tnorms import TNorm, apply_array as tnorm_array, intersect
 
@@ -154,7 +154,7 @@ _BASE_KERNELS = {"linear": LinearKernel, "rbf": RBFKernel, "polynomial": Polynom
 def base_kernel_from_config(cfg: Mapping) -> BaseKernel:
     """Build a base kernel from ``{"kind": ..., params...}``."""
     if not isinstance(cfg, Mapping) or "kind" not in cfg:
-        raise ValidationError(f"base kernel config needs a 'kind' key, got {cfg!r}")
+        raise ValidationError(f"base kernel config (cfg) needs a 'kind' key, got {cfg!r}")
     name = str(cfg["kind"]).lower()
     if name not in _BASE_KERNELS:
         raise ValidationError(f"unknown base kernel kind {cfg['kind']!r}")
@@ -180,6 +180,7 @@ def cross_product_kernel(
 ) -> float:
     """Sum of ``k1(points) * k2(degrees)`` over all pairs of support elements:
     the weighted cross product under unit weights, which multiply exactly."""
+    _check_same_ground(x, y)
     return weighted_cross_product_kernel(x, y, k1, k2, np.ones(len(x.ground)))
 
 
@@ -196,11 +197,12 @@ def weighted_cross_product_kernel(
     the reading where ground elements are drawn at random.
     """
     _check_same_ground(x, y)
+    for name, k in (("k1", k1), ("k2", k2)):  # a reference takes any object with a pairwise method
+        if not callable(getattr(k, "pairwise", None)):
+            raise ValidationError(f"{name} must be a base kernel, with a pairwise method, got {k!r}")
     w = _numbers(weights, "weights", 0, closed=True)
     if w.shape != (len(x.ground),):
-        raise ValidationError(
-            f"need one weight per ground point ({len(x.ground)}), got shape {w.shape}"
-        )
+        raise ValidationError(f"weights must give one weight per ground point ({len(x.ground)}), got shape {w.shape}")
     ix, dx = _sorted_support(x)
     iy, dy = _sorted_support(y)
     pts = x.ground.points
@@ -222,6 +224,7 @@ def intersection_kernel(
     Only cells entirely contained in *both* supports contribute; a cell only
     partially covered by either support contributes nothing.
     """
+    _instance(p, Partition, "p")
     z, total = intersect(x, y, t).degrees, 0.0
     for k in sorted(support_cells(x, p) & support_cells(y, p)):
         cell_sum = 0.0
@@ -252,6 +255,8 @@ def nonsingleton_gaussian_kernel(x: GaussianFuzzySet, y: GaussianFuzzySet) -> fl
     ``exp(-z.z / 2)`` with ``z = (m - m') / hypot(sigma, sigma')`` on halved
     operands (see _halved), so every finite input gives a finite value.
     """
+    _instance(x, GaussianFuzzySet, "x")
+    _instance(y, GaussianFuzzySet, "y")
     if x.dim != y.dim:
         raise ValidationError(f"dimension mismatch: {x.dim} vs {y.dim}")
     m, w = _halved([x, y])
@@ -300,6 +305,9 @@ def distance_inner(
 ) -> float:
     """Inner product induced by a distance and a reference point:
     ``(d(x,x0)^2 + d(y,x0)^2 - d(x,y)^2) / 2``."""
+    _check_same_ground(x, y)
+    _instance(x0, DiscreteFuzzySet, "x0")
+    _instance(d, Callable, "d")
     return 0.5 * (d(x, x0) ** 2 + d(y, x0) ** 2 - d(x, y) ** 2)
 
 
@@ -321,6 +329,7 @@ def distance_gaussian_kernel(
     x: DiscreteFuzzySet, y: DiscreteFuzzySet, d: Metric = ratio_distance, gamma: float = 1.0
 ) -> float:
     """Gaussian kernel over a distance: ``exp(-gamma d(x, y)^2)``."""
+    _instance(d, Callable, "d")
     return math.exp(-RBFKernel(gamma).gamma * d(x, y) ** 2)
 
 
@@ -376,8 +385,8 @@ class FuzzyKernelSpec:
             base = getattr(self, key)
             if key in takes and base is None:
                 object.__setattr__(self, key, LinearKernel())
-            elif key in takes and not isinstance(base, tuple(_BASE_KERNELS.values())):
-                raise ValidationError(f"{key} must be a base kernel ({', '.join(_BASE_KERNELS)}), got {base!r}")
+            elif key in takes:
+                _instance(base, tuple(_BASE_KERNELS.values()), key)
         if "weights" in takes:
             weights = None  # a string, mapping or None is no list, whatever it iterates to
             if isinstance(self.weights, (list, tuple, np.ndarray)):
@@ -389,7 +398,7 @@ class FuzzyKernelSpec:
             raise ValidationError(f"{self.family} needs a T-norm: tnorm must be a TNorm, got {self.tnorm!r}")
         if "reference" in takes:
             refs = (self.reference,) if isinstance(self.reference, FuzzyDatum) else self.reference
-            if not isinstance(refs, Sequence) or not refs:
+            if not isinstance(refs, (list, tuple)) or not refs:
                 raise ValidationError(f"{self.family} needs one reference fuzzy set or a non-empty list")
             object.__setattr__(self, "reference", tuple(refs))
         if not (isinstance(self.metric, str) and self.metric == "ratio"):
@@ -498,8 +507,7 @@ def _kernel_matrix(
     row-major (upper-triangle) order.  A block with no rows or no columns has
     no pair to name, so it raises ValidationError up front.
     """
-    if not isinstance(spec, FuzzyKernelSpec):
-        raise ValidationError(f"spec must be a FuzzyKernelSpec, got {spec!r}")
+    _instance(spec, FuzzyKernelSpec, "spec")
     pairs = _Pairs(ids, first_col)
     if not all(pairs.shape):
         raise ValidationError(f"kernel block has no {'columns' if pairs.shape[0] else 'rows'}")
@@ -725,7 +733,9 @@ def spec_from_config(cfg: Mapping, ground: GroundSpace | None = None) -> FuzzyKe
     distance families.  A key that the family does not take raises ValidationError.
     """
     if not isinstance(cfg, Mapping) or "family" not in cfg:
-        raise ValidationError("kernel config needs a 'family' key")
+        raise ValidationError(f"kernel config (cfg) needs a 'family' key, got {cfg!r}")
+    if ground is not None and not isinstance(ground, GroundSpace):
+        raise ValidationError(f"ground must be a GroundSpace or None, got {ground!r}")
     family = str(cfg["family"]).lower()
     for key in cfg:
         if key != "family" and key not in _family(family)[1]:

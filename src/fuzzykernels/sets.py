@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, _number, _numbers
+from .errors import ValidationError, _instance, _number, _numbers
 
 __all__ = [
     "GroundSpace",
@@ -155,6 +155,10 @@ class GroundSpace:
 
 
 def _check_same_ground(x: "DiscreteFuzzySet", y: "DiscreteFuzzySet") -> None:
+    """Two discrete sets on one ground space; anything else raises ValidationError, naming ``x`` or ``y``
+    where it is no DiscreteFuzzySet."""
+    _instance(x, DiscreteFuzzySet, "x")
+    _instance(y, DiscreteFuzzySet, "y")
     if x.ground != y.ground:
         raise ValidationError("fuzzy sets live on different ground spaces")
 
@@ -167,8 +171,7 @@ class DiscreteFuzzySet:
     """
 
     def __init__(self, ground: GroundSpace, degrees: Mapping[int, float]):
-        if not isinstance(ground, GroundSpace):
-            raise ValidationError(f"ground must be a GroundSpace, got {ground!r}")
+        _instance(ground, GroundSpace, "ground")
         if not isinstance(degrees, Mapping):
             raise ValidationError(f"degrees must be a mapping of index to degree, got {degrees!r}")
         self.ground = ground
@@ -285,8 +288,7 @@ def fuzzify_from_histogram(samples: Sequence[float], ground: GroundSpace) -> Dis
     vals = _numbers(samples, "samples")
     if vals.ndim != 1:
         raise ValidationError(f"samples must be a flat list of numbers, got shape {vals.shape}")
-    if not isinstance(ground, GroundSpace):
-        raise ValidationError(f"ground must be a GroundSpace, got {ground!r}")
+    _instance(ground, GroundSpace, "ground")
     if vals.size == 0:
         raise ValidationError("cannot fuzzify an empty sample list")
     if ground.dim != 1:
@@ -334,10 +336,8 @@ def support_cells(fs: DiscreteFuzzySet, partition: Partition) -> set[int]:
     """Indices of the partition cells entirely contained in ``supp(fs)``.  A
     partition that is not the ground space's own (or, when the ground carries
     none, one that does not cover its indices) raises ValidationError."""
-    if not isinstance(fs, DiscreteFuzzySet):
-        raise ValidationError(f"fs must be a DiscreteFuzzySet, got {fs!r}")
-    if not isinstance(partition, Partition):
-        raise ValidationError(f"partition must be a Partition, got {partition!r}")
+    _instance(fs, DiscreteFuzzySet, "fs")
+    _instance(partition, Partition, "partition")
     own = fs.ground.partition
     if partition.size != len(fs.ground) or (own is not None and partition != own):
         raise ValidationError("partition does not belong to the fuzzy sets' ground space")

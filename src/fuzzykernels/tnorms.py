@@ -71,9 +71,6 @@ def intersect(x: DiscreteFuzzySet, y: DiscreteFuzzySet, t: TNorm) -> DiscreteFuz
     dropped, so the support is where T is positive, within supp(x) & supp(y).
     The reference intersection and non-singleton kernels build on it.
     """
-    for name, fs in (("x", x), ("y", y)):
-        if not isinstance(fs, DiscreteFuzzySet):
-            raise ValidationError(f"{name} must be a DiscreteFuzzySet, got {fs!r}")
     _check_same_ground(x, y)
     common = sorted(x.support & y.support)
     values = apply_array(t, [x.degrees[i] for i in common], [y.degrees[i] for i in common])

@@ -183,7 +183,7 @@ class TestGram:
         assert code == 0
         meta = json.loads(stdout)
         assert meta["n"] == 4
-        assert meta["item_ids"] == ["0", "1", "2", "3"]
+        assert "item_ids" not in meta  # a Gram names its items by position; n says how many
         assert meta["kernel"]["family"] == "cross_product"
         m = read_matrix(out)
         assert m.shape == (4, 4)
@@ -1030,7 +1030,7 @@ def test_seed_is_checked_before_the_gram(tmp_path, capsys, monkeypatch, command,
 COMMANDS = ["fuzzify", "gram", "check-psd", "classify", "mmd-test"]
 REPORT_KEYS = {  # each report's keys in print order; check-psd's and mmd-test's end with PsdReport's and MmdResult's
     "fuzzify": ["command", "method", "records", "out"],
-    "gram": ["command", "n", "item_ids", "kernel", "matrix_file"],
+    "gram": ["command", "n", "kernel", "matrix_file"],
     "check-psd": ["command", "n", "verdict", "min_eigenvalue", "max_eigenvalue", "tolerance", "eigenvalues"],
     "classify": ["command", "n", "folds", "seed", "ridge", "fold_accuracies", "mean_accuracy"],
     "mmd-test": ["command", "n_a", "n_b", "statistic", "p_value", "n_permutations", "seed", "generator"],

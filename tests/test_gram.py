@@ -244,6 +244,20 @@ class TestMatrixFile:
             read_matrix(path)
 
     @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda path: None, id="missing"),  # each was a raw OSError or UnicodeDecodeError
+            pytest.param(lambda path: path.mkdir(), id="directory"),
+            pytest.param(lambda path: path.write_bytes(b"2\n1 0\n0 \xff\n"), id="not-utf8"),
+        ],
+    )
+    def test_unreadable_file_names_it(self, tmp_path, make):
+        path = tmp_path / "gram.txt"
+        make(path)
+        with pytest.raises(ValidationError, match=re.escape(str(path))):
+            read_matrix(path)
+
+    @pytest.mark.parametrize(
         "text",
         [
             "-1\n",  # was a 1-D empty array

@@ -1,7 +1,8 @@
 """Hostile values at the library's entry points.
 
 Every number, label, vector and matrix argument of learn.py, gram.py, tnorms.apply,
-the base kernels and the histogram fuzzifier is set, one at a time, to a string, a
+the base kernels, the kernel spec, the scalar reference kernels, ``Dataset`` and the
+histogram fuzzifier is set, one at a time, to a string, a
 bool, None, NaN, inf, a nested list or a ragged list.  In a label vector, a vector
 or a matrix the first entry takes the string, bool, None, NaN or inf; the whole
 value is nested one level deeper, and the last row (or, for a vector, the first
@@ -10,24 +11,34 @@ entry) is made ragged; a vector (``predict``'s ``coefficients``, the fuzzifier's
 Every argument that takes an object (a spec's ``family``, ``tnorm``, ``k1``,
 ``k2`` and ``metric``, the ``spec`` of the engine's entry points, the T-norm
 and the sets of the tnorms functions, the ground, set and partition of the sets
-functions, and the dataset writer's dataset) is set to a string, a number, None
-unless None is its default, and a 2-D array.
-Every list of records (``compute_gram``'s data and the two MMD samples) is set
-to a string, a number, None and an iterator over its records.
+functions, the dataset writer's dataset, the scalar reference kernels' sets,
+base kernels, distance and partition, and the config readers' configs and
+ground) is set to a string, a number, None unless None is its default, and a
+2-D array.
+Every list of records (``compute_gram``'s data, the two MMD samples and a
+``Dataset``'s records) is set to a string, a number, None and an iterator over
+its records.  Every file path is set to None, a bool, a list and an int, with
+open() patched to fail, since it takes an int or a bool as a file descriptor.
+One test walks the public surface: each parameter of each public callable
+needs a row here or in ``test_sets.CONSTRUCTOR_ARGUMENTS``, or a stated reason
+in ``EXEMPT``.
 Each call must raise ValidationError, or NumericError for a non-finite matrix
 entry, naming the argument or its element, with no warning and no value.
 An integer argument also takes a numpy integer above 2**53, which must act as
 the equal Python int: the same result, or the same error.
 """
 
+import inspect
 import math
 import os
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import fuzzykernels
 from fuzzykernels import (
     Dataset,
     DiscreteFuzzySet,
@@ -42,23 +53,38 @@ from fuzzykernels import (
     RBFKernel,
     TNorm,
     ValidationError,
+    base_kernel_from_config,
     check_psd,
     compute_gram,
+    cross_product_kernel,
     cross_validate,
+    dataset_from_obj,
     dataset_to_obj,
+    distance_gaussian_kernel,
+    distance_inner,
+    distance_polynomial_kernel,
     evaluate,
     fit,
     fuzzify_from_histogram,
+    intersection_kernel,
     mmd_permutation_test,
     mmd_statistic,
+    nonsingleton_gaussian_kernel,
+    nonsingleton_kernel,
     normalize,
+    parse_dataset,
     predict,
+    ratio_distance,
+    read_matrix,
+    spec_from_config,
     support_cells,
     tnorms,
+    weighted_cross_product_kernel,
     write_dataset,
     write_matrix,
 )
 from fuzzykernels.errors import _number
+from test_sets import CONSTRUCTOR_ARGUMENTS
 
 EYE2 = [[1.0, 0.0], [0.0, 1.0]]
 # two blocks of two: seeds 2**60 and 2**60 + 1 draw folds with different accuracies, where the identity
@@ -75,7 +101,7 @@ SET = DiscreteFuzzySet(GROUND, {0: 1.0})
 # raises NumericError on a non-finite entry, and a "held" one keeps it, so it is not given one here;
 # an "integer" argument is a "number" that must be integral; an "object" argument takes neither a number nor
 # None, and an "optional" one takes None as its default; "items" is a list of records, and a "vector" a flat
-# list of numbers
+# list of numbers; a "path" names a file
 ENTRY_POINTS = [
     ("fit", fit, dict(gram=EYE2, labels=[1, -1], regularization=1.0),
      {"gram": "matrix", "labels": "labels", "regularization": "number"}),
@@ -117,13 +143,67 @@ ENTRY_POINTS = [
      {"data": "items", "spec": "object"}),
     ("mmd_permutation_test", mmd_permutation_test, dict(sample_a=SAMPLES[0], sample_b=SAMPLES[1], spec=SPEC),
      {"sample_a": "items", "sample_b": "items", "spec": "object"}),
-    ("evaluate", evaluate, dict(spec=SPEC, x=SAMPLES[0][0], y=SAMPLES[1][0]), {"spec": "object"}),
+    ("evaluate", evaluate, dict(spec=SPEC, x=SAMPLES[0][0], y=SAMPLES[1][0]),
+     {"spec": "object", "x": "object", "y": "object"}),
     ("FuzzyKernelSpec", FuzzyKernelSpec, dict(family="nonsingleton_gaussian"), {"family": "object"}),
     ("predict", lambda coefficients: predict(coefficients, [[0.5, 0.5]]), dict(coefficients=[1.0, 2.0]),
      {"coefficients": "vector"}),
     ("PolynomialKernel", PolynomialKernel, dict(coef0=1.0, gamma=1.0, degree=2),
      {"coef0": "number", "gamma": "number", "degree": "integer"}),
+    ("base_kernel_from_config", base_kernel_from_config, dict(cfg={"kind": "rbf"}), {"cfg": "object"}),
+    ("spec_from_config", spec_from_config, dict(cfg={"family": "cross_product"}, ground=GROUND),
+     {"cfg": "object", "ground": "optional"}),
+    ("FuzzyKernelSpec", lambda **kw: FuzzyKernelSpec("weighted_cross_product", **kw), dict(weights=[1.0, 2.0]),
+     {"weights": "vector"}),
+    ("FuzzyKernelSpec", lambda **kw: FuzzyKernelSpec("distance_poly", **kw),
+     dict(reference=SET, coef0=1.0, gamma=1.0, degree=2),
+     {"reference": "object", "coef0": "number", "gamma": "number", "degree": "integer"}),
+    # the scalar reference kernels; the float a distance polynomial returns cannot tell an integer degree
+    # from its float, so its degree is a "number" here, and PolynomialKernel's row, whose rule checks it,
+    # pins the integer cases
+    ("cross_product_kernel", cross_product_kernel, dict(x=SET, y=SET, k1=RBFKernel(), k2=LinearKernel()),
+     {"x": "object", "y": "object", "k1": "object", "k2": "object"}),
+    ("weighted_cross_product_kernel", weighted_cross_product_kernel,
+     dict(x=SET, y=SET, k1=RBFKernel(), k2=LinearKernel(), weights=[1.0, 2.0]),
+     {"x": "object", "y": "object", "k1": "object", "k2": "object", "weights": "vector"}),
+    ("intersection_kernel", intersection_kernel, dict(x=SET, y=SET, t=TNorm.MINIMUM, p=GROUND.partition),
+     {"x": "object", "y": "object", "t": "object", "p": "object"}),
+    ("nonsingleton_kernel", nonsingleton_kernel, dict(x=SET, y=SET, t=TNorm.MINIMUM),
+     {"x": "object", "y": "object", "t": "object"}),
+    ("nonsingleton_gaussian_kernel", nonsingleton_gaussian_kernel, dict(x=SAMPLES[0][0], y=SAMPLES[1][0]),
+     {"x": "object", "y": "object"}),
+    ("ratio_distance", ratio_distance, dict(x=SET, y=SET), {"x": "object", "y": "object"}),
+    ("distance_inner", distance_inner, dict(x=SET, y=SET, x0=SET, d=ratio_distance),
+     {"x": "object", "y": "object", "x0": "object", "d": "object"}),
+    ("distance_polynomial_kernel", distance_polynomial_kernel,
+     dict(x=SET, y=SET, x0=SET, d=ratio_distance, coef0=1.0, gamma=1.0, degree=2),
+     {"x": "object", "y": "object", "x0": "object", "d": "object", "coef0": "number", "gamma": "number",
+      "degree": "number"}),
+    ("distance_gaussian_kernel", distance_gaussian_kernel, dict(x=SET, y=SET, d=ratio_distance, gamma=1.0),
+     {"x": "object", "y": "object", "d": "object", "gamma": "number"}),
+    ("Dataset", Dataset, dict(ground=GROUND, records=[(SET,), (SET,)], labels=[1, -1]),
+     {"ground": "optional", "records": "items", "labels": "labels"}),
+    ("dataset_from_obj", dataset_from_obj,
+     dict(obj={"records": [[{"type": "gaussian", "m": [0.0], "sigma": [1.0]}]]}), {"obj": "object"}),
+    ("parse_dataset", parse_dataset, dict(path=os.devnull), {"path": "path"}),
+    ("read_matrix", read_matrix, dict(path=os.devnull), {"path": "path"}),
+    ("write_matrix", write_matrix, dict(path=os.devnull, g=EYE2), {"path": "path"}),
+    ("write_dataset", write_dataset, dict(ds=Dataset(GROUND, [(SET,)]), path=os.devnull), {"path": "path"}),
 ]
+
+# public names and parameters that no row covers, each with its reason
+EXEMPT = {
+    "ValidationError": "an exception class, which takes a message",
+    "NumericError": "an exception class, which takes a message",
+    "TNorm": "an enum: TNorm(value) looks a member up, and a config names a T-norm through TNorm.from_name",
+    "BaseKernel": "a type alias, not a constructor",
+    "PsdReport": "check_psd's result, which only the library builds",
+    "MmdResult": "mmd_permutation_test's result, which only the library builds",
+    "apply_array.a": "unchecked by design: the engine passes it degrees it has checked, and apply checks its own",
+    "apply_array.b": "unchecked by design: the engine passes it degrees it has checked, and apply checks its own",
+    "compute_gram.n_jobs": "accepted for compatibility and never read",
+    "mmd_permutation_test.n_jobs": "accepted for compatibility and never read",
+}
 
 
 def _first(value, x):
@@ -141,6 +221,9 @@ def _hostile(value, kind):
         yield from [("string", "min"), ("number", 3), ("array", np.array([[1.0, 2.0]]))]
         if kind == "object":
             yield "none", None
+        return
+    if kind == "path":  # open() takes the bool and the int as file descriptors
+        yield from [("none", None), ("bool", True), ("list", [value]), ("int", 1)]
         return
     if kind == "items":
         yield from [("string", "min"), ("number", 3), ("none", None), ("iterator", iter(value))]
@@ -165,7 +248,7 @@ CASES = [
 
 @pytest.mark.parametrize("call, kwargs, name, error", CASES)
 def test_hostile_argument_raises_naming_it(call, kwargs, name, error):
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), mock.patch("builtins.open", side_effect=AssertionError("open() was called")):
         warnings.simplefilter("error")
         with pytest.raises(error) as info:
             call(**kwargs)
@@ -208,3 +291,18 @@ def test_integer_case_tells_big_from_its_float(call, valid, name):
 def test_integral_number_keeps_every_digit(np_int):
     value = _number(np_int(BIG), "seed", closed=True, integral=True)
     assert type(value) is int and value == BIG
+
+
+def test_every_public_parameter_has_a_row():
+    # a new public name or parameter fails here until a row, or a reason in EXEMPT, covers it
+    covered = {f"{entry.split('.')[-1]}.{name}" for entry, _, _, kinds in ENTRY_POINTS for name in kinds}
+    parameters = {
+        f"{name}.{parameter}"
+        for name in fuzzykernels.__all__
+        if name not in EXEMPT
+        for parameter in inspect.signature(getattr(fuzzykernels, name)).parameters
+    }
+    assert sorted(parameters - covered - CONSTRUCTOR_ARGUMENTS.keys() - EXEMPT.keys()) == []
+    # and every exemption names a public name or parameter
+    assert {key for key in EXEMPT if "." not in key} <= set(fuzzykernels.__all__)
+    assert {key for key in EXEMPT if "." in key} <= parameters

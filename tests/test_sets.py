@@ -301,89 +301,105 @@ class TestSupportCells:
 G3 = GroundSpace([0.0, 1.0, 2.0])
 
 
-@pytest.mark.parametrize(
-    "call, match",
-    [
-        # an argument of the wrong type, once a TypeError, an AttributeError, or (a string ground) accepted
-        pytest.param(lambda: Partition(None), "cells must be a list of cells, got None", id="partition-none"),
-        pytest.param(
-            lambda: GroundSpace([0.0], partition="x"), "partition must be a Partition", id="ground-partition-string",
-        ),
-        pytest.param(lambda: DiscreteFuzzySet(G3, None), "degrees must be a mapping", id="discrete-degrees-none"),
-        pytest.param(lambda: DiscreteFuzzySet(None, {}), "ground must be a GroundSpace", id="discrete-ground-none"),
-        pytest.param(
-            lambda: DiscreteFuzzySet("g", {0: 1.0}), "ground must be a GroundSpace", id="discrete-ground-string",
-        ),
-        # each check of sets.py, once a plain ValueError
-        pytest.param(lambda: DiscreteFuzzySet(G3, {True: 0.5}), "index True is not an integer", id="index-bool"),
-        pytest.param(lambda: DiscreteFuzzySet(G3, {1.5: 0.5}), "index 1.5 is not an integer", id="index-float"),
-        pytest.param(lambda: DiscreteFuzzySet(G3, {3: 0.5}), "index 3 outside ground space", id="index-outside"),
-        pytest.param(lambda: DiscreteFuzzySet(G3, {0: 0.5})(3), "index 3 outside ground space", id="call-outside"),
-        pytest.param(lambda: Partition([[0], 5]), r"cells\[1\] must be a list", id="cell-not-a-list"),
-        pytest.param(lambda: Partition([[0], []]), "cell 1 is empty", id="cell-empty"),
-        pytest.param(lambda: Partition([[0, 1], [1]]), "not pairwise disjoint", id="cells-overlap"),
-        pytest.param(lambda: Partition([[0], [2]]), "without gaps", id="cells-gap"),
-        pytest.param(lambda: GroundSpace([]), "non-empty list", id="points-empty"),
-        pytest.param(lambda: GroundSpace([0.0], Partition([[0], [1]])), "covers 2 indices", id="partition-size"),
-        pytest.param(
-            lambda: sets._check_same_ground(DiscreteFuzzySet(G3, {}), DiscreteFuzzySet(GroundSpace([0.0]), {})),
-            "different ground spaces", id="grounds-differ",
-        ),
-        pytest.param(lambda: GaussianFuzzySet([0.0], [1.0])([0.0, 1.0]), "point has dimension 2", id="gaussian-call"),
-        pytest.param(lambda: fuzzify_from_histogram([], G3), "empty sample list", id="histogram-empty"),
-        pytest.param(
-            lambda: fuzzify_from_histogram([1.0], GroundSpace([[0.0, 1.0]])), "1-dimensional", id="histogram-2d",
-        ),
-        pytest.param(
-            lambda: support_cells(DiscreteFuzzySet(G3, {}), Partition([[0]])), "does not belong",
-            id="support-cells-foreign",
-        ),
-        pytest.param(lambda: Partition([[0], [1]], measures=[1.0]), "one measure per cell", id="measure-count"),
-        pytest.param(lambda: GaussianFuzzySet([0.0, 1.0], [1.0]), "equal-length", id="gaussian-shapes"),
-        pytest.param(lambda: GaussianFuzzySet([0.0], [np.inf]), "finite", id="gaussian-infinite-width"),
-        pytest.param(
-            lambda: fuzzify_from_histogram([1.0, np.nan], GroundSpace([0.0, 1.0])), r"samples\[1\] must be finite",
-            id="histogram-nan-sample",
-        ),
-        # a string, a bool or a nested list where a number belongs, each once read by
-        # np.asarray(..., dtype=float) as the number it spells, as 1.0, or as one more axis
-        pytest.param(
-            lambda: GaussianFuzzySet([0.0, "0.5"], [1.0, 1.0]), r"m\[1\] must be a number", id="gaussian-string",
-        ),
-        pytest.param(lambda: GaussianFuzzySet([0.0], [True]), r"sigma\[0\] must be a number", id="gaussian-bool"),
-        pytest.param(
-            lambda: GaussianFuzzySet([0.0, [1.0]], [1.0, 1.0]), r"m\[1\] must be a number", id="gaussian-nested",
-        ),
-        pytest.param(lambda: GroundSpace([["0"], [1.0]]), r"points\[0\]\[0\] must be a number", id="points-string"),
-        pytest.param(lambda: GroundSpace([[0.0], [True]]), r"points\[1\]\[0\] must be a number", id="points-bool"),
-        pytest.param(lambda: GroundSpace([0.0, [1.0, 2.0]]), r"points\[1\] must be a number", id="points-nested"),
-        pytest.param(
-            lambda: GroundSpace([[0.0], [1.0, 2.0]]), r"points\[1\] must be a list of length 1", id="points-ragged",
-        ),
-        pytest.param(
-            lambda: Partition([[0], [1]], measures=["2", 1.0]), r"measures\[0\] must be a number", id="measure-string",
-        ),
-        pytest.param(
-            lambda: Partition([[0], [1]], measures=[2.0, True]), r"measures\[1\] must be a number", id="measure-bool",
-        ),
-        pytest.param(
-            lambda: Partition([[0], [1]], measures=[2.0, [1.0]]), r"measures\[1\] must be a number",
-            id="measure-nested",
-        ),
-        pytest.param(
-            lambda: fuzzify_from_histogram([1.0, "2"], GroundSpace([0.0, 1.0])), r"samples\[1\] must be a number",
-            id="histogram-string",
-        ),
-        pytest.param(
-            lambda: fuzzify_from_histogram([True], GroundSpace([0.0, 1.0])), r"samples\[0\] must be a number",
-            id="histogram-bool",
-        ),
-        pytest.param(
-            lambda: fuzzify_from_histogram([1.0, [2.0]], GroundSpace([0.0, 1.0])), r"samples\[1\] must be a number",
-            id="histogram-nested",
-        ),
-    ],
-)
+# each constructor's argument, and the id of a row below that sets it to a value of the wrong type
+CONSTRUCTOR_ARGUMENTS = {
+    "GroundSpace.points": "points-string",
+    "GroundSpace.partition": "ground-partition-string",
+    "Partition.cells": "partition-none",
+    "Partition.measures": "measure-string",
+    "DiscreteFuzzySet.ground": "discrete-ground-none",
+    "DiscreteFuzzySet.degrees": "discrete-degrees-none",
+    "GaussianFuzzySet.means": "gaussian-string",
+    "GaussianFuzzySet.widths": "gaussian-bool",
+}
+
+BAD_ARGUMENTS = [
+    # an argument of the wrong type, once a TypeError, an AttributeError, or (a string ground) accepted
+    pytest.param(lambda: Partition(None), "cells must be a list of cells, got None", id="partition-none"),
+    pytest.param(
+        lambda: GroundSpace([0.0], partition="x"), "partition must be a Partition", id="ground-partition-string",
+    ),
+    pytest.param(lambda: DiscreteFuzzySet(G3, None), "degrees must be a mapping", id="discrete-degrees-none"),
+    pytest.param(lambda: DiscreteFuzzySet(None, {}), "ground must be a GroundSpace", id="discrete-ground-none"),
+    pytest.param(
+        lambda: DiscreteFuzzySet("g", {0: 1.0}), "ground must be a GroundSpace", id="discrete-ground-string",
+    ),
+    # each check of sets.py, once a plain ValueError
+    pytest.param(lambda: DiscreteFuzzySet(G3, {True: 0.5}), "index True is not an integer", id="index-bool"),
+    pytest.param(lambda: DiscreteFuzzySet(G3, {1.5: 0.5}), "index 1.5 is not an integer", id="index-float"),
+    pytest.param(lambda: DiscreteFuzzySet(G3, {3: 0.5}), "index 3 outside ground space", id="index-outside"),
+    pytest.param(lambda: DiscreteFuzzySet(G3, {0: 0.5})(3), "index 3 outside ground space", id="call-outside"),
+    pytest.param(lambda: Partition([[0], 5]), r"cells\[1\] must be a list", id="cell-not-a-list"),
+    pytest.param(lambda: Partition([[0], []]), "cell 1 is empty", id="cell-empty"),
+    pytest.param(lambda: Partition([[0, 1], [1]]), "not pairwise disjoint", id="cells-overlap"),
+    pytest.param(lambda: Partition([[0], [2]]), "without gaps", id="cells-gap"),
+    pytest.param(lambda: GroundSpace([]), "non-empty list", id="points-empty"),
+    pytest.param(lambda: GroundSpace([0.0], Partition([[0], [1]])), "covers 2 indices", id="partition-size"),
+    pytest.param(
+        lambda: sets._check_same_ground(DiscreteFuzzySet(G3, {}), DiscreteFuzzySet(GroundSpace([0.0]), {})),
+        "different ground spaces", id="grounds-differ",
+    ),
+    pytest.param(lambda: GaussianFuzzySet([0.0], [1.0])([0.0, 1.0]), "point has dimension 2", id="gaussian-call"),
+    pytest.param(lambda: fuzzify_from_histogram([], G3), "empty sample list", id="histogram-empty"),
+    pytest.param(
+        lambda: fuzzify_from_histogram([1.0], GroundSpace([[0.0, 1.0]])), "1-dimensional", id="histogram-2d",
+    ),
+    pytest.param(
+        lambda: support_cells(DiscreteFuzzySet(G3, {}), Partition([[0]])), "does not belong",
+        id="support-cells-foreign",
+    ),
+    pytest.param(lambda: Partition([[0], [1]], measures=[1.0]), "one measure per cell", id="measure-count"),
+    pytest.param(lambda: GaussianFuzzySet([0.0, 1.0], [1.0]), "equal-length", id="gaussian-shapes"),
+    pytest.param(lambda: GaussianFuzzySet([0.0], [np.inf]), "finite", id="gaussian-infinite-width"),
+    pytest.param(
+        lambda: fuzzify_from_histogram([1.0, np.nan], GroundSpace([0.0, 1.0])), r"samples\[1\] must be finite",
+        id="histogram-nan-sample",
+    ),
+    # a string, a bool or a nested list where a number belongs, each once read by
+    # np.asarray(..., dtype=float) as the number it spells, as 1.0, or as one more axis
+    pytest.param(
+        lambda: GaussianFuzzySet([0.0, "0.5"], [1.0, 1.0]), r"m\[1\] must be a number", id="gaussian-string",
+    ),
+    pytest.param(lambda: GaussianFuzzySet([0.0], [True]), r"sigma\[0\] must be a number", id="gaussian-bool"),
+    pytest.param(
+        lambda: GaussianFuzzySet([0.0, [1.0]], [1.0, 1.0]), r"m\[1\] must be a number", id="gaussian-nested",
+    ),
+    pytest.param(lambda: GroundSpace([["0"], [1.0]]), r"points\[0\]\[0\] must be a number", id="points-string"),
+    pytest.param(lambda: GroundSpace([[0.0], [True]]), r"points\[1\]\[0\] must be a number", id="points-bool"),
+    pytest.param(lambda: GroundSpace([0.0, [1.0, 2.0]]), r"points\[1\] must be a number", id="points-nested"),
+    pytest.param(
+        lambda: GroundSpace([[0.0], [1.0, 2.0]]), r"points\[1\] must be a list of length 1", id="points-ragged",
+    ),
+    pytest.param(
+        lambda: Partition([[0], [1]], measures=["2", 1.0]), r"measures\[0\] must be a number", id="measure-string",
+    ),
+    pytest.param(
+        lambda: Partition([[0], [1]], measures=[2.0, True]), r"measures\[1\] must be a number", id="measure-bool",
+    ),
+    pytest.param(
+        lambda: Partition([[0], [1]], measures=[2.0, [1.0]]), r"measures\[1\] must be a number",
+        id="measure-nested",
+    ),
+    pytest.param(
+        lambda: fuzzify_from_histogram([1.0, "2"], GroundSpace([0.0, 1.0])), r"samples\[1\] must be a number",
+        id="histogram-string",
+    ),
+    pytest.param(
+        lambda: fuzzify_from_histogram([True], GroundSpace([0.0, 1.0])), r"samples\[0\] must be a number",
+        id="histogram-bool",
+    ),
+    pytest.param(
+        lambda: fuzzify_from_histogram([1.0, [2.0]], GroundSpace([0.0, 1.0])), r"samples\[1\] must be a number",
+        id="histogram-nested",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, match", BAD_ARGUMENTS)
 def test_bad_arguments_raise_value_error(call, match):
     with pytest.raises(ValidationError, match=match):
         call()
+
+
+def test_each_constructor_argument_has_a_row():
+    assert set(CONSTRUCTOR_ARGUMENTS.values()) <= {row.id for row in BAD_ARGUMENTS}

@@ -38,14 +38,15 @@ The per-family functions below evaluate one pair and are the reference.
 Its one layout is a list of items split at a first column into rows and
 columns, where a pair is computed when its column item is not before its row
 item: a Gram is first column 0, its upper triangle mirrored, and ``evaluate``
-the one pair of a two-item block.  Each family computes a block in arrays:
-intersection and non-singleton join the support entries that share a ground
-point, so their work follows sum |supp x & supp y|; the cross product takes
-the gemm ``M K1 M^T`` for a linear ``k2`` and a finite ``K1``, and a sum over
-support pairs otherwise; the distance families take ``|X - Y|_1`` by
-broadcasting each band of rows against the columns over the active ground
-points.  The arithmetic has a fixed order, so repeated evaluations are
-bit-identical.
+the one pair of a two-item block.  A family prepares each attribute slot once
+and returns ``(cost, band)``; the engine cuts the rows into bands within a
+budget and multiplies each band into one n x n output array.  Intersection
+and non-singleton join the support entries that share a ground point, so
+their work follows sum |supp x & supp y|; the cross product takes the gemm
+``M K1 M^T``, in one band, for a linear ``k2`` and a finite ``K1``, and a sum
+over support pairs otherwise; the distance families take ``|X - Y|_1`` by
+broadcasting rows against columns over the active ground points.  The
+arithmetic has a fixed order, so repeated evaluations are bit-identical.
 """
 
 from __future__ import annotations
@@ -480,11 +481,10 @@ class _Pairs:
 
     def row_blocks(self, cost):
         """(first, stop) of the bands whose temporaries stay within the
-        element budget: ``cost`` elements for each row, or one count per row
-        or per entry of any list (the join bands over support entries); each
-        band takes as many as fit, and at least one.  A band of rows meets
-        the columns from :meth:`start` of its first row on."""
-        cost = np.full(self.shape[0], max(cost, 1)) if np.isscalar(cost) else cost
+        element budget: ``cost`` elements for each row, or one count per row;
+        each band takes as many as fit, and at least one, so a cost of 0 gives
+        one band.  A band of rows meets the columns from its first row's :meth:`start` on."""
+        cost = np.full(self.shape[0], cost) if np.isscalar(cost) else cost
         done = np.concatenate(([0], np.cumsum(cost)))
         a = 0
         while a < len(cost):
@@ -500,12 +500,14 @@ def _kernel_matrix(
     attribute: rows x columns as _Pairs splits them at ``first_col``.
 
     The items of each attribute slot are checked against the family's kind,
-    then its block prepares them once.  With ``first_col = 0`` the block is a
-    Gram matrix: only its upper triangle is computed and then mirrored, so it
-    is exactly symmetric.  Malformed input raises ValidationError and a
-    non-finite value NumericError, each naming the first offending pair in
-    row-major (upper-triangle) order.  A block with no rows or no columns has
-    no pair to name, so it raises ValidationError up front.
+    then its block prepares them once and returns ``(cost, band)``.  This one
+    loop multiplies ``band(a, b, c0)``, rows ``a:b`` against the columns from
+    ``c0``, into an array of ones, so slot 0 keeps its bits.  With
+    ``first_col = 0`` the block is a Gram matrix: only its upper triangle is
+    computed and then mirrored, so it is exactly symmetric.  Malformed input raises
+    ValidationError and a non-finite value NumericError, each naming the first
+    offending pair in row-major (upper-triangle) order.  A block with no rows
+    or no columns has no pair to name, so it raises ValidationError up front.
     """
     _instance(spec, FuzzyKernelSpec, "spec")
     pairs = _Pairs(ids, first_col)
@@ -519,14 +521,17 @@ def _kernel_matrix(
     if refs is not None and len(refs) not in (1, arity[0]) and isinstance(items[0], (tuple, list)):
         pairs.check(True, f"reference has {len(refs)} attributes but records have {arity[0]}")
     block, _, kind = _FAMILIES[spec.family]
+    values = np.ones(pairs.shape)
     with np.errstate(all="ignore"):  # non-finite values are reported below, by pair
         for slot in range(arity[0]):
             attrs = [r[slot] for r in records]
             bad = np.array([not isinstance(a, kind) for a in attrs])
             pairs.check(bad, lambda p, q: f"kernel family {spec.family!r} needs {kind.__name__} attributes, "
                         f"got {type(attrs[p] if bad[p] else attrs[q]).__name__}")
-            v = block(spec, attrs, slot, pairs)
-            values = v if slot == 0 else np.multiply(values, v, out=values)
+            cost, band = block(spec, attrs, slot, pairs)
+            for a, b in pairs.row_blocks(cost):
+                values[a:b, pairs.start(a):] *= band(a, b, pairs.start(a))
+            del band  # and the slot's arrays with it, before the next slot's
         # a row with a non-finite value has a non-finite sum; only those rows are scanned
         for i in np.flatnonzero(~np.isfinite(values.sum(axis=1))):
             j = [c for c in np.flatnonzero(~np.isfinite(values[i])) if c >= pairs.start(i)]
@@ -586,7 +591,7 @@ def _segment_sum(a: np.ndarray, sizes: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _cross_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _Pairs) -> np.ndarray:
+def _cross_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _Pairs) -> tuple:
     ground, packed = _discrete(attrs, pairs)
     (size, item, _, deg), (cols, at, m) = packed, _dense(packed)
     pts = ground.points[cols]
@@ -599,53 +604,54 @@ def _cross_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _Pairs) -
     # form M K1 M^T; an overflowing k1 entry would turn 0 * inf into NaN for
     # pairs that never meet it, so that case sums over the supports instead
     if isinstance(spec.k2, LinearKernel) and np.isfinite(k1).all():
-        return m[pairs.rows] @ k1 @ m[pairs.cols].T
-    order = np.argsort(item * len(cols) + at)  # item after item, each in ascending ground order
-    return _support_sum(spec.k2, k1, size, at[order], deg[order], pairs)
-
-
-def _support_sum(k2: BaseKernel, k1: np.ndarray, size, at, deg, pairs: _Pairs) -> np.ndarray:
-    """Sum of ``k1[a, b] k2(x_a, y_b)`` over a in supp x, b in supp y, on the
-    items' supports packed item after item, ``at`` indexing ``k1``."""
-    start = np.concatenate(([0], np.cumsum(size)))
+        mk = m[pairs.rows] @ k1  # the band holds mk and m; k1 is freed on return
+        return 0, lambda a, b, c0: mk[a:b] @ m[pairs.cols][c0:].T
+    # the sum of k1[a, b] k2(x_a, y_b) over a in supp x, b in supp y, on the
+    # supports packed item after item, each in ascending ground order
+    order = np.argsort(item * len(cols) + at)
+    at, deg, start = at[order], deg[order], np.concatenate(([0], np.cumsum(size)))
     nx, ny = size[pairs.rows], size[pairs.cols]
-    out = np.zeros(pairs.shape)
-    for a, b in pairs.row_blocks(int(nx.max(initial=0)) * int(ny.sum())):
-        c0 = pairs.start(a)
-        sx = slice(start[a], start[b])
-        sy = slice(start[pairs.cols.start + c0], start[pairs.cols.stop])
-        terms = k1[np.ix_(at[sx], at[sy])] * k2.pairwise(deg[sx, None], deg[sy, None])
-        out[a:b, c0:] = _segment_sum(_segment_sum(terms, nx[a:b], 0), ny[c0:], 1)
-    return out
+
+    def band(a, b, c0):
+        sx, sy = slice(start[a], start[b]), slice(start[pairs.cols.start + c0], start[pairs.cols.stop])
+        terms = spec.k2.pairwise(deg[sx, None], deg[sy, None])
+        terms *= k1[np.ix_(at[sx], at[sy])]
+        return _segment_sum(_segment_sum(terms, nx[a:b], 0), ny[c0:], 1)
+    # a row costs about four temporaries per term, and a row of partial sums
+    return (4 * nx + 1) * int(ny.sum()), band
 
 
-def _join(t: TNorm, item, idx, deg, pairs: _Pairs, weight: np.ndarray | None = None) -> np.ndarray:
+def _join(t: TNorm, item, idx, deg, pairs: _Pairs, weight: np.ndarray | None = None) -> tuple:
     """Per pair, the sum over common support points p of ``weight_p T(x_p,
-    y_p)``, or with no weights its max (the intersection height), on entries
-    in (point, item) order, walked in bands of entries.  T(a, 0) = 0, so only
-    entries that share a point meet: the work follows sum |supp x & supp y|."""
+    y_p)``, or with no weights its max (the intersection height).  T(a, 0) = 0,
+    so only entries that share a point meet: the work follows sum |supp x &
+    supp y|.  A band takes its rows' entries item by item, so a pair meets its
+    common points in ascending ground order; a row costs 8 per term and its width."""
     key = idx * pairs.cols.stop + item  # ascending, as packed
     # a row entry meets the column entries of its point whose item is not
     # before its own (see _Pairs); an entry of an item past the rows meets none
     first = np.maximum(np.arange(len(key)), np.searchsorted(key, key - item + pairs.cols.start))
     count = (np.searchsorted(idx, idx, "right") - first) * (item < pairs.rows.stop)
-    done = np.concatenate(([0], np.cumsum(count)))
-    # about eight temporaries per term; a pair meets its common points in
-    # ascending ground order, so no bit depends on the bands or the record order
-    out = np.zeros(pairs.shape)
-    for a, b in pairs.row_blocks(8 * count):
-        c = count[a:b]
-        other = np.repeat(first[a:b] - done[a:b] + done[a], c) + np.arange(done[b] - done[a])
-        v = tnorm_array(t, np.repeat(deg[a:b], c), deg[other])
-        cell = np.repeat(item[a:b] * pairs.shape[1] - pairs.cols.start, c) + item[other]
+    width = pairs.shape[1] - np.maximum(np.arange(pairs.shape[0]) - pairs.cols.start, 0)
+    by_item = np.argsort(item.astype(np.min_scalar_type(pairs.cols.stop)), kind="stable")  # a radix sort
+    start = np.searchsorted(item[by_item], np.arange(pairs.rows.stop + 1))
+
+    def band(a, b, c0):
+        e = by_item[start[a] : start[b]]
+        c = count[e]
+        other = np.repeat(first[e] - np.cumsum(c) + c, c) + np.arange(c.sum())
+        v = tnorm_array(t, np.repeat(deg[e], c), deg[other])
+        out = np.zeros((b - a, pairs.shape[1] - c0))
+        cell = np.repeat((item[e] - a) * out.shape[1] - pairs.cols.start - c0, c) + item[other]
         if weight is None:
             np.maximum.at(out.reshape(-1), cell, v)
         else:
-            np.add.at(out.reshape(-1), cell, v * np.repeat(weight[a:b], c))
-    return out
+            np.add.at(out.reshape(-1), cell, v * np.repeat(weight[e], c))
+        return out
+    return 8 * np.bincount(item, count, pairs.cols.stop)[pairs.rows] + width, band
 
 
-def _intersection_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _Pairs) -> np.ndarray:
+def _intersection_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _Pairs) -> tuple:
     ground, (_, item, idx, deg) = _discrete(attrs, pairs)
     part = ground.partition
     pairs.check(part is None, "intersection kernel needs a partition on the ground space")
@@ -657,12 +663,12 @@ def _intersection_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _P
     return _join(spec.tnorm, item[whole], idx[whole], deg[whole], pairs, part.measures[cell[whole]])
 
 
-def _nonsingleton_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _Pairs) -> np.ndarray:
+def _nonsingleton_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _Pairs) -> tuple:
     _, (_, item, idx, deg) = _discrete(attrs, pairs)
     return _join(spec.tnorm, item, idx, deg, pairs)
 
 
-def _gaussian_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _Pairs) -> np.ndarray:
+def _gaussian_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _Pairs) -> tuple:
     dim = np.array([x.dim for x in attrs])
     pairs.check(dim != dim[0], lambda p, q: f"dimension mismatch: {dim[p]} vs {dim[q]}")
     means, widths = _halved(attrs)
@@ -670,20 +676,19 @@ def _gaussian_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _Pairs
     # takes one hypot, equal bit for bit to every pair's own
     shared = np.hypot(widths[0], widths[0]) if (widths == widths[0]).all() else None
     mx, wx, my, wy = means[pairs.rows, None], widths[pairs.rows, None], means[pairs.cols], widths[pairs.cols]
-    out = np.zeros(pairs.shape)
-    for a, b in pairs.row_blocks(len(my)):
-        c0 = pairs.start(a)
+
+    def band(a, b, c0):
         s = np.zeros((b - a, len(my) - c0))
         # dimensions accumulate in a fixed order, so a pair's value does not
         # depend on where it sits in the block
         for k in range(means.shape[1]):
             h = np.hypot(wx[a:b, :, k], wy[c0:, k]) if shared is None else shared[k]
             s += np.square((mx[a:b, :, k] - my[c0:, k]) / h)
-        out[a:b, c0:] = np.exp(-0.5 * s)
-    return out
+        return np.exp(-0.5 * s)
+    return len(my), band
 
 
-def _distance_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _Pairs) -> np.ndarray:
+def _distance_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _Pairs) -> tuple:
     """The family's kernel of the ratio distance ``|X - Y|_1 / (|X|_1 + |Y|_1)``, rows against columns."""
     refs = spec.reference
     ref = None if refs is None else refs[0] if len(refs) == 1 else refs[slot]
@@ -692,18 +697,17 @@ def _distance_block(spec: FuzzyKernelSpec, attrs: list, slot: int, pairs: _Pairs
     # against an empty reference, one empty item of a pair is enough to fail
     both = ref is None or s[-1] != 0
     pairs.check(s[: len(attrs)] == 0, "ratio distance is undefined for two empty fuzzy sets (0/0)", both)
-    mx, my = m[pairs.rows], m[pairs.cols]
-    d = np.zeros(pairs.shape)
-    for a, b in pairs.row_blocks(len(my) * len(cols)):
-        c0 = pairs.start(a)
-        d[a:b, c0:] = np.abs(mx[a:b, None, :] - my[None, c0:, :]).sum(axis=-1)
-    d /= s[pairs.rows, None] + s[None, pairs.cols]
-    if ref is None:  # distance_gaussian
-        return np.exp(-spec.gamma * d**2)
-    d0 = np.abs(m - m[-1]).sum(axis=1) / (s + s[-1])  # each item's distance to the reference, last in m
-    # distance_inner keeps coef0 = 0, gamma = 1 and degree = 1, which leave every bit of inner as it is
-    inner = 0.5 * (d0[pairs.rows, None] ** 2 + d0[None, pairs.cols] ** 2 - d**2)
-    return (spec.coef0 + spec.gamma * inner) ** spec.degree
+    mx, my, sx, sy = m[pairs.rows], m[pairs.cols], s[pairs.rows, None], s[pairs.cols]
+    d0 = None if ref is None else np.abs(m - m[-1]).sum(axis=1) / (s + s[-1])  # to the reference, last in m
+
+    def band(a, b, c0):
+        d = np.abs(mx[a:b, None, :] - my[None, c0:, :]).sum(axis=-1) / (sx[a:b] + sy[c0:])
+        if ref is None:  # distance_gaussian
+            return np.exp(-spec.gamma * d**2)
+        # distance_inner keeps coef0 = 0, gamma = 1 and degree = 1, which leave every bit of inner as it is
+        inner = 0.5 * (d0[pairs.rows][a:b, None] ** 2 + d0[pairs.cols][c0:] ** 2 - d**2)
+        return (spec.coef0 + spec.gamma * inner) ** spec.degree
+    return len(my) * len(cols), band
 
 
 # the one place that knows what a family is: its batch function, the spec

@@ -30,14 +30,19 @@ class TNorm(enum.Enum):
     DRASTIC = "drastic"
 
     @classmethod
+    def _missing_(cls, value):
+        """``TNorm(value)`` reads a name case-insensitively, 'minimum' as 'min'; others raise ValidationError."""
+        key = value.strip().lower() if isinstance(value, str) else None
+        for t in cls:
+            if t.value == ("min" if key == "minimum" else key):
+                return t
+        raise ValidationError(f"unknown T-norm value {value!r}; expected one of {', '.join(t.value for t in cls)}")
+
+    @classmethod
     def from_name(cls, name: str) -> "TNorm":
-        """Resolve a config name, case-insensitively ('min' or 'minimum' both work)."""
-        key = str(name).strip().lower()
-        try:
-            return cls("min" if key == "minimum" else key)
-        except ValueError:
-            names = ", ".join(t.value for t in cls)
-            raise ValidationError(f"unknown T-norm {name!r}; expected one of {names}") from None
+        """Resolve a config name; what is no string goes to ``_missing_``, as an array must (``TNorm(array)``
+        compares it with each value, elementwise)."""
+        return cls(name) if isinstance(name, str) else cls._missing_(name)
 
 
 def apply(t: TNorm, a: float, b: float) -> float:

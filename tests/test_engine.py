@@ -431,7 +431,7 @@ def test_a_pair_is_computed_the_same_wherever_it_sits(name):
 
 
 def test_gram_mirrors_the_upper_triangle_bitwise():
-    # a stub family's block returns an upper triangle of -0.0, subnormals and
+    # a stub family's bands return an upper triangle of -0.0, subnormals and
     # both signs over a lower triangle of junk; the Gram is that upper triangle
     # mirrored, bit for bit, with every -0.0 made +0.0
     n = 23
@@ -448,7 +448,7 @@ def test_gram_mirrors_the_upper_triangle_bitwise():
 
     def stub(spec, attrs, slot, pairs):
         blocks.append(pairs.shape)
-        return junk.copy()
+        return n, lambda a, b, c0: junk[a:b, c0:]
 
     below = np.tri(n, k=-1, dtype=bool)
     want = np.where(below, upper.T, upper) + 0.0
@@ -496,12 +496,59 @@ def test_join_memory_follows_the_supports(family):
     assert peak <= 2 * 8 * (400 * 400 + 400 * 8) + 8 * kernels._BLOCK_ELEMENTS
 
 
+# every family but the gemm, whose one band is its whole product
+BANDED = {
+    "support-sum": dict(family="cross_product", k1=RBFKernel(0.5), k2=RBFKernel(1.0)),
+    "weighted": dict(family="weighted_cross_product", k2=PolynomialKernel(1.0, 1.0, 2), weights=[0.5] * 32),
+    "intersection": dict(family="intersection", tnorm=TNorm.PRODUCT),
+    "nonsingleton": dict(family="nonsingleton", tnorm=TNorm.MINIMUM),
+    "gaussian": dict(family="nonsingleton_gaussian"),
+    "distance_gaussian": dict(family="distance_gaussian"),
+    "distance_inner": dict(family="distance_inner", reference=0),
+    "distance_poly": dict(family="distance_poly", reference=0, coef0=1.0, degree=2),
+}
+
+
+@pytest.mark.parametrize("name", BANDED)
+def test_a_gram_holds_one_array_and_one_band(name):
+    # 400 records of two attributes on 32 ground points: the peak is the Gram,
+    # 8 n^2 bytes, plus C arrays the size of the band budget and the supports.
+    # A row is the least band, so supports of 1-4 points keep one row of the
+    # support sum (about |supp x| sum |supp y| terms) within the budget.
+    n, C = 400, 10
+    rng = np.random.default_rng(21)
+    ground = GroundSpace(np.linspace(-2, 2, 32)[:, None], Partition([[k, k + 1] for k in range(0, 32, 2)]))
+
+    def one():
+        lo = int(rng.integers(0, 28))
+        return DiscreteFuzzySet(ground, {k: rng.uniform(0.05, 1.0) for k in range(lo, lo + int(rng.integers(1, 5)))})
+
+    data = [(one(), one()) for _ in range(n)]
+    supp = sum(len(x.degrees) for r in data for x in r)
+    fields = dict(BANDED[name])
+    if "reference" in fields:
+        fields["reference"] = data[0]
+    if name == "gaussian":
+        data = [tuple(GaussianFuzzySet(rng.normal(size=3), rng.uniform(0.5, 2, 3)) for _ in "ab") for _ in data]
+        supp = 0
+    spec = FuzzyKernelSpec(**fields)
+    with mock.patch.object(kernels, "_BLOCK_ELEMENTS", 1 << 12):
+        compute_gram(data, spec)
+        tracemalloc.start()
+        try:
+            compute_gram(data, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n * n + C * 8 * (kernels._BLOCK_ELEMENTS + supp), peak / (8 * n * n)
+
+
 @pytest.mark.parametrize("budget", [1, 7, 64, 1000])
 def test_row_blocks_cover_the_rows_in_bands_within_the_budget(budget):
-    # one count per row or per entry of a longer list (the join's support
-    # entries), some costing nothing, or one count for all rows: the bands run
-    # in order with no gap, each within the budget or one long, and each stops
-    # only where one more would break the budget
+    # one count per row or per entry of a longer list, some costing nothing,
+    # or one count for all rows: the bands run in order with no gap, each
+    # within the budget or one long, and each stops only where one more would
+    # break the budget
     rng = np.random.default_rng(15)
     for trial in range(40):
         n, symmetric = int(rng.integers(1, 30)), bool(trial % 2)

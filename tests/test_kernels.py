@@ -24,6 +24,7 @@ from fuzzykernels import (
     distance_polynomial_kernel,
     evaluate,
     intersection_kernel,
+    kernels,
     nonsingleton_gaussian_kernel,
     nonsingleton_kernel,
     ratio_distance,
@@ -732,3 +733,75 @@ def test_not_psd_in_general(spec, data, smallest):
     report = check_psd(compute_gram(data, spec))
     assert report.verdict == "indefinite"
     assert report.min_eigenvalue == pytest.approx(smallest, abs=1e-12)
+
+
+# each "PSD" row of the module docstring's table as a property, on records of two attributes (the table's
+# Schur product line), with every base-kernel parameter at its bound in kernels._RANGES (just inside an
+# open one) or at an interior value, so a change to _RANGES is checked against the theorem
+psd_settings = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def _in_range(name):
+    least, closed, integral = kernels._RANGES[name]
+    if integral:
+        return st.sampled_from([least, least + 1, least + 6])
+    edge = least if closed else math.nextafter(least, math.inf)
+    return st.sampled_from([edge, least + 1e-3, least + 1.0, least + 1e3])
+
+
+base_kernels = st.one_of(
+    st.just(LinearKernel()),
+    st.builds(RBFKernel, gamma=_in_range("gamma")),
+    st.builds(PolynomialKernel, coef0=_in_range("coef0"), gamma=_in_range("gamma"), degree=_in_range("degree")),
+)
+
+
+def _discrete_records(seed, partition=False):
+    """2-13 records of two attributes on 1-11 ground points at a scale of 0.01-100; with ``partition``,
+    cells of random measure, a fifth of them 0, and about half the sets made of whole cells."""
+    rng = np.random.default_rng(seed)
+    n, scale = int(rng.integers(1, 12)), 10.0 ** rng.uniform(-2, 2)
+    part = oracles.random_partition(rng, n, int(rng.integers(1, n + 1))) if partition else None
+    if part is not None:
+        part = Partition(part.cells, rng.uniform(0, 50, len(part.cells)) * (rng.random(len(part.cells)) < 0.8))
+    ground = GroundSpace(rng.uniform(-scale, scale, (n, 2)), part)
+
+    def one():
+        whole = part is not None and rng.random() < 0.5
+        return oracles.random_cell_aligned(rng, ground, part) if whole else oracles.random_discrete(rng, ground)
+
+    return [(one(), one()) for _ in range(int(rng.integers(2, 14)))]
+
+
+def assert_psd(data, spec):
+    report = check_psd(compute_gram(data, spec))
+    assert report.verdict == "PSD", (report.min_eigenvalue, report.max_eigenvalue)
+
+
+@psd_settings
+@given(seed=st.integers(0, 2**32 - 1), k1=base_kernels, k2=base_kernels, weighted=st.booleans())
+def test_cross_product_is_psd(seed, k1, k2, weighted):
+    data = _discrete_records(seed)
+    if not weighted:
+        spec = FuzzyKernelSpec(family="cross_product", k1=k1, k2=k2)
+    else:  # a weight of 0, 0.5 or 3 per point
+        w = np.random.default_rng(seed).choice([0.0, 0.5, 3.0], len(data[0][0].ground))
+        spec = FuzzyKernelSpec(family="weighted_cross_product", k1=k1, k2=k2, weights=w)
+    assert_psd(data, spec)
+
+
+@psd_settings
+@given(seed=st.integers(0, 2**32 - 1), tnorm=st.sampled_from([TNorm.MINIMUM, TNorm.PRODUCT]))
+def test_intersection_with_min_or_product_is_psd(seed, tnorm):
+    assert_psd(_discrete_records(seed, partition=True), FuzzyKernelSpec(family="intersection", tnorm=tnorm))
+
+
+@psd_settings
+@given(seed=st.integers(0, 2**32 - 1))
+def test_nonsingleton_gaussian_with_one_width_vector_per_slot_is_psd(seed):
+    rng = np.random.default_rng(seed)
+    dim, scale = int(rng.integers(1, 4)), 10.0 ** rng.uniform(-2, 2)
+    widths = scale * rng.uniform(0.1, 3.0, (2, dim))
+    n = int(rng.integers(2, 14))
+    data = [tuple(GaussianFuzzySet(scale * rng.normal(size=dim), w) for w in widths) for _ in range(n)]
+    assert_psd(data, FuzzyKernelSpec(family="nonsingleton_gaussian"))

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -51,6 +52,11 @@ class TestApply:
         assert TNorm.from_name("DRASTIC") is TNorm.DRASTIC
         with pytest.raises(ValueError):
             TNorm.from_name("hamacher")
+
+    @pytest.mark.parametrize("bad", ["hamacher", 5, None, TNorm.MINIMUM, np.array([[1.0, 2.0]])], ids=repr)
+    def test_from_name_refuses_what_names_no_tnorm(self, bad):
+        with pytest.raises(ValidationError, match="unknown T-norm value"):
+            TNorm.from_name(bad)
 
 
 class TestAxioms:

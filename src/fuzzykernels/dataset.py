@@ -32,7 +32,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import _PATH, ValidationError, _instance, _labels
-from .sets import DiscreteFuzzySet, GaussianFuzzySet, GroundSpace, Partition
+from .sets import DiscreteFuzzySet, GaussianFuzzySet, GroundSpace, Partition, _gaussian_parameters
 
 __all__ = ["Dataset", "parse_dataset", "dataset_from_obj", "dataset_to_obj", "write_dataset"]
 
@@ -128,7 +128,7 @@ def _parse_attribute(obj, ground: GroundSpace | None, where: str):
         if kind == "gaussian":
             if "m" not in obj or "sigma" not in obj:
                 raise ValidationError("gaussian attribute needs 'm' and 'sigma'")
-            return GaussianFuzzySet(obj["m"], obj["sigma"])
+            return GaussianFuzzySet(*_gaussian_parameters(obj["m"], obj["sigma"], ("m", "sigma")))  # the file's keys
     except (ValueError, TypeError) as exc:  # ValidationError too, so one place names the record
         raise ValidationError(f"{where}: {exc}") from exc
     raise ValidationError(f"{where}: unknown attribute type {kind!r}")

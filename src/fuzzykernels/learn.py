@@ -22,8 +22,8 @@ __all__ = [
 ]
 
 RNG_NAME = "numpy-pcg64"
-# a block's 4 N-wide MMD temporaries hold max(this, N^2 // 16) elements: N <= 1024, every benchmark size, gets this
-# budget; N = 2040 gets 31 rows, not 8, and a null of 0.14-0.19 s, not 0.29-0.35 s, for a sixteenth of the Gram more
+# a block's N-wide MMD temporaries, 4 float64 arrays' worth, hold max(this, N^2 // 16) elements: N = 2040 gets 31
+# rows, not 8, and N <= 1024, every benchmark size, this budget; a chunk of this // 16 replicas is scored at once
 _NULL_BLOCK_ELEMENTS = 1 << 16
 # a p-value of 1e-6 is fine enough for any test; 10**6 replicas take ~3 s at N = 120, and time grows as N^2
 _MAX_PERMUTATIONS = 10**6
@@ -136,11 +136,14 @@ def mmd_statistic(gxx, gyy, gxy) -> float:
 
 
 def _smaller_sample_rows(keys: np.ndarray, n: int, m: int) -> np.ndarray:
-    """0/1 rows marking each row's smaller sample: A is the n smallest keys, ties in record order.
-    A row's sorted copy gives its n-th smallest key, and a tie at it is an equal (n+1)-th."""
-    ordered = np.sort(keys, axis=1)
-    in_a = keys <= ordered[:, [n - 1]]
-    for r in np.flatnonzero(ordered[:, n - 1] == ordered[:, n]):  # only these rows hold more than n keys <= it
+    """0/1 rows marking each row's smaller sample: A is the n smallest keys, ties in record order.  Rows sort as
+    float32, a monotone rounding: where the n-th and (n+1)-th smallest rounded keys differ, those rounding to at most
+    the n-th are the n smallest doubles; a tie there, or two doubles of one float32 (~4e-6 of uniform rows), takes a
+    stable argsort of the row's doubles."""
+    coarse = keys.astype(np.float32)
+    ordered = np.sort(coarse, axis=1)
+    in_a = coarse <= ordered[:, n - 1 : n]
+    for r in np.flatnonzero(ordered[:, n - 1] == ordered[:, n]):  # only these rows may mark more than n keys
         in_a[r] = np.argsort(np.argsort(keys[r], kind="stable")) < n
     return (in_a if n <= m else ~in_a).astype(float)
 
@@ -165,10 +168,13 @@ def mmd_permutation_test(
     (size k): ``sss = rowsum((M @ G) * M)``, ``ss = M @ rowsum(G)``, the
     cross sum is ``ss - sss`` and the larger sample's sum ``sum(G) - 2 ss +
     sss``, whose cancellation error stays O(eps max|G|) after division by
-    ``(N - k)^2``.  A block's four N-wide temporaries (the keys, their
-    sorted copy, the mask or ``M``, and ``M @ G``) stay within the larger of
-    ``_NULL_BLOCK_ELEMENTS`` and N^2 / 16 elements, so memory is O(N^2) for
-    any ``n_permutations``, and large N gets blocks of N / 64 rows.
+    ``(N - k)^2``.  A block's N-wide temporaries (the keys, their float32
+    copy and its sort at half width each, the mask or ``M``, and ``M @ G``)
+    stay within the larger of ``_NULL_BLOCK_ELEMENTS`` and N^2 / 16 doubles,
+    so memory is O(N^2) for any ``n_permutations``, and large N gets blocks
+    of N / 64 rows.  Blocks write ``sss`` and ``ss`` into the vectors of a
+    chunk of ``_NULL_BLOCK_ELEMENTS / 16`` replicas in whole blocks, whose
+    statistics are formed, checked and counted at once.
     ``n_jobs`` is accepted for compatibility and does not change the result.
 
     The reported statistic is :func:`mmd_statistic` of the given split.  A
@@ -191,15 +197,18 @@ def mmd_permutation_test(
     k, rest = (n, m) if n <= m else (m, n)
     rng = np.random.default_rng(seed)
     step = max(1, max(_NULL_BLOCK_ELEMENTS, total**2 // 16) // (4 * total))
+    scores = np.empty((2, step * max(1, _NULL_BLOCK_ELEMENTS // 16 // step)))  # a chunk's sss and ss
     exceed = 0
     with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows raises NumericError instead
         row_sums, g_sum = g.sum(axis=1), g.sum()
         if not np.isfinite(row_sums).all() or not np.isfinite(g_sum):
             raise NumericError(f"the pooled Gram's sums are not finite: total {g_sum}")
-        for first in range(0, n_permutations, step):
-            member = _smaller_sample_rows(rng.random((min(step, n_permutations - first), total)), n, m)
-            sss = np.einsum("ij,ij->i", member @ g, member)
-            ss = member @ row_sums
+        for start in range(0, n_permutations, scores.shape[1]):
+            sss, ss = scores[:, : min(scores.shape[1], n_permutations - start)]
+            for first in range(0, len(ss), step):
+                member = _smaller_sample_rows(rng.random((min(step, len(ss) - first), total)), n, m)
+                np.einsum("ij,ij->i", member @ g, member, out=sss[first : first + len(member)])
+                np.matmul(member, row_sums, out=ss[first : first + len(member)])
             stats = sss / k**2 + (g_sum - 2 * ss + sss) / rest**2 - 2 * (ss - sss) / (k * rest)
             if not np.isfinite(stats).all():  # a sum over a replica's split overflowed, though G's sums did not
                 raise NumericError("a replica of the MMD null overflows")

@@ -94,7 +94,7 @@ class Partition:
         else:
             meas = _numbers(measures, "measures", 0, closed=True)
             if meas.shape != (len(self.cells),):
-                raise ValidationError("need exactly one measure per cell")
+                raise ValidationError(f"measures need one measure per cell ({len(self.cells)}), got shape {meas.shape}")
         meas.flags.writeable = False
         self.measures: np.ndarray = meas
 
@@ -229,12 +229,16 @@ class DiscreteFuzzySet:
         return f"DiscreteFuzzySet({len(self.degrees)} of {len(self.ground)} points)"
 
 
+def _gaussian_parameters(means, widths, names=("means", "widths")) -> tuple[np.ndarray, np.ndarray]:
+    """Float arrays by :func:`errors._numbers`' rule, widths > 0; an error names an element as ``means[1]``."""
+    return _numbers(means, names[0]), _numbers(widths, names[1], 0)
+
+
 class GaussianFuzzySet:
     """Parametric fuzzy set ``x -> prod_d exp(-(x_d - m_d)^2 / (2 sigma_d^2))``."""
 
     def __init__(self, means: Sequence[float] | np.ndarray, widths: Sequence[float] | np.ndarray):
-        m = np.atleast_1d(_numbers(means, "m"))
-        s = np.atleast_1d(_numbers(widths, "sigma", 0))
+        m, s = map(np.atleast_1d, _gaussian_parameters(means, widths))
         if m.ndim != 1 or m.shape != s.shape or m.size == 0:
             raise ValidationError("means and widths must be equal-length non-empty vectors")
         m.flags.writeable = False
@@ -248,7 +252,7 @@ class GaussianFuzzySet:
         over the stacks at once; None, never an exception, where a set breaks it or the stacks are not
         both N x d with d >= 1 (a scalar mean, ragged rows)."""
         try:
-            m, s = _numbers(means, "m"), _numbers(widths, "sigma", 0)
+            m, s = _gaussian_parameters(means, widths)
         except (ValueError, TypeError):  # ValidationError too; and a ragged stack that astype cannot take
             return None
         if m.ndim != 2 or m.shape != s.shape or m.shape[1] == 0:

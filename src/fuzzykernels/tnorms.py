@@ -23,7 +23,13 @@ from .sets import DiscreteFuzzySet, _check_same_ground
 __all__ = ["TNorm", "apply", "apply_array", "intersect"]
 
 
-class TNorm(enum.Enum):
+class _ByName(enum.EnumMeta):
+    def __call__(cls, value, *args, **kwargs):
+        """What is no string or member goes to ``_missing_``: Enum's lookup compares an array elementwise."""
+        return super().__call__(value, *args, **kwargs) if isinstance(value, (str, cls)) else cls._missing_(value)
+
+
+class TNorm(enum.Enum, metaclass=_ByName):
     MINIMUM = "min"
     PRODUCT = "product"
     LUKASIEWICZ = "lukasiewicz"
@@ -40,8 +46,7 @@ class TNorm(enum.Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "TNorm":
-        """Resolve a config name; what is no string goes to ``_missing_``, as an array must (``TNorm(array)``
-        compares it with each value, elementwise)."""
+        """Resolve a config name; what is no string, a member too, goes to ``_missing_``."""
         return cls(name) if isinstance(name, str) else cls._missing_(name)
 
 

@@ -105,9 +105,18 @@ class TestParse:
         with pytest.raises(ValidationError, match="ground_space"):
             parse_dataset(write_json(tmp_path, obj))
 
-    def test_sigma_zero_rejected(self, tmp_path):
-        obj = {"records": [[{"type": "gaussian", "m": [0.0], "sigma": [0.0]}]]}
-        with pytest.raises(ValidationError, match=r"records\[0\]\[0\]"):
+    @pytest.mark.parametrize(
+        "m, sigma, match",
+        [
+            pytest.param([0.0], [0.0], r"records\[0\]\[0\]: sigma\[0\] must be finite and > 0", id="sigma-zero"),
+            pytest.param([0.0, "a"], [1.0, 1.0], r"records\[0\]\[0\]: m\[1\] must be a number", id="m-string"),
+            pytest.param([0.0], [True], r"records\[0\]\[0\]: sigma\[0\] must be a number", id="sigma-bool"),
+        ],
+    )
+    def test_gaussian_errors_name_the_file_keys(self, tmp_path, m, sigma, match):
+        # GaussianFuzzySet's own errors name means[...] and widths[...]; the reader names the keys it read
+        obj = {"records": [[{"type": "gaussian", "m": m, "sigma": sigma}]]}
+        with pytest.raises(ValidationError, match=match):
             parse_dataset(write_json(tmp_path, obj))
 
 

@@ -423,6 +423,21 @@ class TestMmdPermutationTest:
         res = mmd_permutation_test(pooled[:6], pooled[6:], spec, n_permutations=250, seed=4)
         assert res.p_value == oracles.bf_mmd_p_value(compute_gram(pooled, spec).values, 6, 250, 4)
 
+    def test_replicas_over_several_blocks_and_chunks_match_the_oracle(self, spec, monkeypatch):
+        # a budget of 832 gives blocks of 832 // (4 * 13) = 16 rows and chunks of 832 // 16 // 16 = 3 blocks:
+        # 250 replicas are 5 whole chunks and a ragged one of 10, each chunk scored at once
+        rng = np.random.default_rng(37)
+        pooled = self._sample(rng, 6) + self._sample(rng, 7, shift=0.3)
+        monkeypatch.setattr(learn, "_NULL_BLOCK_ELEMENTS", 832)
+        heights, select = [], learn._smaller_sample_rows
+        monkeypatch.setattr(
+            learn, "_smaller_sample_rows", lambda keys, n, m: heights.append(len(keys)) or select(keys, n, m)
+        )
+        res = mmd_permutation_test(pooled[:6], pooled[6:], spec, n_permutations=250, seed=4)
+        assert heights == [16] * 15 + [10]
+        assert res.p_value == oracles.bf_mmd_p_value(compute_gram(pooled, spec).values, 6, 250, 4)
+        assert 1 < round(res.p_value * 251) < 251  # some replicas count and some do not
+
     def test_null_pass_memory_is_blocked(self, spec):
         # 5000 replicas' 120 keys drawn up front take 4.8 MB; blocks stay
         # within the Gram and the block budget, whether A (60 + 60) or B
@@ -508,6 +523,40 @@ def test_split_of_tied_keys_is_the_stable_argsort_split(n, m):
         want[row, ranked[:n] if n <= m else ranked[n:]] = 1.0
     assert (want.sum(axis=1) == min(n, m)).all()
     np.testing.assert_array_equal(learn._smaller_sample_rows(keys, n, m), want)
+
+
+def _stable_split(keys, n, m):
+    """0/1 rows of the smaller sample, where A is the first n of each row's stable argsort."""
+    in_a = np.argsort(np.argsort(keys, kind="stable"), kind="stable") < n
+    return (in_a if n <= m else ~in_a).astype(float)
+
+
+@pytest.mark.parametrize("n, m", [(3, 4), (4, 3), (1, 6), (6, 1)])
+def test_split_where_float32_rounding_merges_the_boundary_keys(n, m):
+    """Rows are sorted as float32, so doubles that round to one float32 at the n-th and (n+1)-th smallest
+    key, or tie exactly there, must still split as the stable argsort of the doubles."""
+    near = np.nextafter(0.5, 1.0)
+    assert np.float32(near) == np.float32(0.5) and near != 0.5
+    below, above, top = np.linspace(0.1, 0.4, n - 1), np.linspace(0.6, 0.9, m - 1), 1 - 2.0 ** -np.arange(41, 40 + m)
+    keys = np.array([
+        [*below, near, 0.5, *above],  # distinct doubles that round to one float32, the larger first
+        [*below, 0.5, near, *above],  # the same, the smaller first
+        [*below, 0.5, 0.5, *above],  # an exact tie of doubles
+        [*below, 1 - 2.0**-30, 1 - 2.0**-40, *top],  # every key from the n-th on rounds up to 1.0f
+        [*below, 1 - 2.0**-20, 1 - 2.0**-40, *top],  # the n-th is a float32 below 1.0f
+    ])[:, np.random.default_rng(0).permutation(n + m)]  # the boundary keys among the others
+    np.testing.assert_array_equal(learn._smaller_sample_rows(keys, n, m), _stable_split(keys, n, m))
+
+
+# derandomized, so every run of the suite draws the same instances
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(1, 40), m=st.integers(1, 40), bits=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+def test_split_of_keys_on_a_fine_grid_is_the_stable_argsort_split(n, m, bits, seed):
+    """Keys 1 - k 2^-30 for k in [1, 2^bits]: float32 spaces [0.5, 1) by 2^-24, so it merges up to 64 grid
+    points, and a small ``bits`` makes exact ties of doubles common too."""
+    k = np.random.default_rng(seed).integers(1, 2**bits, size=(8, n + m), endpoint=True)
+    keys = 1.0 - k * 2.0**-30
+    np.testing.assert_array_equal(learn._smaller_sample_rows(keys, n, m), _stable_split(keys, n, m))
 
 
 def _mmd_values(kind, n, m, rng):

@@ -1,13 +1,14 @@
 """Hostile values at the library's entry points.
 
 Every number, label, vector and matrix argument of learn.py, gram.py, tnorms.apply,
-the base kernels, the kernel spec, the scalar reference kernels, ``Dataset`` and the
-histogram fuzzifier is set, one at a time, to a string, a
-bool, None, NaN, inf, a nested list or a ragged list.  In a label vector, a vector
-or a matrix the first entry takes the string, bool, None, NaN or inf; the whole
-value is nested one level deeper, and the last row (or, for a vector, the first
-entry) is made ragged; a vector (``predict``'s ``coefficients``, the fuzzifier's
-``samples``) is also set to its bare first entry and to a 2-D array.
+the base kernels, the kernel spec, the scalar reference kernels, ``Dataset``, the
+histogram fuzzifier, ``GaussianFuzzySet`` and ``Partition``'s measures is set, one at
+a time, to a string, a bool, None, NaN, inf, a nested list or a ragged list.  In a
+label vector, a vector or a matrix the first entry takes the string, bool, None, NaN
+or inf; the whole value is nested one level deeper, and the last row (or, for a
+vector, the first entry) is made ragged; a vector (``predict``'s ``coefficients``,
+the fuzzifier's ``samples``, the sets' means, widths and measures) is also set to
+its bare first entry and to a 2-D array.
 Every argument that takes an object (a spec's ``family``, ``tnorm``, ``k1``,
 ``k2`` and ``metric``, the ``spec`` of the engine's entry points, the T-norm
 and the sets of the tnorms functions, the ground, set and partition of the sets
@@ -18,9 +19,9 @@ ground) is set to a string, a number, None unless None is its default, and a
 Every list of records (``compute_gram``'s data, the two MMD samples and a
 ``Dataset``'s records) is set to a string, a number, None and an iterator over
 its records.  ``TNorm``'s value, a T-norm's name, is set to a name of none, a
-number, None and a list.  Every file path is set to None, a bool, a list and an
-int, with open() patched to fail, since it takes an int or a bool as a file
-descriptor.
+number, None, a list and a 2-D array.  Every file path is set to None, a bool, a
+list and an int, with open() patched to fail, since it takes an int or a bool as a
+file descriptor.
 One test walks the public surface: each parameter of each public callable
 needs a row here or in ``test_sets.CONSTRUCTOR_ARGUMENTS``, or a stated reason
 in ``EXEMPT``.
@@ -131,6 +132,10 @@ ENTRY_POINTS = [
     ("support_cells", support_cells, dict(fs=SET, partition=GROUND.partition), {"fs": "object", "partition": "object"}),
     ("dataset_to_obj", dataset_to_obj, dict(ds=Dataset(GROUND, [(SET,)])), {"ds": "object"}),
     ("write_dataset", lambda ds: write_dataset(ds, os.devnull), dict(ds=Dataset(GROUND, [(SET,)])), {"ds": "object"}),
+    # the set constructors' number vectors; test_sets.BAD_ARGUMENTS pins their other arguments' types
+    ("GaussianFuzzySet", GaussianFuzzySet, dict(means=[0.0, 1.0], widths=[1.0, 2.0]),
+     {"means": "vector", "widths": "vector"}),
+    ("Partition", lambda measures: Partition([[0], [1]], measures), dict(measures=[1.0, 2.0]), {"measures": "vector"}),
     *(
         (f"{kernel.__name__}.pairwise", lambda U, V, k=kernel: k().pairwise(U, V), dict(U=POINTS, V=POINTS),
          {"U": "points", "V": "points"})
@@ -226,7 +231,9 @@ def _hostile(value, kind):
             yield "none", None
         return
     if kind == "name":  # an enum's value, here a T-norm's name
+        # the array once met Enum's own lookup, which compares it with each value and raised numpy's ValueError
         yield from [("string", "hamacher"), ("number", 3), ("none", None), ("list", [value])]
+        yield "array", np.array([[1.0, 2.0]])
         return
     if kind == "path":  # open() takes the bool and the int as file descriptors
         yield from [("none", None), ("bool", True), ("list", [value]), ("int", 1)]

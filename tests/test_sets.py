@@ -358,11 +358,11 @@ BAD_ARGUMENTS = [
     # a string, a bool or a nested list where a number belongs, each once read by
     # np.asarray(..., dtype=float) as the number it spells, as 1.0, or as one more axis
     pytest.param(
-        lambda: GaussianFuzzySet([0.0, "0.5"], [1.0, 1.0]), r"m\[1\] must be a number", id="gaussian-string",
+        lambda: GaussianFuzzySet([0.0, "0.5"], [1.0, 1.0]), r"means\[1\] must be a number", id="gaussian-string",
     ),
-    pytest.param(lambda: GaussianFuzzySet([0.0], [True]), r"sigma\[0\] must be a number", id="gaussian-bool"),
+    pytest.param(lambda: GaussianFuzzySet([0.0], [True]), r"widths\[0\] must be a number", id="gaussian-bool"),
     pytest.param(
-        lambda: GaussianFuzzySet([0.0, [1.0]], [1.0, 1.0]), r"m\[1\] must be a number", id="gaussian-nested",
+        lambda: GaussianFuzzySet([0.0, [1.0]], [1.0, 1.0]), r"means\[1\] must be a number", id="gaussian-nested",
     ),
     pytest.param(lambda: GroundSpace([["0"], [1.0]]), r"points\[0\]\[0\] must be a number", id="points-string"),
     pytest.param(lambda: GroundSpace([[0.0], [True]]), r"points\[1\]\[0\] must be a number", id="points-bool"),

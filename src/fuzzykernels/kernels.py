@@ -60,8 +60,8 @@ import numpy as np
 
 from .dataset import _parse_attribute
 from .errors import NumericError, ValidationError, _instance, _number, _numbers
-from .sets import DiscreteFuzzySet, GaussianFuzzySet, GroundSpace, Partition, _check_same_ground, support_cells
-from .tnorms import TNorm, apply_array as tnorm_array, intersect
+from .sets import DiscreteFuzzySet, GaussianFuzzySet, GroundSpace, Partition
+from .tnorms import TNorm, apply_array as tnorm_array
 
 __all__ = [
     "LinearKernel",
@@ -170,6 +170,15 @@ def base_kernel_from_config(cfg: Mapping) -> BaseKernel:
 # Cross product kernels
 # ---------------------------------------------------------------------------
 
+def _check_same_ground(x: DiscreteFuzzySet, y: DiscreteFuzzySet) -> None:
+    """Two discrete sets on one ground space; anything else raises ValidationError, naming ``x`` or ``y``
+    where it is no DiscreteFuzzySet."""
+    _instance(x, DiscreteFuzzySet, "x")
+    _instance(y, DiscreteFuzzySet, "y")
+    if x.ground != y.ground:
+        raise ValidationError("fuzzy sets live on different ground spaces")
+
+
 def _sorted_support(fs: DiscreteFuzzySet) -> tuple[list[int], np.ndarray]:
     idxs = sorted(fs.support)
     degs = np.array([fs.degrees[i] for i in idxs], dtype=float)
@@ -216,22 +225,34 @@ def weighted_cross_product_kernel(
 # Intersection kernel
 # ---------------------------------------------------------------------------
 
+def _intersect(x: DiscreteFuzzySet, y: DiscreteFuzzySet, t: TNorm) -> dict[int, float]:
+    """The T-norm intersection, ``{i: T(x(i), y(i))}`` on the sorted common support with zeros kept, by one call."""
+    _check_same_ground(x, y)
+    common = sorted(x.support & y.support)
+    values = tnorm_array(t, [x.degrees[i] for i in common], [y.degrees[i] for i in common])
+    return dict(zip(common, values.tolist()))
+
+
 def intersection_kernel(
     x: DiscreteFuzzySet, y: DiscreteFuzzySet, t: TNorm, p: Partition
 ) -> float:
     """Measure-weighted T-norm overlap aggregated over partition cells: the
-    intersection ``z``'s degrees summed over each cell, times its measure.
+    intersection's degrees summed over each cell, times its measure.
 
     Only cells entirely contained in *both* supports contribute; a cell only
-    partially covered by either support contributes nothing.
+    partially covered by either support contributes nothing.  A partition not
+    the ground's own, or of another size, raises ValidationError.
     """
     _instance(p, Partition, "p")
-    z, total = intersect(x, y, t).degrees, 0.0
-    for k in sorted(support_cells(x, p) & support_cells(y, p)):
-        cell_sum = 0.0
-        for i in p.cells[k]:  # added in turn: sum() compensates since Python 3.12
-            cell_sum += z.get(i, 0.0)
-        total += cell_sum * float(p.measures[k])
+    z, own, total = _intersect(x, y, t), x.ground.partition, 0.0
+    if p.size != len(x.ground) or (own is not None and p != own):
+        raise ValidationError("partition does not belong to the fuzzy sets' ground space")
+    for k, cell in enumerate(p.cells):
+        if all(i in z for i in cell):  # the cell lies in both supports
+            cell_sum = 0.0
+            for i in cell:  # added in turn: sum() compensates since Python 3.12
+                cell_sum += z[i]
+            total += cell_sum * float(p.measures[k])
     return total
 
 
@@ -245,7 +266,7 @@ def nonsingleton_kernel(x: DiscreteFuzzySet, y: DiscreteFuzzySet, t: TNorm) -> f
     T(a, 0) = 0 for every T-norm, so only the common support matters and
     disjoint supports give 0.
     """
-    return max(intersect(x, y, t).degrees.values(), default=0.0)
+    return max(_intersect(x, y, t).values(), default=0.0)
 
 
 def nonsingleton_gaussian_kernel(x: GaussianFuzzySet, y: GaussianFuzzySet) -> float:
@@ -750,7 +771,7 @@ def spec_from_config(cfg: Mapping, ground: GroundSpace | None = None) -> FuzzyKe
         if key in cfg:
             kwargs[key] = base_kernel_from_config(cfg[key])
     if "tnorm" in cfg:
-        kwargs["tnorm"] = TNorm.from_name(cfg["tnorm"])
+        kwargs["tnorm"] = TNorm(cfg["tnorm"])
     if "reference" in cfg:
         refs = [cfg["reference"]] if isinstance(cfg["reference"], Mapping) else cfg["reference"]
         if not isinstance(refs, (list, tuple)):

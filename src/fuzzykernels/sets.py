@@ -31,7 +31,6 @@ __all__ = [
     "DiscreteFuzzySet",
     "GaussianFuzzySet",
     "fuzzify_from_histogram",
-    "support_cells",
 ]
 
 
@@ -154,15 +153,6 @@ class GroundSpace:
         return f"GroundSpace({len(self)} points, dim={self.dim})"
 
 
-def _check_same_ground(x: "DiscreteFuzzySet", y: "DiscreteFuzzySet") -> None:
-    """Two discrete sets on one ground space; anything else raises ValidationError, naming ``x`` or ``y``
-    where it is no DiscreteFuzzySet."""
-    _instance(x, DiscreteFuzzySet, "x")
-    _instance(y, DiscreteFuzzySet, "y")
-    if x.ground != y.ground:
-        raise ValidationError("fuzzy sets live on different ground spaces")
-
-
 class DiscreteFuzzySet:
     """Sparse membership function over a ground space.
 
@@ -230,17 +220,19 @@ class DiscreteFuzzySet:
 
 
 def _gaussian_parameters(means, widths, names=("means", "widths")) -> tuple[np.ndarray, np.ndarray]:
-    """Float arrays by :func:`errors._numbers`' rule, widths > 0; an error names an element as ``means[1]``."""
-    return _numbers(means, names[0]), _numbers(widths, names[1], 0)
+    """Two vectors of one length d >= 1 (a scalar is d = 1) by :func:`errors._numbers`' rule, widths > 0;
+    an error names an element as ``means[1]`` and a shape by both names."""
+    m, s = np.atleast_1d(_numbers(means, names[0])), np.atleast_1d(_numbers(widths, names[1], 0))
+    if m.ndim != 1 or m.shape != s.shape or m.size == 0:
+        raise ValidationError(f"{names[0]} and {names[1]} must be equal-length non-empty vectors")
+    return m, s
 
 
 class GaussianFuzzySet:
     """Parametric fuzzy set ``x -> prod_d exp(-(x_d - m_d)^2 / (2 sigma_d^2))``."""
 
     def __init__(self, means: Sequence[float] | np.ndarray, widths: Sequence[float] | np.ndarray):
-        m, s = map(np.atleast_1d, _gaussian_parameters(means, widths))
-        if m.ndim != 1 or m.shape != s.shape or m.size == 0:
-            raise ValidationError("means and widths must be equal-length non-empty vectors")
+        m, s = _gaussian_parameters(means, widths)
         m.flags.writeable = False
         s.flags.writeable = False
         self.means: np.ndarray = m
@@ -252,7 +244,7 @@ class GaussianFuzzySet:
         over the stacks at once; None, never an exception, where a set breaks it or the stacks are not
         both N x d with d >= 1 (a scalar mean, ragged rows)."""
         try:
-            m, s = _gaussian_parameters(means, widths)
+            m, s = _numbers(means, "means"), _numbers(widths, "widths", 0)
         except (ValueError, TypeError):  # ValidationError too; and a ragged stack that astype cannot take
             return None
         if m.ndim != 2 or m.shape != s.shape or m.shape[1] == 0:
@@ -334,16 +326,3 @@ def _bisect(holds, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         ok = holds(mid)
         lo, hi = np.where(live & ~ok, mid + 1, lo), np.where(live & ok, mid, hi)
     return lo
-
-
-def support_cells(fs: DiscreteFuzzySet, partition: Partition) -> set[int]:
-    """Indices of the partition cells entirely contained in ``supp(fs)``.  A
-    partition that is not the ground space's own (or, when the ground carries
-    none, one that does not cover its indices) raises ValidationError."""
-    _instance(fs, DiscreteFuzzySet, "fs")
-    _instance(partition, Partition, "partition")
-    own = fs.ground.partition
-    if partition.size != len(fs.ground) or (own is not None and partition != own):
-        raise ValidationError("partition does not belong to the fuzzy sets' ground space")
-    supp = fs.support
-    return {k for k, cell in enumerate(partition.cells) if all(i in supp for i in cell)}

@@ -17,10 +17,9 @@ import enum
 
 import numpy as np
 
-from .errors import ValidationError, _number
-from .sets import DiscreteFuzzySet, _check_same_ground
+from .errors import ValidationError
 
-__all__ = ["TNorm", "apply", "apply_array", "intersect"]
+__all__ = ["TNorm", "apply_array"]
 
 
 class _ByName(enum.EnumMeta):
@@ -44,17 +43,6 @@ class TNorm(enum.Enum, metaclass=_ByName):
                 return t
         raise ValidationError(f"unknown T-norm value {value!r}; expected one of {', '.join(t.value for t in cls)}")
 
-    @classmethod
-    def from_name(cls, name: str) -> "TNorm":
-        """Resolve a config name; what is no string, a member too, goes to ``_missing_``."""
-        return cls(name) if isinstance(name, str) else cls._missing_(name)
-
-
-def apply(t: TNorm, a: float, b: float) -> float:
-    """Evaluate the T-norm on two degrees in [0, 1], each under :func:`errors._number`'s rule."""
-    a, b = _number(a, "a", 0, closed=True, most=1), _number(b, "b", 0, closed=True, most=1)
-    return float(apply_array(t, a, b))
-
 
 def apply_array(t: TNorm, a, b) -> np.ndarray:
     """Elementwise T-norm of two broadcastable arrays of degrees.
@@ -72,16 +60,3 @@ def apply_array(t: TNorm, a, b) -> np.ndarray:
         # never clamped
         return np.where(np.equal(b, 1.0), a, np.where(np.equal(a, 1.0), b, 0.0))
     raise ValidationError(f"t must be a TNorm, got {t!r}")
-
-
-def intersect(x: DiscreteFuzzySet, y: DiscreteFuzzySet, t: TNorm) -> DiscreteFuzzySet:
-    """Pointwise T-norm intersection of two fuzzy sets on the same ground space.
-
-    T is evaluated once, over the sorted common support, and zero results are
-    dropped, so the support is where T is positive, within supp(x) & supp(y).
-    The reference intersection and non-singleton kernels build on it.
-    """
-    _check_same_ground(x, y)
-    common = sorted(x.support & y.support)
-    values = apply_array(t, [x.degrees[i] for i in common], [y.degrees[i] for i in common])
-    return DiscreteFuzzySet(x.ground, {i: d for i, d in zip(common, values.tolist()) if d > 0.0})

@@ -22,7 +22,7 @@ from fuzzykernels import (
     PolynomialKernel,
     RBFKernel,
     TNorm,
-    apply,
+    apply_array,
     check_psd,
     compute_gram,
     cross_product_kernel,
@@ -61,13 +61,13 @@ def test_criterion_1_tnorm_axioms():
         exact = t in (TNorm.MINIMUM, TNorm.DRASTIC)
         tol = 0.0 if exact else EXACT_TOL
         for a, b, c in triples:
-            assert apply(t, a, b) == apply(t, b, a)
-            left = apply(t, a, apply(t, b, c))
-            right = apply(t, apply(t, a, b), c)
+            assert apply_array(t, a, b) == apply_array(t, b, a)
+            left = apply_array(t, a, apply_array(t, b, c))
+            right = apply_array(t, apply_array(t, a, b), c)
             assert abs(left - right) <= tol
             lo, hi = min(b, c), max(b, c)
-            assert apply(t, a, lo) <= apply(t, a, hi)
-            assert abs(apply(t, a, 1.0) - a) <= tol
+            assert apply_array(t, a, lo) <= apply_array(t, a, hi)
+            assert abs(apply_array(t, a, 1.0) - a) <= tol
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     report(1, f"4 T-norms x 1000 triples, axioms exact/1e-15, {elapsed:.2f}s")
@@ -145,13 +145,13 @@ def test_criterion_3c_psd_intersection_min_product():
         for _ in range(50)
     ]
     for tname in ("min", "product"):
-        spec = FuzzyKernelSpec(family="intersection", tnorm=TNorm.from_name(tname))
+        spec = FuzzyKernelSpec(family="intersection", tnorm=TNorm(tname))
         rep = check_psd(compute_gram(data, spec), tol=PSD_TOL)
         assert rep.verdict == "PSD", f"{tname}: min eig {rep.min_eigenvalue}"
     # the remaining T-norms are diagnostic output, reported but not asserted
     spectra = {}
     for tname in ("lukasiewicz", "drastic"):
-        spec = FuzzyKernelSpec(family="intersection", tnorm=TNorm.from_name(tname))
+        spec = FuzzyKernelSpec(family="intersection", tnorm=TNorm(tname))
         rep = check_psd(compute_gram(data, spec), tol=PSD_TOL)
         spectra[tname] = (rep.verdict, rep.min_eigenvalue, rep.max_eigenvalue)
         print(
@@ -196,7 +196,7 @@ def test_criterion_4_bruteforce_oracles():
         x = oracles.random_discrete(rng, ground, allow_empty=True)
         y = oracles.random_discrete(rng, ground, allow_empty=True)
         tname = ("min", "product", "lukasiewicz", "drastic")[int(rng.integers(4))]
-        got = intersection_kernel(x, y, TNorm.from_name(tname), partition)
+        got = intersection_kernel(x, y, TNorm(tname), partition)
         want = oracles.bf_intersection(x, y, tname, partition)
         assert _isclose(got, want), f"intersection {got} vs {want}"
     report(4, "cross_product and intersection match brute force on 200 instances each (rel 1e-12)")

@@ -111,6 +111,11 @@ class TestParse:
             pytest.param([0.0], [0.0], r"records\[0\]\[0\]: sigma\[0\] must be finite and > 0", id="sigma-zero"),
             pytest.param([0.0, "a"], [1.0, 1.0], r"records\[0\]\[0\]: m\[1\] must be a number", id="m-string"),
             pytest.param([0.0], [True], r"records\[0\]\[0\]: sigma\[0\] must be a number", id="sigma-bool"),
+            pytest.param(
+                [0.0, 1.0], [1.0], r"records\[0\]\[0\]: m and sigma must be equal-length non-empty vectors",
+                id="shapes",
+            ),
+            pytest.param([[0.0]], [[1.0]], r"records\[0\]\[0\]: m and sigma must be equal-length", id="m-matrix"),
         ],
     )
     def test_gaussian_errors_name_the_file_keys(self, tmp_path, m, sigma, match):

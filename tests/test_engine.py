@@ -196,7 +196,7 @@ def test_cross_product_families(k1, k2, weighted, seed, n_points, n_records, n_a
 def test_intersection(tname, n_cells, seed, n_points, n_records, n_attrs, budget):
     rng = np.random.default_rng(seed)
     ground, data = discrete_data(rng, n_points, n_records, n_attrs, n_cells=n_cells)
-    t = TNorm.from_name(tname)
+    t = TNorm(tname)
     spec = FuzzyKernelSpec(family="intersection", tnorm=t)
     scalar = lambda x, y, s: intersection_kernel(x, y, t, ground.partition)
     oracle = lambda x, y, s: oracles.bf_intersection(x, y, tname, ground.partition)
@@ -208,7 +208,7 @@ def test_intersection(tname, n_cells, seed, n_points, n_records, n_attrs, budget
 def test_nonsingleton(tname, seed, n_points, n_records, n_attrs, budget):
     rng = np.random.default_rng(seed)
     _, data = discrete_data(rng, n_points, n_records, n_attrs)
-    t = TNorm.from_name(tname)
+    t = TNorm(tname)
     spec = FuzzyKernelSpec(family="nonsingleton", tnorm=t)
     scalar = lambda x, y, s: nonsingleton_kernel(x, y, t)
     oracle = lambda x, y, s: oracles.bf_nonsingleton(x, y, tname)
@@ -333,7 +333,7 @@ def test_degree_order_leaves_grams_bit_identical():
             family="weighted_cross_product", k1=BASE["rbf"][0], k2=BASE["rbf"][0], weights=rng.uniform(0, 2, 30)
         ),
         *(
-            FuzzyKernelSpec(family=f, tnorm=TNorm.from_name(t))
+            FuzzyKernelSpec(family=f, tnorm=TNorm(t))
             for f in ("intersection", "nonsingleton")
             for t in TNORMS
         ),
@@ -373,7 +373,7 @@ def test_join_grams_do_not_depend_on_the_budget(family):
     rng = np.random.default_rng(12)
     _, data = discrete_data(rng, 30, 40, 2, n_cells=8)
     for tname in TNORMS:
-        assert_budget_free(data, FuzzyKernelSpec(family=family, tnorm=TNorm.from_name(tname)), tname)
+        assert_budget_free(data, FuzzyKernelSpec(family=family, tnorm=TNorm(tname)), tname)
 
 
 def test_cross_product_grams_do_not_depend_on_the_budget():
@@ -406,7 +406,7 @@ def workload_specs(data):
         return [(FuzzyKernelSpec(family="nonsingleton_gaussian"), True)]
     joins = JOIN_FAMILIES if data[0][0].ground.partition is not None else ["nonsingleton"]
     return [
-        *((FuzzyKernelSpec(family=f, tnorm=TNorm.from_name(t)), True) for f in joins for t in TNORMS),
+        *((FuzzyKernelSpec(family=f, tnorm=TNorm(t)), True) for f in joins for t in TNORMS),
         (FuzzyKernelSpec(family="cross_product", k1=RBFKernel(gamma=0.5)), False),
     ]
 
@@ -470,7 +470,7 @@ def test_join_grams_are_permutation_equivariant(family):
     _, data = discrete_data(rng, 30, 40, 2, n_cells=8)
     perm = rng.permutation(len(data))
     for tname in TNORMS:
-        spec = FuzzyKernelSpec(family=family, tnorm=TNorm.from_name(tname))
+        spec = FuzzyKernelSpec(family=family, tnorm=TNorm(tname))
         want = compute_gram(data, spec).values[np.ix_(perm, perm)]
         assert compute_gram([data[i] for i in perm], spec).values.tobytes() == want.tobytes(), tname
 

@@ -15,6 +15,7 @@ from fuzzykernels import (
     RBFKernel,
     TNorm,
     ValidationError,
+    apply_array,
     base_kernel_from_config,
     check_psd,
     compute_gram,
@@ -223,6 +224,54 @@ class TestWeightedCrossProduct:
             assert got == pytest.approx(want, rel=1e-12)
 
 
+class TestIntersect:
+    """``kernels._intersect``, the T-norm intersection that both discrete reference kernels read."""
+
+    @pytest.fixture
+    def ground(self):
+        return GroundSpace([[float(i)] for i in range(4)], Partition([[0, 1], [2, 3]]))
+
+    def test_single_overlap_minimum(self, ground):
+        x = DiscreteFuzzySet(ground, {0: 0.8})
+        y = DiscreteFuzzySet(ground, {0: 0.5})
+        assert kernels._intersect(x, y, TNorm.MINIMUM) == {0: 0.5}
+
+    @pytest.mark.parametrize("t", list(TNorm))
+    def test_disjoint_supports_give_empty(self, ground, t):
+        x = DiscreteFuzzySet(ground, {0: 0.8, 1: 0.9})
+        y = DiscreteFuzzySet(ground, {2: 0.5, 3: 1.0})
+        assert kernels._intersect(x, y, t) == {}
+
+    def test_pointwise_product_on_overlap(self, ground):
+        x = DiscreteFuzzySet(ground, {0: 0.6, 1: 0.9})
+        y = DiscreteFuzzySet(ground, {1: 0.9, 2: 0.3})
+        assert kernels._intersect(x, y, TNorm.PRODUCT) == pytest.approx({1: 0.81})
+
+    @pytest.mark.parametrize("t", list(TNorm))
+    @given(
+        dx=st.dictionaries(st.integers(0, 3), st.floats(1e-3, 1.0), max_size=4),
+        dy=st.dictionaries(st.integers(0, 3), st.floats(1e-3, 1.0), max_size=4),
+    )
+    def test_keys_are_the_sorted_common_support(self, t, dx, dy):
+        # zeros stay: the intersection kernel reads "in both supports" off the keys
+        ground = GroundSpace([[float(i)] for i in range(4)])
+        x, y = DiscreteFuzzySet(ground, dx), DiscreteFuzzySet(ground, dy)
+        z = kernels._intersect(x, y, t)
+        assert list(z) == sorted(x.support & y.support)
+        assert all(v == float(apply_array(t, x(i), y(i))) for i, v in z.items())
+
+    @pytest.mark.parametrize(
+        "call",
+        [kernels._intersect, nonsingleton_kernel, lambda x, y, t: intersection_kernel(x, y, t, x.ground.partition)],
+        ids=["intersect", "nonsingleton", "intersection"],
+    )
+    def test_mismatched_grounds_rejected(self, ground, call):
+        x = DiscreteFuzzySet(ground, {0: 0.5})
+        y = DiscreteFuzzySet(GroundSpace([[9.0], [8.0]]), {0: 0.5})
+        with pytest.raises(ValidationError, match="different ground spaces"):
+            call(x, y, TNorm.MINIMUM)
+
+
 class TestIntersectionKernel:
     @pytest.fixture
     def part4(self):
@@ -239,10 +288,26 @@ class TestIntersectionKernel:
         assert v == pytest.approx((min(0.8, 0.5) + min(0.6, 1.0)) * 2.0)
         assert v == pytest.approx(2.2)
 
-    def test_disjoint_supports(self, ground4, part4):
+    @pytest.mark.parametrize("t", list(TNorm))
+    def test_disjoint_supports(self, ground4, part4, t):
         x = DiscreteFuzzySet(ground4, {0: 0.8, 1: 0.6})
         y = DiscreteFuzzySet(ground4, {2: 0.3, 3: 0.2})
-        assert intersection_kernel(x, y, TNorm.MINIMUM, part4) == 0.0
+        assert intersection_kernel(x, y, t, part4) == 0.0
+
+    @pytest.mark.parametrize("t", list(TNorm))
+    def test_empty_set_gives_zero(self, ground4, part4, t):
+        x = DiscreteFuzzySet(ground4, {})
+        y = DiscreteFuzzySet(ground4, {i: 1.0 for i in range(4)})
+        assert intersection_kernel(x, y, t, part4) == intersection_kernel(y, x, t, part4) == 0.0
+
+    def test_a_cell_counts_where_both_supports_cover_it(self):
+        p = Partition([[0, 1], [2, 3], [4, 5]])
+        g = GroundSpace([[float(i)] for i in range(6)], partition=p)
+        x = DiscreteFuzzySet(g, {0: 0.1, 1: 0.2, 2: 0.3, 4: 1.0, 5: 0.01})  # covers cells 0 and 2, not 1
+        y = DiscreteFuzzySet(g, {i: 1.0 for i in range(6)})
+        want = (0.1 + 0.2) * 2.0 + (1.0 + 0.01) * 2.0
+        assert intersection_kernel(x, y, TNorm.MINIMUM, p) == intersection_kernel(y, x, TNorm.MINIMUM, p)
+        assert intersection_kernel(x, y, TNorm.MINIMUM, p) == pytest.approx(want)
 
     def test_self_similarity_counting_measure(self):
         p = Partition([[0, 1], [2, 3]])
@@ -258,6 +323,25 @@ class TestIntersectionKernel:
             intersection_kernel(x, x, TNorm.MINIMUM, Partition([[0, 1]]))
         assert intersection_kernel(x, x, TNorm.MINIMUM, own) == 2.0
 
+    @pytest.mark.parametrize(
+        "own, p",
+        [
+            (None, Partition([[0], [1], [2]])),  # another size, on a ground that carries no partition
+            (Partition([[0], [1]]), Partition([[0], [1], [2]])),  # another size than the ground's own
+            (Partition([[0], [1]]), Partition([[1], [0]])),  # the ground's cells in another order
+            (Partition([[0], [1]]), Partition([[0], [1]], measures=[1.0, 2.0])),  # its cells, other measures
+        ],
+        ids=["size-no-own", "size", "order", "measures"],
+    )
+    def test_partition_not_the_grounds_rejected(self, own, p):
+        x = DiscreteFuzzySet(GroundSpace([[0.0], [1.0]], partition=own), {0: 1.0, 1: 1.0})
+        with pytest.raises(ValidationError, match="partition does not belong"):
+            intersection_kernel(x, x, TNorm.MINIMUM, p)
+
+    def test_any_partition_of_the_size_of_a_ground_without_one(self):
+        x = DiscreteFuzzySet(GroundSpace([[0.0], [1.0]]), {0: 1.0, 1: 1.0})
+        assert intersection_kernel(x, x, TNorm.MINIMUM, Partition([[0], [1]], measures=[1.0, 2.0])) == 3.0
+
     def test_partial_cell_contributes_nothing(self, ground4, part4):
         x = DiscreteFuzzySet(ground4, {0: 0.8})  # covers half of cell 0
         y = DiscreteFuzzySet(ground4, {0: 0.5, 1: 1.0})
@@ -266,7 +350,7 @@ class TestIntersectionKernel:
     @pytest.mark.parametrize("tname", ["min", "product", "lukasiewicz", "drastic"])
     def test_matches_bruteforce(self, tname):
         rng = np.random.default_rng(21)
-        t = TNorm.from_name(tname)
+        t = TNorm(tname)
         for _ in range(20):
             n = int(rng.integers(4, 16))
             n_cells = int(rng.integers(2, min(5, n)))
@@ -278,27 +362,24 @@ class TestIntersectionKernel:
             want = oracles.bf_intersection(x, y, "min" if tname == "min" else tname, p)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
-    def test_equals_intersect_then_aggregate(self):
-        # aggregating the pointwise T-norm intersection per indicator-selected
-        # cell reproduces the kernel value
-        from fuzzykernels import intersect, support_cells
-
+    @pytest.mark.parametrize("t", list(TNorm))
+    def test_sums_t_over_the_cells_both_supports_cover(self, t):
+        # cells in ascending order, points in cell order, each sum times its cell's measure: the same floats
         rng = np.random.default_rng(22)
-        for tname in ["min", "product", "lukasiewicz", "drastic"]:
-            t = TNorm.from_name(tname)
-            for _ in range(10):
-                n = int(rng.integers(4, 14))
-                p = oracles.random_partition(rng, n, 3)
-                g = GroundSpace(rng.uniform(-1, 1, size=(n, 1)), partition=p)
-                x = oracles.random_discrete(rng, g)
-                y = oracles.random_discrete(rng, g)
-                inter = intersect(x, y, t)
-                cells = support_cells(x, p) & support_cells(y, p)
-                want = sum(
-                    sum(inter.degrees.get(i, 0.0) for i in p.cells[k]) * p.measures[k]
-                    for k in sorted(cells)
-                )
-                assert intersection_kernel(x, y, t, p) == pytest.approx(want, rel=1e-12, abs=1e-12)
+        for _ in range(10):
+            n = int(rng.integers(4, 14))
+            p = oracles.random_partition(rng, n, 3)
+            g = GroundSpace(rng.uniform(-1, 1, size=(n, 1)), partition=p)
+            x = oracles.random_discrete(rng, g, allow_empty=True)
+            y = oracles.random_discrete(rng, g, allow_empty=True)
+            want = 0.0
+            for cell, measure in zip(p.cells, p.measures):
+                if all(x(i) > 0.0 and y(i) > 0.0 for i in cell):
+                    cell_sum = 0.0
+                    for i in cell:
+                        cell_sum += float(apply_array(t, x(i), y(i)))
+                    want += cell_sum * float(measure)
+            assert intersection_kernel(x, y, t, p) == want
 
     def test_random_partition_caps_cells_at_ground_size(self):
         rng = np.random.default_rng(23)
@@ -315,10 +396,17 @@ class TestNonsingleton:
         x = DiscreteFuzzySet(line_ground, {0: 0.3, 4: 0.9})
         assert nonsingleton_kernel(x, x, TNorm.MINIMUM) == 0.9
 
-    def test_disjoint_supports(self, line_ground):
+    @pytest.mark.parametrize("t", list(TNorm))
+    def test_disjoint_supports(self, line_ground, t):
         x = DiscreteFuzzySet(line_ground, {0: 0.6})
         y = DiscreteFuzzySet(line_ground, {1: 0.9})
-        assert nonsingleton_kernel(x, y, TNorm.PRODUCT) == 0.0
+        assert nonsingleton_kernel(x, y, t) == 0.0
+
+    @pytest.mark.parametrize("t", list(TNorm))
+    def test_empty_set_gives_zero(self, line_ground, t):
+        x = DiscreteFuzzySet(line_ground, {})
+        y = DiscreteFuzzySet(line_ground, {0: 1.0, 1: 0.5})
+        assert nonsingleton_kernel(x, y, t) == nonsingleton_kernel(y, x, t) == nonsingleton_kernel(x, x, t) == 0.0
 
     def test_exhaustive_max(self, line_ground):
         x = DiscreteFuzzySet(line_ground, {0: 0.6, 1: 0.9})
@@ -329,7 +417,7 @@ class TestNonsingleton:
     @pytest.mark.parametrize("tname", ["min", "product", "lukasiewicz", "drastic"])
     def test_matches_bruteforce(self, tname):
         rng = np.random.default_rng(31)
-        t = TNorm.from_name(tname)
+        t = TNorm(tname)
         g = GroundSpace(rng.uniform(-1, 1, size=(10, 1)))
         for _ in range(20):
             x = oracles.random_discrete(rng, g, allow_empty=True)
@@ -623,6 +711,19 @@ class TestEvaluateDispatch:
     def test_spec_from_config_round_trips_family(self, cfg):
         spec = spec_from_config(cfg)
         assert spec.family == cfg["family"]
+
+    @pytest.mark.parametrize("form", ["value", "NAME", "Name", "member"])
+    @pytest.mark.parametrize("t", list(TNorm))
+    def test_spec_from_config_reads_a_tnorm_name_or_member(self, line_ground, t, form):
+        # a member once went to the name lookup's refusal: "unknown T-norm value <TNorm.MINIMUM: 'min'>"
+        tnorm = {"value": t.value, "NAME": t.name, "Name": t.name.title(), "member": t}[form]
+        spec = spec_from_config({"family": "nonsingleton", "tnorm": tnorm}, line_ground)
+        assert spec.tnorm is t
+
+    @pytest.mark.parametrize("bad", ["hamacher", 3, None, ["min"], np.array([[1.0, 2.0]])], ids=repr)
+    def test_spec_from_config_refuses_what_names_no_tnorm(self, line_ground, bad):
+        with pytest.raises(ValidationError, match="unknown T-norm value"):
+            spec_from_config({"family": "nonsingleton", "tnorm": bad}, line_ground)
 
     def test_spec_from_config_reference(self, line_ground):
         cfg = {

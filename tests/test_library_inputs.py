@@ -1,6 +1,6 @@
 """Hostile values at the library's entry points.
 
-Every number, label, vector and matrix argument of learn.py, gram.py, tnorms.apply,
+Every number, label, vector and matrix argument of learn.py, gram.py,
 the base kernels, the kernel spec, the scalar reference kernels, ``Dataset``, the
 histogram fuzzifier, ``GaussianFuzzySet`` and ``Partition``'s measures is set, one at
 a time, to a string, a bool, None, NaN, inf, a nested list or a ragged list.  In a
@@ -10,12 +10,11 @@ vector, the first entry) is made ragged; a vector (``predict``'s ``coefficients`
 the fuzzifier's ``samples``, the sets' means, widths and measures) is also set to
 its bare first entry and to a 2-D array.
 Every argument that takes an object (a spec's ``family``, ``tnorm``, ``k1``,
-``k2`` and ``metric``, the ``spec`` of the engine's entry points, the T-norm
-and the sets of the tnorms functions, the ground, set and partition of the sets
-functions, the dataset writer's dataset, the scalar reference kernels' sets,
-base kernels, distance and partition, and the config readers' configs and
-ground) is set to a string, a number, None unless None is its default, and a
-2-D array.
+``k2`` and ``metric``, the ``spec`` of the engine's entry points, the T-norm of
+``apply_array``, the fuzzifier's ground, the dataset writer's dataset, the scalar
+reference kernels' sets, base kernels, distance and partition, and the config
+readers' configs and ground) is set to a string, a number, None unless None is its
+default, and a 2-D array.
 Every list of records (``compute_gram``'s data, the two MMD samples and a
 ``Dataset``'s records) is set to a string, a number, None and an iterator over
 its records.  ``TNorm``'s value, a T-norm's name, is set to a name of none, a
@@ -81,7 +80,6 @@ from fuzzykernels import (
     ratio_distance,
     read_matrix,
     spec_from_config,
-    support_cells,
     tnorms,
     weighted_cross_product_kernel,
     write_dataset,
@@ -122,14 +120,9 @@ ENTRY_POINTS = [
     ("normalize", normalize, dict(g=EYE2), {"g": "matrix"}),
     ("write_matrix", lambda g: write_matrix(os.devnull, g), dict(g=EYE2), {"g": "held"}),
     ("TNorm", TNorm, dict(value="min"), {"value": "name"}),
-    ("tnorms.apply", lambda a, b: tnorms.apply(TNorm.MINIMUM, a, b), dict(a=0.5, b=0.5), {"a": "number", "b": "number"}),
-    ("tnorms.apply", lambda t: tnorms.apply(t, 0.5, 0.5), dict(t=TNorm.MINIMUM), {"t": "object"}),
     ("tnorms.apply_array", lambda t: tnorms.apply_array(t, [0.5], [0.5]), dict(t=TNorm.MINIMUM), {"t": "object"}),
-    ("tnorms.intersect", tnorms.intersect, dict(x=SET, y=SET, t=TNorm.MINIMUM),
-     {"x": "object", "y": "object", "t": "object"}),
     ("fuzzify_from_histogram", fuzzify_from_histogram, dict(samples=[0.0, 1.0], ground=GROUND),
      {"samples": "vector", "ground": "object"}),
-    ("support_cells", support_cells, dict(fs=SET, partition=GROUND.partition), {"fs": "object", "partition": "object"}),
     ("dataset_to_obj", dataset_to_obj, dict(ds=Dataset(GROUND, [(SET,)])), {"ds": "object"}),
     ("write_dataset", lambda ds: write_dataset(ds, os.devnull), dict(ds=Dataset(GROUND, [(SET,)])), {"ds": "object"}),
     # the set constructors' number vectors; test_sets.BAD_ARGUMENTS pins their other arguments' types
@@ -207,8 +200,8 @@ EXEMPT = {
     "BaseKernel": "a type alias, not a constructor",
     "PsdReport": "check_psd's result, which only the library builds",
     "MmdResult": "mmd_permutation_test's result, which only the library builds",
-    "apply_array.a": "unchecked by design: the engine passes it degrees it has checked, and apply checks its own",
-    "apply_array.b": "unchecked by design: the engine passes it degrees it has checked, and apply checks its own",
+    "apply_array.a": "unchecked by design: its callers pass it degrees that the sets they come from have checked",
+    "apply_array.b": "unchecked by design: its callers pass it degrees that the sets they come from have checked",
     "compute_gram.n_jobs": "accepted for compatibility and never read",
     "mmd_permutation_test.n_jobs": "accepted for compatibility and never read",
 }

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzzykernels import sets
+from fuzzykernels import kernels
 from fuzzykernels import (
     DiscreteFuzzySet,
     GaussianFuzzySet,
@@ -15,7 +15,6 @@ from fuzzykernels import (
     Partition,
     ValidationError,
     fuzzify_from_histogram,
-    support_cells,
 )
 
 import oracles
@@ -261,43 +260,6 @@ class TestFuzzifyFromHistogram:
         assert max(fs.degrees.values()) == 1.0
 
 
-class TestSupportCells:
-    def test_subset_cells_only(self):
-        p = Partition([[0, 1], [2, 3]])
-        g = GroundSpace([[float(i)] for i in range(4)], partition=p)
-        fs = DiscreteFuzzySet(g, {0: 0.5, 1: 0.9})
-        assert support_cells(fs, p) == {0}
-
-    def test_partial_coverage_excluded(self):
-        p = Partition([[0, 1], [2, 3]])
-        g = GroundSpace([[float(i)] for i in range(4)], partition=p)
-        fs = DiscreteFuzzySet(g, {0: 0.5, 1: 0.9, 2: 0.4})
-        assert support_cells(fs, p) == {0}
-
-    def test_empty_support(self):
-        p = Partition([[0, 1], [2, 3]])
-        g = GroundSpace([[float(i)] for i in range(4)], partition=p)
-        fs = DiscreteFuzzySet(g, {})
-        assert support_cells(fs, p) == set()
-
-    def test_foreign_partition_rejected(self):
-        p = Partition([[0, 1], [2, 3]])
-        g = GroundSpace([[float(i)] for i in range(4)], partition=p)
-        fs = DiscreteFuzzySet(g, {0: 0.5})
-        with pytest.raises(ValueError):
-            support_cells(fs, Partition([[0], [1], [2]]))
-
-    def test_cell_membership_criterion(self):
-        # a cell belongs iff its minimum membership is positive
-        p = Partition([[0, 1], [2, 3], [4, 5]])
-        g = GroundSpace([[float(i)] for i in range(6)], partition=p)
-        fs = DiscreteFuzzySet(g, {0: 0.1, 1: 0.2, 2: 0.3, 4: 1.0, 5: 0.01})
-        got = support_cells(fs, p)
-        for k, cell in enumerate(p.cells):
-            min_deg = min(fs(i) for i in cell)
-            assert (k in got) == (min_deg > 0)
-
-
 G3 = GroundSpace([0.0, 1.0, 2.0])
 
 
@@ -335,18 +297,15 @@ BAD_ARGUMENTS = [
     pytest.param(lambda: Partition([[0], [2]]), "without gaps", id="cells-gap"),
     pytest.param(lambda: GroundSpace([]), "non-empty list", id="points-empty"),
     pytest.param(lambda: GroundSpace([0.0], Partition([[0], [1]])), "covers 2 indices", id="partition-size"),
+    # and kernels.py's check that two sets share one ground, which its reference kernels run
     pytest.param(
-        lambda: sets._check_same_ground(DiscreteFuzzySet(G3, {}), DiscreteFuzzySet(GroundSpace([0.0]), {})),
+        lambda: kernels._check_same_ground(DiscreteFuzzySet(G3, {}), DiscreteFuzzySet(GroundSpace([0.0]), {})),
         "different ground spaces", id="grounds-differ",
     ),
     pytest.param(lambda: GaussianFuzzySet([0.0], [1.0])([0.0, 1.0]), "point has dimension 2", id="gaussian-call"),
     pytest.param(lambda: fuzzify_from_histogram([], G3), "empty sample list", id="histogram-empty"),
     pytest.param(
         lambda: fuzzify_from_histogram([1.0], GroundSpace([[0.0, 1.0]])), "1-dimensional", id="histogram-2d",
-    ),
-    pytest.param(
-        lambda: support_cells(DiscreteFuzzySet(G3, {}), Partition([[0]])), "does not belong",
-        id="support-cells-foreign",
     ),
     pytest.param(lambda: Partition([[0], [1]], measures=[1.0]), "one measure per cell", id="measure-count"),
     pytest.param(lambda: GaussianFuzzySet([0.0, 1.0], [1.0]), "equal-length", id="gaussian-shapes"),

@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from itertools import chain
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
@@ -570,21 +569,22 @@ def _kernel_matrix(
 
 def _discrete(attrs: list, pairs: _Pairs, ref: DiscreteFuzzySet | None = None) -> tuple[GroundSpace, tuple]:
     """Check that the attributes (and ``ref``, packed as the last item)
-    share one ground space, and pack their degrees into arrays: the one place
-    that reads them.  Returns that ground space and the supports packed in
-    (point, item) order, as the join walks them: ``(size, item, idx, deg)``,
-    each support's size and each entry's item, ground index and degree."""
+    share one ground space, and join the index and degree arrays each set
+    holds: the engine's one reader of them.  Returns that ground space and
+    the supports packed in (point, item) order, as the join walks them:
+    ``(size, item, idx, deg)``, each support's size and each entry's item,
+    ground index and degree."""
     if ref is not None and not isinstance(ref, DiscreteFuzzySet):
         pairs.check(True, f"the reference must be a DiscreteFuzzySet, got {type(ref).__name__}")
     ground = attrs[0].ground
-    bad = np.array([x.ground != ground for x in attrs]) | (ref is not None and ref.ground != ground)
+    bad = np.array([x.ground is not ground and x.ground != ground for x in attrs])
+    bad |= ref is not None and ref.ground is not ground and ref.ground != ground
     pairs.check(bad, "fuzzy sets live on different ground spaces")
     sets = attrs if ref is None else [*attrs, ref]
-    size = np.fromiter((len(x.degrees) for x in sets), np.intp, len(sets))
-    idx = np.fromiter(chain.from_iterable(x.degrees for x in sets), np.intp, size.sum())
-    deg = np.fromiter(chain.from_iterable(x.degrees.values() for x in sets), float, size.sum())
+    size = np.fromiter((len(x._idx) for x in sets), np.intp, len(sets))
+    idx, deg = np.concatenate([x._idx for x in sets]), np.concatenate([x._deg for x in sets])
     item = np.repeat(np.arange(len(sets)), size)
-    # a fixed summation order over each support, whatever the dicts' order
+    # a fixed summation order over each support, whatever the order each set was given in
     order = np.argsort(idx * len(sets) + item)  # keys are unique, so any sort will do
     return ground, (size, item[order], idx[order], deg[order])
 

@@ -4,8 +4,9 @@ A fuzzy set is identified with its membership function mapping elements to
 degrees in [0, 1], and both representations are callable as one:
 
 * :class:`DiscreteFuzzySet` stores positive degrees sparsely over the indexed
-  points of a :class:`GroundSpace`; anything not stored has degree exactly 0,
-  so the support is simply the stored key set.
+  points of a :class:`GroundSpace`, as two read-only arrays of indices and
+  degrees; anything not stored has degree exactly 0, so the support is simply
+  the stored indices.  Its ``degrees`` mapping is built on first read.
 * :class:`GaussianFuzzySet` is parametric: a product of per-dimension Gaussian
   bumps ``exp(-(x_d - m_d)^2 / (2 sigma_d^2))``.  Centred on a crisp vector it
   is that vector's epistemic fuzzification.
@@ -17,7 +18,7 @@ Every number that defines a set, a point or a cell measure passes the rule of
 from __future__ import annotations
 
 import operator
-from itertools import islice
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -156,8 +157,10 @@ class GroundSpace:
 class DiscreteFuzzySet:
     """Sparse membership function over a ground space.
 
-    ``degrees`` maps point index -> degree in (0, 1].  Degrees equal to 0 are
-    never stored, so ``support`` is exactly the stored key set.
+    Held as two read-only arrays in the order its mapping was given: ``_idx``,
+    point indices (intp), and ``_deg``, their degrees in (0, 1] (float64).
+    Degrees equal to 0 are never stored, so ``support`` is exactly ``_idx``.
+    ``degrees`` maps index -> degree in that order and is built on first read.
     """
 
     def __init__(self, ground: GroundSpace, degrees: Mapping[int, float]):
@@ -172,14 +175,15 @@ class DiscreteFuzzySet:
             if not 0 <= i < n:
                 raise ValidationError(f"index {i} outside ground space of {n} points")
             clean[i] = _number(deg, f"degree at index {i}", 0, most=1)
-        self.degrees: Mapping[int, float] = MappingProxyType(clean)
+        self._idx, self._deg = np.fromiter(clean, np.intp, len(clean)), np.fromiter(clean.values(), float, len(clean))
+        self._idx.flags.writeable = self._deg.flags.writeable = False
 
     @classmethod
     def _slot(cls, ground: GroundSpace, objs: Sequence[dict]) -> list[DiscreteFuzzySet] | None:
         """One set per dict of index strings to degrees, as in a dataset file, by the rule of ``__init__``
         and of the file's keys (plain decimal digits, one index each) checked over all the dicts at
-        once, each degree held as a float; None, never an exception, where one breaks it or holds a
-        degree that is neither an int nor a float (a bool is neither)."""
+        once, each set's arrays views of the slot's; None, never an exception, where one breaks it or
+        holds a degree that is neither an int nor a float (a bool is neither)."""
         keys = [k for obj in objs for k in obj]
         degs = [d for obj in objs for d in obj.values()]
         try:
@@ -193,15 +197,21 @@ class DiscreteFuzzySet:
         if (max(idx, default=-1) >= len(ground) or {*map(type, degs)} - {float, int}
                 or not ((0.0 < at) & (at <= 1.0)).all()):  # also false for NaN
             return None
-        pairs = zip(idx, at.tolist())
-        cleans = [dict(islice(pairs, len(obj))) for obj in objs]
-        if sum(map(len, cleans)) < len(idx):  # two keys such as "1" and "01" name one index
+        idx, size = np.array(idx, np.intp), np.fromiter(map(len, objs), np.intp, len(objs))  # each idx < len(ground)
+        key = np.sort(np.repeat(np.arange(len(objs)), size) * len(ground) + idx)
+        if (key[1:] == key[:-1]).any():  # two keys such as "1" and "01" name one index of one set
             return None
-        return [_built(cls, ground=ground, degrees=MappingProxyType(clean)) for clean in cleans]
+        idx.flags.writeable = at.flags.writeable = False  # and so is each set's view of them
+        ends = np.cumsum(size).tolist()
+        return [_built(cls, ground=ground, _idx=idx[a:b], _deg=at[a:b]) for a, b in zip([0, *ends], ends)]
+
+    @cached_property
+    def degrees(self) -> Mapping[int, float]:
+        return MappingProxyType(dict(zip(self._idx.tolist(), self._deg.tolist())))
 
     @property
     def support(self) -> frozenset[int]:
-        return frozenset(self.degrees)
+        return frozenset(self._idx.tolist())
 
     def __call__(self, idx: int) -> float:
         """Degree of membership of the point at ``idx``; 0 outside the support."""
@@ -216,7 +226,7 @@ class DiscreteFuzzySet:
         return self.ground == other.ground and self.degrees == other.degrees
 
     def __repr__(self) -> str:
-        return f"DiscreteFuzzySet({len(self.degrees)} of {len(self.ground)} points)"
+        return f"DiscreteFuzzySet({len(self._idx)} of {len(self.ground)} points)"
 
 
 def _gaussian_parameters(means, widths, names=("means", "widths")) -> tuple[np.ndarray, np.ndarray]:

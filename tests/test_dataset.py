@@ -15,9 +15,11 @@ from fuzzykernels import (
     GroundSpace,
     Partition,
     ValidationError,
+    compute_gram,
     dataset_from_obj,
     dataset_to_obj,
     parse_dataset,
+    spec_from_config,
     write_dataset,
 )
 from fuzzykernels.cli import main
@@ -351,7 +353,8 @@ def _parsed(obj):
         return type(exc), str(exc)
     held = [
         [
-            list(a.degrees.items()) if isinstance(a, DiscreteFuzzySet)
+            [(v.tolist(), v.dtype, v.shape, v.flags.writeable) for v in (a._idx, a._deg)] + list(a.degrees.items())
+            if isinstance(a, DiscreteFuzzySet)
             else [(v.tolist(), v.dtype, v.shape, v.flags.writeable) for v in (a.means, a.widths)]
             for a in rec
         ]
@@ -513,3 +516,26 @@ def test_slot_pass_takes_integer_degrees():
     held = [list(rec[0].degrees.items()) for rec in records]
     assert held == [[(0, 1.0), (2, 1.0)], [(1, 1.0)]]
     assert {type(d) for items in held for _, d in items} == {float}
+
+
+def test_discrete_sets_hold_arrays_and_build_degrees_on_first_read(tmp_path):
+    """Parsing a discrete file and computing its Gram build no ``degrees`` mapping; read afterwards, it
+    holds the file's entries in the file's key order, each degree a float, as a constructed set's does.
+    The arrays a set holds cannot be written."""
+    w = workloads.generate("sparse-intersection", 1)
+    for rec in w.document["records"]:  # the file's key order is not the ascending one
+        rec[0]["degrees"] = dict(reversed(rec[0]["degrees"].items()))
+    w.document["records"][0][0]["degrees"] = {"7": 1, "3": 0.5}  # and a degree may be a JSON integer
+    path = write_json(tmp_path, w.document)
+    assert _takes_slot_pass(path)
+    ds = parse_dataset(path)
+    compute_gram(ds.records, spec_from_config(w.kernel, ds.ground))
+    built = [rec[0] for rec in ds.records] + [DiscreteFuzzySet(ds.ground, {7: 1, 3: 0.5})]
+    assert not any("degrees" in vars(s) for s in built)
+    files = [rec[0]["degrees"] for rec in w.document["records"]] + [{"7": 1, "3": 0.5}]
+    for s, file in zip(built, files):
+        assert list(s.degrees.items()) == [(int(k), float(d)) for k, d in file.items()]
+        assert {type(d) for d in s.degrees.values()} == {float}
+        for held in (s._idx, s._deg):
+            with pytest.raises(ValueError, match="read-only"):
+                held[0] = 1

@@ -181,28 +181,28 @@ class DiscreteFuzzySet:
     @classmethod
     def _slot(cls, ground: GroundSpace, objs: Sequence[dict]) -> list[DiscreteFuzzySet] | None:
         """One set per dict of index strings to degrees, as in a dataset file, by the rule of ``__init__``
-        and of the file's keys (plain decimal digits, one index each) checked over all the dicts at
-        once, each set's arrays views of the slot's; None, never an exception, where one breaks it or
-        holds a degree that is neither an int nor a float (a bool is neither)."""
+        checked over all the dicts at once, each set's arrays views of the slot's.  Every key must be
+        canonical, plain decimal with no zero padding, so one dict's keys name distinct indices.  None,
+        never an exception, where a key is not ("", "01", " 1", 1), a set breaks the rule or a degree is
+        neither an int nor a float (a bool is neither); the record loop then builds or refuses the slot."""
         keys = [k for obj in objs for k in obj]
         degs = [d for obj in objs for d in obj.values()]
         try:
             digits = "".join(keys)
             if keys and not (digits.isascii() and digits.isdigit()):
                 return None
-            idx = [*map(int, keys)]
             at = np.array(degs, dtype=float)
-        except (TypeError, ValueError, OverflowError):  # a key that is not a string; an empty key, or too many
-            return None  # digits for int(); a degree that is no number, or an int too large for a float
-        if (max(idx, default=-1) >= len(ground) or {*map(type, degs)} - {float, int}
-                or not ((0.0 < at) & (at <= 1.0)).all()):  # also false for NaN
-            return None
-        idx, size = np.array(idx, np.intp), np.fromiter(map(len, objs), np.intp, len(objs))  # each idx < len(ground)
-        key = np.sort(np.repeat(np.arange(len(objs)), size) * len(ground) + idx)
-        if (key[1:] == key[:-1]).any():  # two keys such as "1" and "01" name one index of one set
+        except (TypeError, ValueError, OverflowError):  # a key that is not a string; a degree that is no
+            return None  # number, or an int too large for a float
+        # an empty key drops a number; no key is shorter than its index's digit count (1 + the powers of ten up
+        # to it), so the sum is len(digits) only where none is padded; past intp a key saturates at 19 digits
+        idx = np.fromstring(" ".join(keys), np.intp, sep=" ")
+        canonical = len(digits) == len(idx) + np.searchsorted(10 ** np.arange(1, 19), idx, "right").sum()
+        if (len(idx) != len(keys) or not canonical or idx.max(initial=-1) >= len(ground)
+                or {*map(type, degs)} - {float, int} or not ((0.0 < at) & (at <= 1.0)).all()):  # also false for NaN
             return None
         idx.flags.writeable = at.flags.writeable = False  # and so is each set's view of them
-        ends = np.cumsum(size).tolist()
+        ends = np.cumsum([*map(len, objs)]).tolist()
         return [_built(cls, ground=ground, _idx=idx[a:b], _deg=at[a:b]) for a, b in zip([0, *ends], ends)]
 
     @cached_property

@@ -451,6 +451,13 @@ GROUND = {"points": [[0.0], [1.0], [2.0]]}
         pytest.param([[_discrete({"0": 0.5})], [_discrete({"9" * 5000: 0.5})]], id="key-too-long"),
         pytest.param([[_discrete({"0": 0.5})], [_discrete({"01": 0.5})]], id="key-zero-padded"),
         pytest.param([[_discrete({"0": 0.5})], [_discrete({"007": 0.5})]], id="key-two-zeros"),
+        # numpy parses 5000 zeros as index 0, where int() refuses more than 4300 digits
+        pytest.param([[_discrete({"0": 0.5})], [_discrete({"0" * 5000: 0.5})]], id="key-5000-zeros"),
+        pytest.param([[_discrete({"0": 0.5})], [_discrete({"0" * 4299 + "1": 0.5})]], id="key-4300-digits"),
+        pytest.param([[_discrete({"0": 0.5})], [_discrete({"9" * 20: 0.5})]], id="key-20-nines"),
+        pytest.param([[_discrete({"0": 0.5})], [_discrete({str(2**63): 0.5})]], id="key-past-intp"),
+        pytest.param([[_discrete({"0": 0.5})], [_discrete({"1": 0.5, "": 0.5})]], id="key-empty-last"),
+        pytest.param([[_discrete({"0": 0.5, "00": 0.25})], [_discrete({"1": 0.5})]], id="index-twice-zeros"),
         pytest.param([[_discrete({})], [_discrete({"2": 1.0})]], id="degrees-empty"),
         pytest.param([[_discrete({"0": 0.5})], [_gaussian([0.0], [1.0])]], id="slot-mixes-kinds"),
         pytest.param(

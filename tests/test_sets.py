@@ -157,6 +157,25 @@ class TestMembership:
             assert (fs(idx) > 0) == (idx in fs.support)
 
 
+class TestSlotKeys:
+    """``DiscreteFuzzySet._slot`` takes a dataset file's keys only where each is canonical:
+    the index in plain decimal, with no zero padding."""
+
+    GROUND = GroundSpace(np.arange(1001.0))
+    BOUNDARIES = ["0", "9", "10", "99", "100", "999", "1000"]  # where the digit count changes
+
+    def test_canonical_keys_give_their_indices(self):
+        objs = [{k: 0.5} for k in self.BOUNDARIES] + [dict.fromkeys(self.BOUNDARIES, 0.5)]
+        for fs, obj in zip(DiscreteFuzzySet._slot(self.GROUND, objs), objs, strict=True):
+            assert fs._idx.tolist() == [*map(int, obj)]
+            assert fs._idx.dtype == np.intp and not fs._idx.flags.writeable
+
+    @pytest.mark.parametrize("key", ["01", "00", "", "9" * 20, 0])
+    def test_a_key_that_is_not_canonical_declines_the_slot(self, key):
+        assert DiscreteFuzzySet._slot(self.GROUND, [{key: 0.5}]) is None
+        assert DiscreteFuzzySet._slot(self.GROUND, [{"1000": 0.5, "5": 1.0}, {"7": 0.5, key: 0.5}]) is None
+
+
 class TestGaussianMembership:
     def test_peak_at_mean(self):
         fs = GaussianFuzzySet([0.0], [1.0])
